@@ -34,7 +34,7 @@ is the implementation, and the familiar synchronous :class:`BlobStore` is a
 thin loop-free bridge over it (see :mod:`repro.aio`).  What this means for
 existing code:
 
-* **Nothing breaks.**  Every ``BlobStore`` method keeps its exact
+* **Methods are unchanged.**  Every ``BlobStore`` method keeps its exact
   signature, semantics, error behaviour and ``*_ex`` trip counters; no
   event loop is created and no thread is parked on the sync path.  The
   ``*_ex`` methods (``write_ex`` / ``append_ex`` / ``read_ex``) are the
@@ -48,12 +48,18 @@ existing code:
 * **Concurrency model**: ``asyncio.gather`` thousands of operations on one
   ``AsyncBlobStore`` — reads pipeline their metadata-tree descent across
   DHT buckets and writes overlap their metadata publish with the page
-  stores, with zero per-operation threads.  The ``parallel_io`` thread
-  pool remains a sync-``BlobStore``-only knob.
-* **Deprecation**: ``BlobSeerConfig(replication=...)`` now emits a
-  ``DeprecationWarning``; spell it ``metadata_replication=`` (and
-  ``page_replication=`` for the data path).  The alias still resolves
-  identically while it lasts.
+  stores, with zero per-operation threads.
+* **Removed**: the sync ``BlobStore``'s thread-pool knob and the per-call
+  batch-executor hook of the component multi-ops — the runtime
+  (:class:`~repro.aio.SyncRuntime` / :class:`~repro.aio.AsyncRuntime`) is
+  the only execution strategy, and for parallelism the event loop replaces
+  the pool (which lost to inline execution under the GIL anyway);
+  ``BlobSeerConfig(replication=...)`` — spell it ``metadata_replication=``
+  (and ``page_replication=`` for the data path); ``CacheStats.as_tuple()``
+  — read the named fields.  Batched component calls exist as ``*_async``
+  methods taking a runtime; only ``DHT.multi_put``/``multi_get``,
+  ``MetadataProvider.put_nodes``/``get_nodes`` and
+  ``ProviderManager.multi_store_virtual`` keep a synchronous façade.
 
 Package layout:
 
@@ -122,7 +128,8 @@ from .errors import (
     VersionNotPublishedError,
 )
 
-__version__ = "1.0.0"
+#: The package version; ``pyproject.toml`` reads it from here.
+__version__ = "0.2.0"
 
 # The library never configures logging for the application: modules log
 # under ``repro.*`` and the root of the hierarchy swallows records until

@@ -7,15 +7,16 @@ small :class:`IORuntime` strategy interface defined here.  The runtime then
 decides how the coroutine's awaits actually execute:
 
 * :class:`SyncRuntime` never suspends.  Its ``run_batches`` executes the
-  per-backend jobs inline (or on the caller's legacy ``run_batches`` hook /
-  ``parallel_io`` thread pool), its sleeps block, and its ``start`` runs a
-  coroutine eagerly to completion.  Because none of its awaitables ever
-  yields, a coroutine driven against it finishes in a SINGLE
-  ``coro.send(None)`` — which is what :func:`run_sync` exploits: the sync
-  :class:`~repro.core.blob_store.BlobStore` is a loop-free trampoline over
-  the async core, not a second implementation.  No event loop is created,
-  no thread is parked, and the pre-async timing and trip accounting are
-  preserved bit-for-bit.
+  per-backend jobs inline, in submission order, its sleeps block, and its
+  ``start`` runs a coroutine eagerly to completion.  Because none of its
+  awaitables ever yields, a coroutine driven against it finishes in a
+  SINGLE ``coro.send(None)`` — which is what :func:`run_sync` exploits: the
+  sync :class:`~repro.core.blob_store.BlobStore` is a loop-free trampoline
+  over the async core, not a second implementation.  No event loop is
+  created, no thread is parked, and the pre-async timing and trip
+  accounting are preserved bit-for-bit.  The runtime is stateless, so the
+  few synchronous component façades that survive (``DHT.multi_get``, …)
+  all drive their coroutine on one shared instance, :data:`SYNC_RUNTIME`.
 
 * :class:`AsyncRuntime` is the event-loop mode behind
   :class:`~repro.core.async_store.AsyncBlobStore`.  ``run_batches`` yields
@@ -28,20 +29,17 @@ decides how the coroutine's awaits actually execute:
   blocking condition-variable wait into a publish-notification wait that
   never parks a thread.
 
-The legacy ``run_batches=`` keyword of the sync component APIs (a callable
-receiving zero-arg SYNC jobs) is preserved: :meth:`SyncRuntime.run_batches`
-wraps each async job in a :func:`run_sync` thunk before handing the list to
-the hook, so existing callers, tests and the ``parallel_io`` pool observe
-exactly the jobs they always did.
+The runtime is the ONLY execution strategy: a component call takes the
+runtime it executes on, and a different strategy (a counting runtime, a
+simulated clock) is a subclass or a sibling of these two classes — never a
+per-call hook.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
 from collections.abc import Callable, Coroutine
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import VersionNotPublishedError
 
@@ -102,43 +100,17 @@ Handle = SyncHandle | TaskHandle
 class SyncRuntime:
     """Suspension-free runtime: the engine's awaits all complete inline.
 
-    Owns the client-side execution strategy the sync ``BlobStore`` used to
-    hold directly: the optional legacy ``run_batches`` hook and the lazy
-    ``parallel_io`` thread pool (one persistent pool per runtime — spinning
-    a fresh pool per batch would put thread create/join cycles on the hot
-    path).  ``pipelined`` is False: the level-by-level traversal and the
-    store-then-publish write order — and therefore every trip counter —
-    stay exactly as they were before the async core existed.
+    Stateless — no hook, no pool, no lock — so one instance can serve any
+    number of stores and threads.  ``pipelined`` is False: the
+    level-by-level traversal and the store-then-publish write order — and
+    therefore every trip counter — stay exactly as they were before the
+    async core existed.
     """
 
     pipelined = False
 
-    def __init__(
-        self,
-        run_batches: Callable[[list], list] | None = None,
-        parallel_io: int = 0,
-    ):
-        self._hook = run_batches
-        self._parallel_io = max(int(parallel_io), 0)
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
-
-    # -- batch execution ---------------------------------------------------
-    def execute_sync_jobs(self, jobs: list) -> list:
-        """Run zero-arg sync jobs — the legacy ``run_batches`` contract."""
-        if self._hook is not None:
-            return self._hook(jobs)
-        if self._parallel_io > 1 and len(jobs) > 1:
-            return list(self._executor().map(lambda job: job(), jobs))
-        return [job() for job in jobs]
-
     async def run_batches(self, jobs: list) -> list:
-        # Each async job completes synchronously under this runtime, so a
-        # run_sync thunk is a faithful zero-arg sync job — the hook and the
-        # pool observe one callable per backend exactly as before.
-        return self.execute_sync_jobs(
-            [lambda job=job: run_sync(job()) for job in jobs]
-        )
+        return [run_sync(job()) for job in jobs]
 
     async def retry_call(self, retry, attempt, on_failure=None):
         # The policy's own injected clock sleeps (blocking), preserving the
@@ -163,22 +135,10 @@ class SyncRuntime:
     async def vm_sync(self, vm, blob_id: str, version: int, timeout=None) -> None:
         vm.sync(blob_id, version, timeout)
 
-    # -- lifecycle ---------------------------------------------------------
-    def _executor(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            with self._pool_lock:
-                if self._pool is None:
-                    self._pool = ThreadPoolExecutor(
-                        max_workers=self._parallel_io,
-                        thread_name_prefix="blobstore-io",
-                    )
-        return self._pool
 
-    def close(self) -> None:
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
+#: The shared instance behind every synchronous façade of a batched
+#: component call and behind the sync ``BlobStore``.
+SYNC_RUNTIME = SyncRuntime()
 
 
 class AsyncRuntime:
@@ -258,23 +218,8 @@ class AsyncRuntime:
         finally:
             vm.unsubscribe_publications(listener)
 
-    def close(self) -> None:
-        """Nothing to release — the runtime owns no threads."""
-
 
 IORuntime = SyncRuntime | AsyncRuntime
-
-
-def ensure_runtime(run_batches=None, runtime: IORuntime | None = None) -> IORuntime:
-    """Resolve a component call's execution mode.
-
-    The sync component APIs keep their legacy ``run_batches=`` keyword; this
-    wraps it (or its absence) in a :class:`SyncRuntime` so the shared async
-    implementation is the only implementation.
-    """
-    if runtime is not None:
-        return runtime
-    return SyncRuntime(run_batches=run_batches)
 
 
 async def dispatch_jobs(
@@ -329,10 +274,10 @@ __all__ = [
     "AsyncRuntime",
     "Handle",
     "IORuntime",
+    "SYNC_RUNTIME",
     "SyncHandle",
     "SyncRuntime",
     "TaskHandle",
     "dispatch_jobs",
-    "ensure_runtime",
     "run_sync",
 ]

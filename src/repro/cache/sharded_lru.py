@@ -51,7 +51,7 @@ def key_weight(key: Hashable) -> int:
 
 @dataclass(frozen=True)
 class CacheStats:
-    """Structured cache counters (replaces the old positional 3-tuple).
+    """Structured cache counters.
 
     ``hits``/``misses``/``evictions`` are lifetime counters of the cache the
     stats were read from; ``entries``/``bytes`` are its current occupancy.
@@ -78,10 +78,6 @@ class CacheStats:
         """Hits over lookups, 0.0 when nothing was looked up."""
         lookups = self.hits + self.misses
         return self.hits / lookups if lookups else 0.0
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        """The legacy positional ``(hits, misses, entries)`` shape."""
-        return (self.hits, self.misses, self.entries)
 
     def __add__(self, other: "CacheStats") -> "CacheStats":
         """Counter-wise sum — aggregating stats over many caches is

@@ -11,7 +11,6 @@ Two dataclasses are exposed:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
@@ -96,13 +95,6 @@ class BlobSeerConfig:
         background :class:`repro.fault.RepairService` re-replicates pages
         that lost copies.  ``1`` (the default) reproduces the paper's
         single-home layout bit-identically on the wire.
-    replication:
-        Deprecated alias for ``metadata_replication``, kept for backward
-        compatibility.  Earlier revisions documented this knob as covering
-        "each page and each metadata node" while only metadata was ever
-        replicated; the knob is now split so the two legs are controlled
-        (and validated) independently.  Setting both ``replication`` and
-        ``metadata_replication`` to conflicting values is an error.
     retry_attempts:
         Maximum attempts (initial try + retries) a
         :class:`repro.fault.RetryPolicy` makes for one provider/DHT batch
@@ -198,8 +190,7 @@ class BlobSeerConfig:
     page_size: int = DEFAULT_PAGE_SIZE
     num_data_providers: int = 16
     num_metadata_providers: int = 16
-    replication: int | None = None
-    metadata_replication: int | None = None
+    metadata_replication: int = 1
     page_replication: int = 1
     retry_attempts: int = 1
     retry_backoff_base: float = 0.05
@@ -231,43 +222,9 @@ class BlobSeerConfig:
                  "num_data_providers must be >= 1")
         _require(self.num_metadata_providers >= 1,
                  "num_metadata_providers must be >= 1")
-        # Resolve the deprecated ``replication`` alias: after construction
-        # both names hold the same (integer) metadata replication factor.
-        if self.replication is not None:
-            warnings.warn(
-                "BlobSeerConfig.replication is deprecated; use "
-                "metadata_replication (and page_replication for the data "
-                "path) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        metadata_replication = self.metadata_replication
-        if metadata_replication is None:
-            if self.replication is None:
-                metadata_replication = 1
-            else:
-                # The deprecated knob keeps its historical validation
-                # envelope (bounded by the data-provider count) and its
-                # historical clamp to the bucket count, so configs written
-                # against the old combined knob keep working unchanged.
-                _require(1 <= self.replication <= self.num_data_providers,
-                         "replication must be between 1 and "
-                         "num_data_providers")
-                metadata_replication = min(
-                    self.replication, self.num_metadata_providers
-                )
-        else:
-            if (self.replication is not None
-                    and self.replication != metadata_replication):
-                raise ConfigurationError(
-                    "replication (deprecated alias) and metadata_replication "
-                    f"conflict: {self.replication} != {metadata_replication}"
-                )
-            _require(1 <= metadata_replication <= self.num_metadata_providers,
-                     "metadata_replication must be between 1 and "
-                     "num_metadata_providers")
-        object.__setattr__(self, "metadata_replication", metadata_replication)
-        object.__setattr__(self, "replication", metadata_replication)
+        _require(1 <= self.metadata_replication <= self.num_metadata_providers,
+                 "metadata_replication must be between 1 and "
+                 "num_metadata_providers")
         _require(1 <= self.page_replication <= self.num_data_providers,
                  "page_replication must be between 1 and num_data_providers")
         _require(self.retry_attempts >= 1,

@@ -13,7 +13,7 @@ underneath is decided by the injected :class:`~repro.aio.IORuntime`:
   bit for bit;
 
 * under :class:`~repro.aio.AsyncRuntime` (the default) the store exploits
-  the event loop where the old thread pool could not:
+  the event loop:
 
   - READ *pipelines* the metadata tree descent: one frontier's fetches are
     grouped by DHT bucket and each group expands its children — and issues
@@ -34,6 +34,12 @@ in ``tests/test_async_store.py`` asserts this across random histories);
 the only intentional divergence is the degraded-write reconciliation trip,
 which can only occur with ``page_replication > 1`` and a mid-write replica
 failure.
+
+Each leg of the protocol has ONE implementation here: every WRITE and
+APPEND — aligned, unaligned, strict — runs the single ``_update`` pipeline
+(Algorithm 2: store pages, get a version, weave metadata, notify), every
+tree walk goes through ``_resolve_ranges``, every page fetch through
+``_fetch_pages_into``, and the runtime is the only execution strategy.
 
 Everything the sync client's docstring says about frontier-parallel
 metadata I/O, provider-parallel data I/O, shared caches and version leases
@@ -66,7 +72,6 @@ from ..metadata.read_plan import (
     adrive_plan,
     multi_range_read_plan,
     plan_walker,
-    read_plan,
 )
 from ..obs.trace import span
 from ..providers.provider_manager import FaultTally
@@ -240,8 +245,7 @@ class AsyncBlobStore:
 
     Accepts the same caching/leasing knobs as the sync
     :class:`~repro.core.blob_store.BlobStore` (see its docstring for the
-    full parameter discussion) minus ``parallel_io`` — concurrency comes
-    from the event loop, not a thread pool — plus:
+    full parameter discussion), plus:
 
     runtime:
         The :class:`~repro.aio.IORuntime` executing the store's batched
@@ -354,9 +358,7 @@ class AsyncBlobStore:
         """Release the store (idempotent); further operations raise
         :class:`~repro.errors.StoreClosedError`.  The shared caches and the
         cluster stay untouched — other stores keep using them."""
-        if not self._closed:
-            self._closed = True
-            self._runtime.close()
+        self._closed = True
 
     async def aclose(self) -> None:
         """Awaitable :meth:`close` (idempotent)."""
@@ -388,29 +390,10 @@ class AsyncBlobStore:
         with self._trace_root(
             "write", blob_id=blob_id, offset=offset, nbytes=len(data)
         ) as root:
-            result = await self._write_ex_impl(blob_id, data, offset)
+            result = await self._update(blob_id, data, offset, is_append=False)
         if root is not None:
             self._publish_op_metrics("write", result, root)
         return result
-
-    async def _write_ex_impl(
-        self, blob_id: str, data: bytes, offset: int
-    ) -> WriteResult:
-        self._ensure_open()
-        data = bytes(data)
-        if offset < 0:
-            raise InvalidRangeError(f"negative write offset: {offset}")
-        if not data:
-            raise InvalidRangeError("WRITE requires a non-empty buffer")
-        with span("write.vm"):
-            record, vm_trips = self._get_record(blob_id)
-        page_size = record.page_size
-
-        if is_aligned(offset, len(data), page_size) and not self._strict_unaligned:
-            return await self._write_aligned(record, data, offset, vm_trips)
-        if self._strict_unaligned:
-            return await self._write_strict(record, data, offset, vm_trips)
-        return await self._write_unaligned(record, data, offset, vm_trips)
 
     # ------------------------------------------------------------------ APPEND
     async def append(self, blob_id: str, data: bytes) -> int:
@@ -423,56 +406,122 @@ class AsyncBlobStore:
 
     async def append_ex(self, blob_id: str, data: bytes) -> WriteResult:
         with self._trace_root("append", blob_id=blob_id, nbytes=len(data)) as root:
-            result = await self._append_ex_impl(blob_id, data)
+            result = await self._update(blob_id, data, None, is_append=True)
         if root is not None:
             self._publish_op_metrics("write", result, root)
         return result
 
-    async def _append_ex_impl(self, blob_id: str, data: bytes) -> WriteResult:
+    # ------------------------------------------------------ the update pipeline
+    async def _update(
+        self, blob_id: str, data: bytes, offset: int | None, is_append: bool
+    ) -> WriteResult:
+        """The one update pipeline (Algorithm 2): WRITE at ``offset``, or
+        APPEND (``offset`` None — the version manager chooses it).
+
+        Every kind stores pages, gets a version, weaves its metadata and
+        notifies the version manager; the kinds differ only in what must be
+        known before the pages can be composed:
+
+        * an aligned non-strict WRITE needs nothing, so its page stores
+          START before the version is assigned — exactly Algorithm 2's
+          order (and complete before it under the sync runtime);
+        * every other kind registers first (an APPEND learns its offset
+          from the ticket), resolves the snapshot that supplies the bytes
+          of partly covered boundary pages (:meth:`_reference_snapshot`),
+          composes the page payloads, then stores them.
+        """
         self._ensure_open()
         data = bytes(data)
+        kind = "append" if is_append else "write"
+        if not is_append and offset < 0:
+            raise InvalidRangeError(f"negative write offset: {offset}")
         if not data:
-            raise InvalidRangeError("APPEND requires a non-empty buffer")
+            raise InvalidRangeError(f"{kind.upper()} requires a non-empty buffer")
         with span("write.vm"):
             record, vm_trips = self._get_record(blob_id)
-            ticket = self._vm.register_update(
-                record.blob_id, len(data), is_append=True
+        page_size = record.page_size
+        pending: _PendingStore | None = None
+        if not (is_append or self._strict_unaligned) and is_aligned(
+            offset, len(data), page_size
+        ):
+            first_page = offset // page_size
+            pending = self._start_page_stores(
+                [
+                    (first_page + index, data[index * page_size:(index + 1) * page_size])
+                    for index in range(len(data) // page_size)
+                ]
             )
-        vm_trips += 1  # the (group-committed) ticket registration
         try:
-            reference_version: int | None = None
-            if ticket.byte_offset % record.page_size != 0 and ticket.version > 1:
-                # The append starts inside the tail page of the previous
-                # snapshot: wait for it so the boundary bytes are exact.
-                try:
-                    with span("write.vm.sync", version=ticket.version - 1):
-                        await self._runtime.vm_sync(
-                            self._vm, record.blob_id, ticket.version - 1
-                        )
-                    reference_version = ticket.version - 1
-                except UpdateAbortedError:
-                    # The predecessor became a hole: its size already fell
-                    # back to its own predecessor's, so the boundary bytes
-                    # come from the most recent *published* snapshot
-                    # (reference_version=None) instead of failing the append.
-                    reference_version = None
-                vm_trips += 1
-            page_tally = CacheTally()
-            payloads, boundary_trips, boundary_vm_trips = (
-                await self._compose_page_payloads(
-                    record, ticket, data, reference_version=reference_version,
-                    page_tally=page_tally,
+            with span("write.vm"):
+                ticket = self._vm.register_update(
+                    record.blob_id, len(data), offset=offset, is_append=is_append
                 )
-            )
-            vm_trips += boundary_vm_trips
-            pending = self._start_page_stores(payloads)
+        except Exception:
+            if pending is not None:
+                await self._reap(pending.handle)
+                self._discard_pages(pending.planned)
+            raise
+        vm_trips += 1  # the (group-committed) ticket registration
+        boundary_trips = page_cache_hits = 0
+        try:
+            if pending is None:
+                reference, reference_trips = await self._reference_snapshot(
+                    record, ticket, is_append
+                )
+                page_tally = CacheTally()
+                payloads, boundary_trips, size_trips = (
+                    await self._compose_page_payloads(
+                        record, ticket, data, reference, page_tally
+                    )
+                )
+                vm_trips += reference_trips + size_trips
+                page_cache_hits = page_tally.hits
+                pending = self._start_page_stores(payloads)
             return await self._finish_update(
                 record, ticket, pending, data_round_trips=boundary_trips,
-                vm_round_trips=vm_trips, page_cache_hits=page_tally.hits,
+                vm_round_trips=vm_trips, page_cache_hits=page_cache_hits,
             )
         except Exception:
-            self._vm.abort_update(record.blob_id, ticket.version, "append failed")
+            self._vm.abort_update(record.blob_id, ticket.version, f"{kind} failed")
             raise
+
+    async def _reference_snapshot(
+        self, record: BlobRecord, ticket: UpdateTicket, is_append: bool
+    ) -> tuple[int, int]:
+        """Which snapshot supplies the old bytes of the boundary pages an
+        update only partly covers: ``(version, vm_round_trips)``; version 0
+        is the empty snapshot.
+
+        The default is the most recently *published* snapshot — no waiting,
+        the paper's lock-free spirit.  Two kinds need exact read-modify-write
+        of their boundary pages: every WRITE of a ``strict_unaligned`` store,
+        and any APPEND that starts inside the previous snapshot's tail page.
+        Those wait (SYNC) for their nearest **non-aborted** predecessor
+        instead, so the bytes are exactly what the update is ordered after.
+        An aborted predecessor is a hole whose bytes never become readable,
+        so the walk steps over it to the version before — which may itself
+        still be in flight, and is waited for like any other (DESIGN.md §6).
+        Falling back to "most recently published" there would overwrite an
+        in-flight predecessor's bytes in the shared page with zeros.
+        """
+        exact = (
+            ticket.byte_offset % record.page_size != 0
+            if is_append
+            else self._strict_unaligned
+        )
+        if not exact:
+            return self._recent(record.blob_id)
+        reference = ticket.version - 1
+        vm_trips = 0
+        while reference > 0:
+            vm_trips += 1
+            try:
+                with span("write.vm.sync", version=reference):
+                    await self._runtime.vm_sync(self._vm, record.blob_id, reference)
+                break
+            except UpdateAbortedError:
+                reference -= 1
+        return reference, vm_trips
 
     # -------------------------------------------------------------------- READ
     async def read(self, blob_id: str, version: int, offset: int, size: int) -> bytes:
@@ -529,8 +578,8 @@ class AsyncBlobStore:
         )
         peer_tally = CacheTally() if self._peers is not None else None
         with span("read.meta"):
-            plan_result = await self._run_read_plan(
-                record, version, tree_span, page_offset, page_count, tally,
+            plan_result = await self._resolve_ranges(
+                record, version, tree_span, [(page_offset, page_count)], tally,
                 spec=spec, peer_tally=peer_tally,
             )
 
@@ -540,7 +589,7 @@ class AsyncBlobStore:
         fault_tally = FaultTally()
         with span("read.data", pages=len(descriptors)):
             data_trips = await self._fetch_pages_into(
-                record, descriptors, buffer, offset, size, page_tally,
+                record, descriptors, [(offset, buffer)], page_tally,
                 fault_tally, peer_tally=peer_tally,
             )
         stats = ReadStats(
@@ -552,8 +601,8 @@ class AsyncBlobStore:
             data_round_trips=data_trips,
             metadata_cache_hits=tally.hits,
             page_cache_hits=page_tally.hits,
-            cache=self._operation_cache_stats(tally),
-            page_cache=self._operation_page_cache_stats(page_tally),
+            cache=self._operation_cache_stats(self._cache, tally),
+            page_cache=self._operation_cache_stats(self._page_cache, page_tally),
             vm_round_trips=vm_trips,
             failovers=fault_tally.failovers,
             degraded=fault_tally.degraded,
@@ -634,96 +683,17 @@ class AsyncBlobStore:
         return self._vm.get_recent(blob_id), 1
 
     # ---------------------------------------------------------------- internals
-    async def _write_aligned(
-        self, record: BlobRecord, data: bytes, offset: int, vm_trips: int = 0
-    ) -> WriteResult:
-        """Fast path for page-aligned writes: page stores START before the
-        version is assigned, exactly as in Algorithm 2 (and complete before
-        it under the sync runtime)."""
-        page_size = record.page_size
-        first_page = offset // page_size
-        payloads = [
-            (first_page + index, data[index * page_size:(index + 1) * page_size])
-            for index in range(len(data) // page_size)
-        ]
-        pending = self._start_page_stores(payloads)
-        try:
-            ticket = self._vm.register_update(record.blob_id, len(data), offset=offset)
-        except Exception:
-            await self._reap(pending.handle)
-            self._discard_pages(pending.planned)
-            raise
-        try:
-            return await self._finish_update(
-                record, ticket, pending, vm_round_trips=vm_trips + 1,
-            )
-        except Exception:
-            self._vm.abort_update(record.blob_id, ticket.version, "write failed")
-            raise
-
-    async def _write_unaligned(
-        self, record: BlobRecord, data: bytes, offset: int, vm_trips: int = 0
-    ) -> WriteResult:
-        """Unaligned write: boundary pages are completed from the most
-        recently published snapshot, then the update proceeds as usual."""
-        ticket = self._vm.register_update(record.blob_id, len(data), offset=offset)
-        vm_trips += 1
-        try:
-            page_tally = CacheTally()
-            payloads, boundary_trips, boundary_vm_trips = (
-                await self._compose_page_payloads(record, ticket, data,
-                                                  page_tally=page_tally)
-            )
-            pending = self._start_page_stores(payloads)
-            return await self._finish_update(
-                record, ticket, pending, data_round_trips=boundary_trips,
-                vm_round_trips=vm_trips + boundary_vm_trips,
-                page_cache_hits=page_tally.hits,
-            )
-        except Exception:
-            self._vm.abort_update(record.blob_id, ticket.version, "write failed")
-            raise
-
-    async def _write_strict(
-        self, record: BlobRecord, data: bytes, offset: int, vm_trips: int = 0
-    ) -> WriteResult:
-        """Strict unaligned write: wait for the previous snapshot so boundary
-        bytes are taken from exactly version - 1."""
-        ticket = self._vm.register_update(record.blob_id, len(data), offset=offset)
-        vm_trips += 1
-        try:
-            if ticket.version > 1:
-                await self._runtime.vm_sync(
-                    self._vm, record.blob_id, ticket.version - 1
-                )
-                vm_trips += 1
-            page_tally = CacheTally()
-            payloads, boundary_trips, boundary_vm_trips = (
-                await self._compose_page_payloads(
-                    record, ticket, data, reference_version=ticket.version - 1,
-                    page_tally=page_tally,
-                )
-            )
-            pending = self._start_page_stores(payloads)
-            return await self._finish_update(
-                record, ticket, pending, data_round_trips=boundary_trips,
-                vm_round_trips=vm_trips + boundary_vm_trips,
-                page_cache_hits=page_tally.hits,
-            )
-        except Exception:
-            self._vm.abort_update(record.blob_id, ticket.version, "write failed")
-            raise
-
     async def _compose_page_payloads(
         self,
         record: BlobRecord,
         ticket: UpdateTicket,
         data: bytes,
-        reference_version: int | None = None,
+        reference_version: int,
         page_tally: CacheTally | None = None,
     ) -> tuple[list[tuple[int, bytes]], int, int]:
         """Split ``data`` into per-page payloads, merging boundary pages with
-        existing content where the update is not page-aligned.
+        the content of snapshot ``reference_version`` (see
+        :meth:`_reference_snapshot`) where the update is not page-aligned.
 
         Only the first page can need an old prefix and only the last page an
         old suffix; both are resolved with ONE combined metadata traversal
@@ -735,8 +705,8 @@ class AsyncBlobStore:
         Returns ``(page_index, payload)`` pairs covering the ticket's page
         range exactly, plus the number of batched data round trips the
         boundary fetches cost, plus the version-manager round trips the
-        reference-snapshot lookups cost (zero when the shared lease cache
-        served them).
+        reference snapshot's size lookup cost (zero when the shared lease
+        cache served it).
         """
         page_size = record.page_size
         offset = ticket.byte_offset
@@ -744,19 +714,13 @@ class AsyncBlobStore:
         first_page = ticket.page_offset
         last_page = first_page + ticket.page_count - 1
 
-        # Content outside the written range but inside the previous snapshot
-        # must be preserved: figure out which reference snapshot supplies it.
-        vm_trips = 0
-        if reference_version is None:
-            reference_version, trips = self._recent(record.blob_id)
-            vm_trips += trips
+        # Content outside the written range but inside the reference
+        # snapshot must be preserved.
+        reference_size = vm_trips = 0
         if reference_version > 0:
-            reference_size, trips = self._published_size(
+            reference_size, vm_trips = self._published_size(
                 record.blob_id, reference_version
             )
-            vm_trips += trips
-        else:
-            reference_size = 0
 
         # Old bytes [first_page_start, offset) and [offset + size, last_page_end),
         # both capped at the reference snapshot's size.
@@ -822,36 +786,19 @@ class AsyncBlobStore:
             for byte_offset, byte_size in byte_ranges
         ]
         span = span_for_pages(pages_for_size(snapshot_size, page_size))
+        # Write-path border reads: no speculation, no peer probes — border
+        # resolution is tiny (two boundary paths) and must stay identical
+        # across runtimes and toggles.
         plan_result = await self._resolve_ranges(record, version, span, page_ranges)
-        descriptors = plan_result.sorted_descriptors()
         buffers = [bytearray(byte_size) for _byte_offset, byte_size in byte_ranges]
-        requests: list[tuple[str, str, int, memoryview]] = []
-        failover: list[tuple[str, ...]] = []
-        for index, (byte_offset, byte_size) in enumerate(byte_ranges):
-            view = memoryview(buffers[index])
-            for descriptor in descriptors:
-                request = self._page_request(
-                    descriptor, page_size, byte_offset, byte_size
-                )
-                if request is None:
-                    continue
-                destination, (provider_id, page_id, page_offset, length) = request
-                requests.append(
-                    (
-                        provider_id,
-                        page_id,
-                        page_offset,
-                        view[destination:destination + length],
-                    )
-                )
-                failover.append(descriptor.provider_ids)
-        data_trips = await self._pm.multi_fetch_into_async(
-            requests,
-            self._runtime,
-            cache=self._page_cache,
-            cache_key=self._cluster.page_cache_key,
-            tally=page_tally,
-            failover=failover,
+        data_trips = await self._fetch_pages_into(
+            record,
+            plan_result.sorted_descriptors(),
+            [
+                (byte_offset, buffer)
+                for (byte_offset, _byte_size), buffer in zip(byte_ranges, buffers)
+            ],
+            page_tally,
         )
         return [bytes(buffer) for buffer in buffers], data_trips
 
@@ -1041,7 +988,7 @@ class AsyncBlobStore:
             data_round_trips=data_round_trips + store_trips,
             metadata_cache_hits=tally.hits,
             page_cache_hits=page_cache_hits,
-            cache=self._operation_cache_stats(tally),
+            cache=self._operation_cache_stats(self._cache, tally),
             vm_round_trips=vm_round_trips + 1,  # + the completion notice
         )
 
@@ -1098,30 +1045,6 @@ class AsyncBlobStore:
         )
 
     # --------------------------------------------------------- metadata reads
-    async def _run_read_plan(
-        self,
-        record: BlobRecord,
-        version: int,
-        span: int,
-        page_offset: int,
-        page_count: int,
-        tally: CacheTally | None = None,
-        spec: _Speculation | None = None,
-        peer_tally: CacheTally | None = None,
-    ) -> ReadPlanResult:
-        if self._runtime.pipelined:
-            walker = plan_walker(version, span, [(page_offset, page_count)])
-            return await self._pipelined_walk(
-                record, walker, tally, spec=spec, peer_tally=peer_tally
-            )
-        plan = read_plan(version, span, page_offset, page_count)
-        return await adrive_plan(
-            plan,
-            lambda refs: self._fetch_frontier(
-                record, refs, tally, peer_tally=peer_tally
-            ),
-        )
-
     async def _resolve_ranges(
         self,
         record: BlobRecord,
@@ -1129,17 +1052,51 @@ class AsyncBlobStore:
         span: int,
         page_ranges: list[tuple[int, int]],
         tally: CacheTally | None = None,
+        spec: _Speculation | None = None,
+        peer_tally: CacheTally | None = None,
     ) -> ReadPlanResult:
-        # Write-path border reads: no speculation, no peer probes — border
-        # resolution is tiny (two boundary paths) and must stay identical
-        # across runtimes and toggles.
+        """Walk snapshot ``version``'s tree down to the leaves of
+        ``page_ranges``: pipelined under the event loop, strictly level by
+        level otherwise — same node set, same tallies either way."""
         if self._runtime.pipelined:
             walker = plan_walker(version, span, page_ranges)
-            return await self._pipelined_walk(record, walker, tally)
+            return await self._pipelined_walk(
+                record, walker, tally, spec=spec, peer_tally=peer_tally
+            )
         plan = multi_range_read_plan(version, span, page_ranges)
         return await adrive_plan(
-            plan, lambda refs: self._fetch_frontier(record, refs, tally)
+            plan,
+            lambda refs: self._fetch_frontier(
+                record, refs, tally, peer_tally=peer_tally
+            ),
         )
+
+    def _split_frontier(
+        self,
+        record: BlobRecord,
+        refs: list[NodeRef],
+        tally: CacheTally | None,
+        peer_tally: CacheTally | None,
+    ) -> tuple[list[NodeKey], list, list[TreeNode | None], list[int]]:
+        """What of one frontier still has to travel from the DHT:
+        ``(keys, cache_keys, nodes, miss_indices)``, branch lineage
+        resolved.  ``nodes`` holds what the own cache — and then, with a
+        peer group attached, the co-located peers' caches — already served;
+        ``miss_indices`` are the holes.  Both traversals split a frontier
+        here, which is what keeps their counters identical."""
+        keys = [
+            NodeKey(
+                resolve_owner(record, ref.version), ref.version, ref.offset, ref.size
+            )
+            for ref in refs
+        ]
+        cache_keys = [self._cluster.node_cache_key(key) for key in keys]
+        nodes, miss_indices = split_frontier(self._cache, cache_keys, tally)
+        if miss_indices and peer_tally is not None:
+            miss_indices = self._peer_fill_nodes(
+                cache_keys, miss_indices, nodes, peer_tally
+            )
+        return keys, cache_keys, nodes, miss_indices
 
     async def _fetch_frontier(
         self,
@@ -1161,18 +1118,9 @@ class AsyncBlobStore:
         cache on the way back — a frontier fully served by peers costs
         zero round trips as well.
         """
-        keys = [
-            NodeKey(
-                resolve_owner(record, ref.version), ref.version, ref.offset, ref.size
-            )
-            for ref in refs
-        ]
-        cache_keys = [self._cluster.node_cache_key(key) for key in keys]
-        nodes, miss_indices = split_frontier(self._cache, cache_keys, tally)
-        if miss_indices and peer_tally is not None:
-            miss_indices = self._peer_fill_nodes(
-                cache_keys, miss_indices, nodes, peer_tally
-            )
+        keys, cache_keys, nodes, miss_indices = self._split_frontier(
+            record, refs, tally, peer_tally
+        )
         if miss_indices:
             with span("meta.fetch", nodes=len(miss_indices)):
                 fetched = await self._meta.get_nodes_async(
@@ -1198,8 +1146,6 @@ class AsyncBlobStore:
         they never travelled from the DHT, so the fetch/trip tallies — and
         ``metadata_nodes_fetched`` — exclude them by construction.
         """
-        if self._peers is None:
-            return miss_indices
         remaining: list[int] = []
         served: list[tuple] = []
         for index in miss_indices:
@@ -1284,25 +1230,56 @@ class AsyncBlobStore:
             for slot, key in enumerate(predictions):
                 spec.tasks[key] = (handle, slot)
 
+        def land(
+            refs: list[NodeRef],
+            cache_keys: list,
+            positions: list[int],
+            fetched: list[TreeNode],
+        ) -> list[NodeRef]:
+            """Nodes that travelled from the DHT have landed: cache them,
+            tally them, and expand them into the child refs still wanted."""
+            if not positions:
+                return []
+            if self._cache is not None:
+                self._cache.put_many(
+                    [
+                        (cache_keys[position], node)
+                        for position, node in zip(positions, fetched)
+                    ]
+                )
+            if tally is not None:
+                tally.fetched += len(positions)
+            children: list[NodeRef] = []
+            for position, node in zip(positions, fetched):
+                children.extend(walker.expand(refs[position], node))
+            return children
+
+        def group_fetches(
+            refs: list[NodeRef],
+            keys: list[NodeKey],
+            cache_keys: list,
+            indices: list[int],
+            level: int,
+        ) -> list:
+            """One :func:`fetch_group` branch per primary DHT bucket."""
+            if not indices:
+                return []
+            return [
+                fetch_group(
+                    refs, keys, cache_keys, [indices[g] for g in group], level
+                )
+                for group in self._meta.bucket_groups(
+                    [keys[index] for index in indices]
+                )
+            ]
+
         async def resolve(refs: list[NodeRef], level: int) -> None:
             levels.add(level)
             for ref in refs:
                 validate_node_range(ref.offset, ref.size)
-            keys = [
-                NodeKey(
-                    resolve_owner(record, ref.version),
-                    ref.version,
-                    ref.offset,
-                    ref.size,
-                )
-                for ref in refs
-            ]
-            cache_keys = [self._cluster.node_cache_key(key) for key in keys]
-            nodes, miss_indices = split_frontier(self._cache, cache_keys, tally)
-            if miss_indices and peer_tally is not None:
-                miss_indices = self._peer_fill_nodes(
-                    cache_keys, miss_indices, nodes, peer_tally
-                )
+            keys, cache_keys, nodes, miss_indices = self._split_frontier(
+                record, refs, tally, peer_tally
+            )
             walker.note_fetched(len(refs))
             if spec is not None and miss_indices:
                 # Predict the misses' children NOW, before any fetch of this
@@ -1329,14 +1306,7 @@ class AsyncBlobStore:
                     else:
                         spec_positions.append(index)
                         spec_entries.append(entry)
-                if normal:
-                    for group in self._meta.bucket_groups(
-                        [keys[index] for index in normal]
-                    ):
-                        positions = [normal[g] for g in group]
-                        branches.append(
-                            fetch_group(refs, keys, cache_keys, positions, level)
-                        )
+                branches = group_fetches(refs, keys, cache_keys, normal, level)
                 if spec_positions:
                     branches.append(
                         consume_spec(
@@ -1360,18 +1330,7 @@ class AsyncBlobStore:
                 fetched = await self._meta.get_nodes_async(
                     [keys[position] for position in positions], runtime
                 )
-            if self._cache is not None:
-                self._cache.put_many(
-                    [
-                        (cache_keys[position], node)
-                        for position, node in zip(positions, fetched)
-                    ]
-                )
-            if tally is not None:
-                tally.fetched += len(positions)
-            children: list[NodeRef] = []
-            for position, node in zip(positions, fetched):
-                children.extend(walker.expand(refs[position], node))
+            children = land(refs, cache_keys, positions, fetched)
             if children:
                 await resolve(children, level + 1)
 
@@ -1399,31 +1358,9 @@ class AsyncBlobStore:
                     else:
                         landed_positions.append(position)
                         landed_nodes.append(node)
-            if landed_positions:
-                spec.hits += len(landed_positions)
-                if self._cache is not None:
-                    self._cache.put_many(
-                        [
-                            (cache_keys[position], node)
-                            for position, node in zip(
-                                landed_positions, landed_nodes
-                            )
-                        ]
-                    )
-                if tally is not None:
-                    tally.fetched += len(landed_positions)
-            children: list[NodeRef] = []
-            for position, node in zip(landed_positions, landed_nodes):
-                children.extend(walker.expand(refs[position], node))
-            branches = []
-            if fallback:
-                for group in self._meta.bucket_groups(
-                    [keys[index] for index in fallback]
-                ):
-                    positions2 = [fallback[g] for g in group]
-                    branches.append(
-                        fetch_group(refs, keys, cache_keys, positions2, level)
-                    )
+            spec.hits += len(landed_positions)
+            children = land(refs, cache_keys, landed_positions, landed_nodes)
+            branches = group_fetches(refs, keys, cache_keys, fallback, level)
             if children:
                 branches.append(resolve(children, level + 1))
             if branches:
@@ -1454,28 +1391,15 @@ class AsyncBlobStore:
                 ]
             )
 
-    def _operation_cache_stats(self, tally: CacheTally) -> CacheStats | None:
-        """Per-operation :class:`CacheStats`: this operation's exact hit and
-        miss counts (from its tally — correct even when other clients share
-        the cache) plus one occupancy snapshot taken right after it."""
-        if self._cache is None:
+    @staticmethod
+    def _operation_cache_stats(cache, tally: CacheTally) -> CacheStats | None:
+        """Per-operation :class:`CacheStats` of the node or the page cache:
+        this operation's exact hit and miss counts (from its tally — correct
+        even when other clients share the cache) plus one occupancy snapshot
+        taken right after it; None when that cache is disabled."""
+        if cache is None:
             return None
-        now = self._cache.stats()
-        return CacheStats(
-            hits=tally.hits,
-            misses=tally.fetched,
-            entries=now.entries,
-            bytes=now.bytes,
-            evictions=now.evictions,
-        )
-
-    def _operation_page_cache_stats(self, tally: CacheTally) -> CacheStats | None:
-        """Per-operation page-cache :class:`CacheStats` (same shape as the
-        metadata variant: exact per-op hit/miss deltas, shared-cache
-        occupancy snapshot)."""
-        if self._page_cache is None:
-            return None
-        now = self._page_cache.stats()
+        now = cache.stats()
         return CacheStats(
             hits=tally.hits,
             misses=tally.fetched,
@@ -1515,81 +1439,57 @@ class AsyncBlobStore:
         return self._lease.stats() if self._lease is not None else None
 
     # ------------------------------------------------------------- data fetches
-    @staticmethod
-    def _page_request(
-        descriptor: PageDescriptor, page_size: int, offset: int, size: int
-    ) -> tuple[int, tuple[str, str, int, int]] | None:
-        """Provider fetch request for the part of a page inside the byte
-        window ``[offset, offset + size)``.
-
-        Returns ``(destination, (provider_id, page_id, page_offset, length))``
-        where ``destination`` is the chunk's position relative to ``offset``,
-        or None when the page lies outside the window.  ``length`` is always
-        a concrete byte count — the zero-copy callers slice their result
-        buffer with it.
-        """
-        page_start = descriptor.page_index * page_size
-        page_end = page_start + page_size
-        want_start = max(offset, page_start)
-        want_end = min(offset + size, page_end)
-        if want_end <= want_start:
-            return None
-        fetch = (
-            descriptor.provider_id,
-            descriptor.page_id,
-            want_start - page_start,
-            want_end - want_start,
-        )
-        return want_start - offset, fetch
-
     async def _fetch_pages_into(
         self,
         record: BlobRecord,
         descriptors: list[PageDescriptor],
-        buffer: bytearray,
-        offset: int,
-        size: int,
+        windows: list[tuple[int, bytearray]],
         page_tally: CacheTally | None = None,
         fault_tally: FaultTally | None = None,
         peer_tally: CacheTally | None = None,
     ) -> int:
-        """Fetch the needed byte range of every page into ``buffer`` with one
-        batched multi-fetch per provider; return the batch count.  Ranges
-        held by the shared page cache are deposited directly and never
-        enter a provider batch — a fully cached read costs zero batches.
-        With a peer group attached (``peer_tally`` given), ranges the own
-        cache missed then probe the co-located peers' page caches before
-        any provider wave.  Each request carries its page's replica tuple,
-        so a failed provider batch fails over to the next live replica
-        (counted in ``fault_tally``) instead of failing the read.
+        """Fill every ``(byte_offset, buffer)`` window — the blob's bytes
+        ``[byte_offset, byte_offset + len(buffer))`` — from the pages of
+        ``descriptors`` with one batched multi-fetch per provider covering
+        ALL windows; return the batch count.  Ranges held by the shared page
+        cache are deposited directly and never enter a provider batch — a
+        fully cached read costs zero batches.  With a peer group attached
+        (``peer_tally`` given), ranges the own cache missed then probe the
+        co-located peers' page caches before any provider wave.  Each
+        request carries its page's replica tuple, so a failed provider
+        batch fails over to the next live replica (counted in
+        ``fault_tally``) instead of failing the read.
 
-        Zero-copy assembly: each request carries a writable ``memoryview``
-        slice of the (single) result buffer, so providers deposit page bytes
-        directly at their final destination instead of materializing
-        per-chunk ``bytes`` objects that get copied a second time.  The
-        slices are disjoint, so concurrent per-provider batches never
-        overlap.
+        Zero-copy assembly: each request is the part of one page inside one
+        window and carries a writable ``memoryview`` slice of that window's
+        buffer, so providers deposit page bytes directly at their final
+        destination instead of materializing per-chunk ``bytes`` objects
+        that get copied a second time.  The slices are disjoint, so
+        concurrent per-provider batches never overlap.
         """
         page_size = record.page_size
-        view = memoryview(buffer)
         requests: list[tuple[str, str, int, memoryview]] = []
         failover: list[tuple[str, ...]] = []
-        for descriptor in descriptors:
-            request = self._page_request(descriptor, page_size, offset, size)
-            if request is None:
-                continue
-            destination, (provider_id, page_id, page_offset, length) = request
-            requests.append(
-                (provider_id, page_id, page_offset,
-                 view[destination:destination + length])
-            )
-            failover.append(descriptor.provider_ids)
+        for offset, buffer in windows:
+            view = memoryview(buffer)
+            end = offset + len(buffer)
+            for descriptor in descriptors:
+                page_start = descriptor.page_index * page_size
+                want_start = max(offset, page_start)
+                want_end = min(end, page_start + page_size)
+                if want_end <= want_start:
+                    continue
+                requests.append(
+                    (
+                        descriptor.provider_id,
+                        descriptor.page_id,
+                        want_start - page_start,
+                        view[want_start - offset:want_end - offset],
+                    )
+                )
+                failover.append(descriptor.provider_ids)
         peer_lookup = None
-        if (
-            peer_tally is not None
-            and self._peers is not None
-            and self._page_cache is not None
-        ):
+        if peer_tally is not None and self._page_cache is not None:
             peer_lookup = self._peers.probe_page
         return await self._pm.multi_fetch_into_async(
             requests,

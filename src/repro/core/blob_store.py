@@ -14,8 +14,7 @@ every operation delegates to the one async client core,
 :func:`~repro.aio.run_sync` drives each call to completion without an event
 loop, a task, or a parked thread.  Planning, caching, replication, retry and
 trip accounting exist exactly once, in the async core; this module only
-supplies the synchronous calling convention (plus the legacy ``parallel_io``
-thread pool, which lives on the runtime).  Under the sync runtime the core
+supplies the synchronous calling convention.  Under the sync runtime the core
 keeps the strict level-by-level metadata traversal and the
 store-then-publish write order, so behaviour, timing and every ``*_ex``
 counter are bit-for-bit what they were before the redesign; the pipelined
@@ -38,13 +37,12 @@ Metadata I/O is *frontier-parallel*: the sans-IO planners
 :func:`repro.metadata.build.border_plan`) yield one
 :class:`~repro.metadata.node.Frontier` of independent node fetches per tree
 level, and the store resolves each frontier with one batched DHT multi-get
-(grouped by bucket, one bucket-lock acquisition per batch; concurrent bucket
-groups go through the ``parallel_io`` thread pool).  Likewise, an update
-publishes all of its new tree nodes in one batched multi-put — Algorithm 4
-line 34's "in parallel", for real.  Metadata round trips per READ/WRITE are
-therefore O(tree depth) = O(log pages), not O(nodes touched); the ``*_ex``
-stats report both ``metadata_nodes_fetched`` (nodes that actually travelled
-from the DHT) and ``metadata_round_trips``.
+(grouped by bucket, one bucket-lock acquisition per batch).  Likewise, an
+update publishes all of its new tree nodes in one batched multi-put —
+Algorithm 4 line 34's "in parallel", for real.  Metadata round trips per
+READ/WRITE are therefore O(tree depth) = O(log pages), not O(nodes
+touched); the ``*_ex`` stats report both ``metadata_nodes_fetched`` (nodes
+that actually travelled from the DHT) and ``metadata_round_trips``.
 
 Metadata caching, page-payload caching and version leases are *shared
 subsystems* (see the async core's docstring and :mod:`repro.cache` /
@@ -66,10 +64,8 @@ not deprecated and behave identically to their ``*_ex`` counterparts.
 
 from __future__ import annotations
 
-from ..aio import SyncRuntime, run_sync
-from ..cache import CacheStats, CacheTally, NodeCache, PageCache
-from ..metadata.read_plan import ReadPlanResult
-from ..version.records import BlobRecord
+from ..aio import SYNC_RUNTIME, run_sync
+from ..cache import CacheStats, NodeCache, PageCache
 from ..vm import LeaseCache
 from .async_store import AsyncBlobStore, ReadStats, WriteResult
 from .cluster import Cluster
@@ -87,13 +83,6 @@ class BlobStore:
     ----------
     cluster:
         The deployment to operate against.
-    parallel_io:
-        When > 1, per-provider page batches and per-bucket metadata batches
-        run on a thread pool of that many workers, mirroring the paper's
-        parallel page transfers.  The default (sequential) is usually faster
-        in-process because of the GIL.  (Event-loop concurrency without any
-        threads is what :class:`~repro.core.async_store.AsyncBlobStore`
-        provides instead.)
     strict_unaligned:
         When True, unaligned WRITEs register their version first and wait for
         the previous snapshot before filling boundary pages, giving exact
@@ -148,7 +137,6 @@ class BlobStore:
     def __init__(
         self,
         cluster: Cluster,
-        parallel_io: int = 0,
         strict_unaligned: bool = False,
         cache_metadata: bool = True,
         node_cache: NodeCache | None = None,
@@ -158,7 +146,6 @@ class BlobStore:
         version_leases: LeaseCache | None = None,
         peer_group=None,
     ):
-        self._runtime = SyncRuntime(parallel_io=parallel_io)
         self._engine = AsyncBlobStore(
             cluster,
             strict_unaligned=strict_unaligned,
@@ -168,19 +155,10 @@ class BlobStore:
             page_cache=page_cache,
             lease_versions=lease_versions,
             version_leases=version_leases,
-            runtime=self._runtime,
+            runtime=SYNC_RUNTIME,
             peer_group=peer_group,
         )
         self._engine._display_name = type(self).__name__
-        # Component handles mirrored for introspection/debugging parity with
-        # the pre-bridge class; the engine owns the logic.
-        self._cluster = cluster
-        self._vm = self._engine._vm
-        self._pm = self._engine._pm
-        self._meta = self._engine._meta
-        self._cache = self._engine._cache
-        self._page_cache = self._engine._page_cache
-        self._lease = self._engine._lease
 
     # ------------------------------------------------------------------ CREATE
     def create(self, page_size: int | None = None) -> str:
@@ -284,32 +262,9 @@ class BlobStore:
         :class:`~repro.vm.lease.LeaseStats`."""
         return self._engine.lease_stats()
 
-    # ------------------------------------------------------------- compat seams
-    def _run_read_plan(
-        self,
-        record: BlobRecord,
-        version: int,
-        span: int,
-        page_offset: int,
-        page_count: int,
-        tally: CacheTally | None = None,
-    ) -> ReadPlanResult:
-        """Resolve a snapshot's read plan synchronously (test/tooling seam —
-        identical to the traversal :meth:`read_ex` performs)."""
-        return run_sync(
-            self._engine._run_read_plan(
-                record, version, span, page_offset, page_count, tally
-            )
-        )
-
-    def _run_batches(self, jobs: list) -> list:
-        """Execute per-backend batch jobs with this store's strategy (the
-        legacy ``run_batches`` contract: zero-arg sync jobs)."""
-        return self._runtime.execute_sync_jobs(jobs)
-
     # --------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Release the store and its thread pool (idempotent); further
+        """Release the store (idempotent); further
         operations raise :class:`~repro.errors.StoreClosedError`.  The
         shared caches and the cluster stay untouched."""
         self._engine.close()

@@ -4,9 +4,10 @@ A :class:`Cluster` wires together the distributed actors described in
 Section 3.1 of the paper — data providers, the provider manager, the
 metadata provider (a DHT) and the version manager — inside a single process.
 Real threads can act as concurrent clients against it; every component is
-individually lockable, killable and observable, which is what the tests and
-the correctness-oriented examples use.  (Wall-clock performance experiments
-use :mod:`repro.sim` instead.)
+individually lockable, killable and observable, which is what the tests, the
+correctness-oriented examples and the wall-clock benchmark
+(``benchmarks/wall``) use.  (The paper's figures, which need a 175-node
+testbed, run on the simulated clock of :mod:`repro.sim` instead.)
 """
 
 from __future__ import annotations

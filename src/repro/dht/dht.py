@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..aio import IORuntime, dispatch_jobs, ensure_runtime, run_sync
+from ..aio import SYNC_RUNTIME, IORuntime, dispatch_jobs, run_sync
 from ..errors import MetadataNotFoundError, ProviderUnavailableError
 from ..fault.routing import rank_replicas
 from ..obs.trace import span
@@ -183,7 +183,13 @@ class DHT:
         if self._routing:
             self._suspect_buckets.discard(bucket_id)
 
-    def multi_put(self, items: list[tuple[str, object]], run_batches=None) -> None:
+    def multi_put(self, items: list[tuple[str, object]]) -> None:
+        """Synchronous :meth:`multi_put_async` (inline, no event loop)."""
+        run_sync(self.multi_put_async(items, SYNC_RUNTIME))
+
+    async def multi_put_async(
+        self, items: list[tuple[str, object]], runtime: IORuntime
+    ) -> None:
         """Store a batch of key/value pairs, grouping keys by replica bucket.
 
         Each live bucket receives all of its keys in one
@@ -193,20 +199,11 @@ class DHT:
         batch raises :class:`ProviderUnavailableError` when some key could
         not be stored anywhere.
 
-        ``run_batches`` optionally executes the per-bucket jobs (zero-arg
-        callables, one per touched bucket) concurrently; it must return
-        their results in order.  Grouping stays in the DHT either way, so
-        callers never re-derive placement.  This is the loop-free bridge
-        over :meth:`multi_put_async` — the async form is the ONLY
-        implementation (see :mod:`repro.aio`).
+        The per-bucket jobs (one per touched bucket) execute on *runtime* —
+        inline under :class:`~repro.aio.SyncRuntime`, interleaved on the
+        event loop under :class:`~repro.aio.AsyncRuntime`.  Grouping stays
+        in the DHT either way, so callers never re-derive placement.
         """
-        run_sync(self.multi_put_async(items, ensure_runtime(run_batches)))
-
-    async def multi_put_async(
-        self, items: list[tuple[str, object]], runtime: IORuntime
-    ) -> None:
-        """Awaitable :meth:`multi_put`: the per-bucket jobs execute on
-        *runtime* (inline, pooled, or interleaved on the event loop)."""
         if not items:
             return
         by_bucket: dict[str, list[int]] = {}
@@ -239,7 +236,13 @@ class DHT:
         ):
             raise last_error
 
-    def multi_get(self, keys: list[str], run_batches=None) -> list[object]:
+    def multi_get(self, keys: list[str]) -> list[object]:
+        """Synchronous :meth:`multi_get_async` (inline, no event loop)."""
+        return run_sync(self.multi_get_async(keys, SYNC_RUNTIME))
+
+    async def multi_get_async(
+        self, keys: list[str], runtime: IORuntime
+    ) -> list[object]:
         """Fetch a batch of keys; returns values aligned with ``keys``.
 
         Keys are grouped by bucket and resolved replica wave by replica
@@ -252,16 +255,9 @@ class DHT:
         may hold the value), and :class:`MetadataNotFoundError` only when
         every replica was probed live and lacked it.
 
-        ``run_batches`` optionally executes the per-bucket lookup jobs of
-        one replica wave concurrently (see :meth:`multi_put`).  Loop-free
-        bridge over :meth:`multi_get_async`.
+        The per-bucket lookup jobs of one replica wave execute on *runtime*
+        (see :meth:`multi_put_async`).
         """
-        return run_sync(self.multi_get_async(keys, ensure_runtime(run_batches)))
-
-    async def multi_get_async(
-        self, keys: list[str], runtime: IORuntime
-    ) -> list[object]:
-        """Awaitable :meth:`multi_get` (see there for replica semantics)."""
         values, unavailable = await self._resolve_replica_waves(keys, runtime)
         for key in keys:
             if key not in values:
@@ -270,10 +266,10 @@ class DHT:
                 raise MetadataNotFoundError(key)
         return [values[key] for key in keys]
 
-    def try_multi_get(
-        self, keys: list[str], run_batches=None
+    async def try_multi_get_async(
+        self, keys: list[str], runtime: IORuntime
     ) -> list[object | None]:
-        """Miss-tolerant :meth:`multi_get`: absent keys yield ``None``.
+        """Miss-tolerant :meth:`multi_get_async`: absent keys yield ``None``.
 
         Used by speculative prefetch (DESIGN.md §9), where most looked-up
         keys may legitimately not exist: a missing key — including one
@@ -281,14 +277,6 @@ class DHT:
         instead of an exception, so a misprediction costs nothing but the
         wasted lookup.  Never raises for per-key outcomes.
         """
-        return run_sync(
-            self.try_multi_get_async(keys, ensure_runtime(run_batches))
-        )
-
-    async def try_multi_get_async(
-        self, keys: list[str], runtime: IORuntime
-    ) -> list[object | None]:
-        """Awaitable :meth:`try_multi_get`."""
         values, _unavailable = await self._resolve_replica_waves(keys, runtime)
         return [values.get(key) for key in keys]
 
@@ -299,7 +287,8 @@ class DHT:
 
         Returns ``(values, unavailable)``: the served values and, for keys
         no live replica served, the sticky unavailability observed on the
-        way (see :meth:`multi_get` for why a live miss does not erase it).
+        way (see :meth:`multi_get_async` for why a live miss does not erase
+        it).
         With replica routing enabled each key walks its replicas in ranked
         order (suspect buckets last) instead of placement order.
         """

@@ -4,7 +4,7 @@ Replicated reads used to start at replica 0 unconditionally, which hammers
 primaries under cold concurrent load and walks straight into suspected
 providers on failover.  :func:`rank_replicas` is the single ranking policy
 shared by the metadata DHT (:meth:`repro.dht.DHT.multi_get`), the data-path
-batched fetch (:meth:`repro.providers.ProviderManager.multi_fetch_into`),
+batched fetch (:meth:`repro.providers.ProviderManager.multi_fetch_into_async`),
 and the simulator's client (which supplies the locality preference: the
 replica co-located with the reading machine).  DESIGN.md §9 documents the
 score.

@@ -9,7 +9,7 @@ class is a thin, typed façade over :class:`repro.dht.DHT`: it serializes
 
 from __future__ import annotations
 
-from ..aio import IORuntime
+from ..aio import SYNC_RUNTIME, IORuntime, run_sync
 from ..dht.dht import DHT
 from ..errors import MetadataNotFoundError
 from .node import InnerNode, LeafNode, NodeKey, TreeNode
@@ -39,26 +39,22 @@ class MetadataProvider:
         value = encode_node(node) if self._encode else node
         self._dht.put(key.to_string(), value)
 
-    def put_nodes(
-        self, items: list[tuple[NodeKey, TreeNode]], run_batches=None
+    def put_nodes(self, items: list[tuple[NodeKey, TreeNode]]) -> None:
+        """Synchronous :meth:`put_nodes_async` (inline, no event loop)."""
+        run_sync(self.put_nodes_async(items, SYNC_RUNTIME))
+
+    async def put_nodes_async(
+        self, items: list[tuple[NodeKey, TreeNode]], runtime: IORuntime
     ) -> None:
         """Store a batch of tree nodes in one DHT multi-put.
 
         The paper writes all new nodes "in parallel" (Algorithm 4, line 34):
         the batch is grouped by bucket and each bucket lock is taken once,
         so an update publishes its whole tree in one round of bucket visits
-        instead of one put per node.  ``run_batches`` is forwarded to
-        :meth:`repro.dht.DHT.multi_put` to run the per-bucket sub-batches
-        concurrently.
+        instead of one put per node.  The per-bucket sub-batches execute on
+        *runtime* — the write path's event-loop mode starts this publish
+        while the page stores are still in flight.
         """
-        self._dht.multi_put(self._encode_items(items), run_batches=run_batches)
-
-    async def put_nodes_async(
-        self, items: list[tuple[NodeKey, TreeNode]], runtime: IORuntime
-    ) -> None:
-        """Awaitable :meth:`put_nodes`: the per-bucket sub-batches execute
-        on *runtime* — the write path's event-loop mode starts this publish
-        while the page stores are still in flight."""
         await self._dht.multi_put_async(self._encode_items(items), runtime)
 
     def _encode_items(
@@ -77,57 +73,39 @@ class MetadataProvider:
         value = self._dht.get(key.to_string())
         return self._as_node(key, value)
 
-    def get_nodes(self, keys: list[NodeKey], run_batches=None) -> list[TreeNode]:
+    def get_nodes(self, keys: list[NodeKey]) -> list[TreeNode]:
+        """Synchronous :meth:`get_nodes_async` (inline, no event loop)."""
+        return run_sync(self.get_nodes_async(keys, SYNC_RUNTIME))
+
+    async def get_nodes_async(
+        self, keys: list[NodeKey], runtime: IORuntime
+    ) -> list[TreeNode]:
         """Fetch a batch of tree nodes in one DHT multi-get.
 
         The values are returned aligned with ``keys``; a missing node raises
         :class:`MetadataNotFoundError` exactly like :meth:`get_node`.  This
         is the provider-side half of the frontier protocol: one call
-        resolves a whole tree level.  ``run_batches`` is forwarded to
-        :meth:`repro.dht.DHT.multi_get` to run the per-bucket sub-batches
-        concurrently.
+        resolves a whole tree level, its per-bucket sub-batches executing
+        on *runtime*.
         """
-        values = self._dht.multi_get(
-            [key.to_string() for key in keys], run_batches=run_batches
-        )
-        return [self._as_node(key, value) for key, value in zip(keys, values)]
-
-    async def get_nodes_async(
-        self, keys: list[NodeKey], runtime: IORuntime
-    ) -> list[TreeNode]:
-        """Awaitable :meth:`get_nodes`; same alignment and error semantics."""
         values = await self._dht.multi_get_async(
             [key.to_string() for key in keys], runtime
         )
         return [self._as_node(key, value) for key, value in zip(keys, values)]
 
-    def try_get_nodes(
-        self, keys: list[NodeKey], run_batches=None
+    async def try_get_nodes_async(
+        self, keys: list[NodeKey], runtime: IORuntime
     ) -> list[TreeNode | None]:
-        """Miss-tolerant :meth:`get_nodes`: absent nodes yield ``None``.
+        """Miss-tolerant :meth:`get_nodes_async`: absent nodes yield ``None``.
 
         The speculative-prefetch path (DESIGN.md §9) looks up *predicted*
         node keys that may not exist; a misprediction must surface as a
         ``None`` slot, never as an exception.  Unavailable replicas count
         as missing too — speculation never fails a read.
         """
-        values = self._dht.try_multi_get(
-            [key.to_string() for key in keys], run_batches=run_batches
-        )
-        return self._as_optional_nodes(keys, values)
-
-    async def try_get_nodes_async(
-        self, keys: list[NodeKey], runtime: IORuntime
-    ) -> list[TreeNode | None]:
-        """Awaitable :meth:`try_get_nodes`."""
         values = await self._dht.try_multi_get_async(
             [key.to_string() for key in keys], runtime
         )
-        return self._as_optional_nodes(keys, values)
-
-    def _as_optional_nodes(
-        self, keys: list[NodeKey], values: list[object | None]
-    ) -> list[TreeNode | None]:
         nodes: list[TreeNode | None] = []
         for key, value in zip(keys, values):
             if value is None:

@@ -23,14 +23,15 @@ update without traversing the metadata in between).
 
 Drivers:
 
-* the threaded client calls :func:`drive_plan` with a batched ``fetch_many``
-  function that performs one grouped DHT multi-get per frontier;
+* the client engine awaits :func:`adrive_plan` with a batched async
+  ``fetch_many`` that performs one grouped DHT multi-get per frontier (its
+  event-loop mode expands a :class:`FrontierWalker` directly instead, to
+  pipeline the levels);
+* tools and reference models call :func:`drive_plan` with a synchronous
+  ``fetch_many`` — or a per-node ``fetch``, which also serves ad-hoc plans
+  that yield bare :class:`NodeRef` requests;
 * the discrete-event simulator advances the same generator, charging one
   (parallel) network round trip per frontier.
-
-``drive_plan`` also accepts a per-node ``fetch`` function and plans that
-yield bare :class:`NodeRef` requests, so ad-hoc plans and reference models
-keep working unchanged.
 """
 
 from __future__ import annotations
@@ -78,16 +79,7 @@ def read_plan(
     into one :class:`Frontier`.  Dangling child pointers (``None``) are never
     followed: a read bounded by the snapshot size never needs them.
     """
-    if page_count > 0 and span <= 0:
-        raise InvalidRangeError("cannot read from an empty snapshot")
-    if page_count > 0 and (page_offset < 0 or page_offset + page_count > span):
-        raise InvalidRangeError(
-            f"page range ({page_offset}, {page_count}) outside tree span {span}"
-        )
-    result = yield from _frontier_walk(
-        root_version, span, [(page_offset, page_count)]
-    )
-    return result
+    return multi_range_read_plan(root_version, span, [(page_offset, page_count)])
 
 
 def multi_range_read_plan(
@@ -95,25 +87,27 @@ def multi_range_read_plan(
     span: int,
     ranges: Sequence[tuple[int, int]],
 ) -> Generator[Frontier, Sequence[TreeNode], ReadPlanResult]:
-    """Plan one combined traversal covering several disjoint page ranges.
+    """Plan one combined, level-order traversal covering several disjoint
+    page ranges.
 
     Equivalent to running :func:`read_plan` once per range, but nodes shared
     between the ranges' root-to-leaf paths are fetched once and every tree
     level is still resolved in a single frontier, keeping the round-trip
     count at O(tree depth) regardless of how many ranges are requested.
     """
-    active = [(offset, count) for offset, count in ranges if count > 0]
-    if active:
-        if span <= 0:
-            raise InvalidRangeError("cannot read from an empty snapshot")
-        for page_offset, page_count in active:
-            if page_offset < 0 or page_offset + page_count > span:
-                raise InvalidRangeError(
-                    f"page range ({page_offset}, {page_count}) outside tree "
-                    f"span {span}"
-                )
-    result = yield from _frontier_walk(root_version, span, active)
-    return result
+    walker = plan_walker(root_version, span, ranges)
+    frontier = walker.root_refs()
+    while frontier:
+        for ref in frontier:
+            validate_node_range(ref.offset, ref.size)
+        nodes = yield Frontier(tuple(frontier))
+        walker.result.round_trips += 1
+        walker.note_fetched(len(frontier))
+        next_frontier: list[NodeRef] = []
+        for ref, node in zip(frontier, nodes):
+            next_frontier.extend(walker.expand(ref, node))
+        frontier = next_frontier
+    return walker.result
 
 
 class FrontierWalker:
@@ -123,8 +117,8 @@ class FrontierWalker:
     Holds the pure decision logic of Algorithm 3 — which children of a
     fetched node the requested ranges still want, leaf-descriptor
     collection, traversal accounting — WITHOUT any notion of when fetches
-    happen.  The generator (:func:`_frontier_walk`) expands one whole level
-    at a time; the pipelined driver in
+    happen.  The generator (:func:`multi_range_read_plan`) expands one whole
+    level at a time; the pipelined driver in
     :class:`~repro.core.async_store.AsyncBlobStore` expands each
     bucket-group of nodes the moment its fetch lands, while sibling groups
     of the same level are still in flight.  Both observe the same node set,
@@ -138,7 +132,7 @@ class FrontierWalker:
         self.result = ReadPlanResult()
         self._root_version = root_version
         self._span = span
-        self._ranges = [(o, c) for o, c in ranges if c > 0]
+        self._ranges = list(ranges)
 
     def root_refs(self) -> list[NodeRef]:
         """The traversal's first frontier: the root, or nothing to do."""
@@ -225,41 +219,19 @@ class FrontierWalker:
 def plan_walker(
     root_version: int, span: int, ranges: Sequence[tuple[int, int]]
 ) -> FrontierWalker:
-    """A validated :class:`FrontierWalker` for *ranges* — the entry point of
-    the pipelined traversal, enforcing exactly the range checks
-    :func:`multi_range_read_plan` applies before its first frontier."""
+    """A validated :class:`FrontierWalker` for *ranges* — the one range check
+    behind :func:`read_plan`, :func:`multi_range_read_plan` and the
+    pipelined traversal: every non-empty range must lie inside the tree's
+    span."""
     active = [(offset, count) for offset, count in ranges if count > 0]
-    if active:
-        if span <= 0:
-            raise InvalidRangeError("cannot read from an empty snapshot")
-        for page_offset, page_count in active:
-            if page_offset < 0 or page_offset + page_count > span:
-                raise InvalidRangeError(
-                    f"page range ({page_offset}, {page_count}) outside tree "
-                    f"span {span}"
-                )
+    if active and span <= 0:
+        raise InvalidRangeError("cannot read from an empty snapshot")
+    for page_offset, page_count in active:
+        if page_offset < 0 or page_offset + page_count > span:
+            raise InvalidRangeError(
+                f"page range ({page_offset}, {page_count}) outside tree span {span}"
+            )
     return FrontierWalker(root_version, span, active)
-
-
-def _frontier_walk(
-    root_version: int,
-    span: int,
-    ranges: list[tuple[int, int]],
-) -> Generator[Frontier, Sequence[TreeNode], ReadPlanResult]:
-    """Level-order traversal shared by the single- and multi-range plans."""
-    walker = FrontierWalker(root_version, span, ranges)
-    frontier = walker.root_refs()
-    while frontier:
-        for ref in frontier:
-            validate_node_range(ref.offset, ref.size)
-        nodes = yield Frontier(tuple(frontier))
-        walker.result.round_trips += 1
-        walker.note_fetched(len(frontier))
-        next_frontier: list[NodeRef] = []
-        for ref, node in zip(frontier, nodes):
-            next_frontier.extend(walker.expand(ref, node))
-        frontier = next_frontier
-    return walker.result
 
 
 def drive_plan(
@@ -306,7 +278,8 @@ def drive_plan(
 
 
 async def adrive_plan(plan: Generator, fetch_many):
-    """Awaitable :func:`drive_plan` over a batched async ``fetch_many``.
+    """Awaitable :func:`drive_plan` over a batched async ``fetch_many``, for
+    plans that yield :class:`Frontier` batches (every in-tree plan does).
 
     Resolves the plan strictly level by level (one awaited fetch per
     frontier) — the traversal order, node set and round-trip accounting are
@@ -315,18 +288,15 @@ async def adrive_plan(plan: Generator, fetch_many):
     lives in the client (it needs placement grouping), not here.
     """
     try:
-        request = next(plan)
+        frontier = next(plan)
         while True:
-            if isinstance(request, Frontier):
-                refs = list(request.refs)
-                value = list(await fetch_many(refs))
-                if len(value) != len(refs):
-                    raise MetadataNotFoundError(
-                        f"frontier fetch returned {len(value)} nodes "
-                        f"for {len(refs)} refs"
-                    )
-            else:
-                value = (await fetch_many([request]))[0]
-            request = plan.send(value)
+            refs = list(frontier.refs)
+            nodes = list(await fetch_many(refs))
+            if len(nodes) != len(refs):
+                raise MetadataNotFoundError(
+                    f"frontier fetch returned {len(nodes)} nodes "
+                    f"for {len(refs)} refs"
+                )
+            frontier = plan.send(nodes)
     except StopIteration as stop:
         return stop.value

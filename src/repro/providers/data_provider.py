@@ -16,7 +16,7 @@ class DataProviderStats:
 
     ``batch_put_requests`` / ``batch_get_requests`` count the batched
     multi-page requests (see :meth:`DataProvider.multi_store` /
-    :meth:`DataProvider.multi_fetch`); the per-page counters keep counting
+    :meth:`DataProvider.multi_fetch_into`); the per-page counters keep counting
     individual pages, so load-distribution math is unchanged by batching.
     """
 
@@ -41,7 +41,7 @@ class DataProvider:
 
     The provider exposes a small RPC-like surface (``store_page``,
     ``fetch_page``) plus the batched multi-page counterparts
-    (``multi_store``, ``multi_fetch``) used by the provider-parallel data
+    (``multi_store``, ``multi_fetch_into``) used by the provider-parallel data
     path, plus failure injection used by the fault-tolerance tests.
     Concurrency note: the paper observes that "data access serialization is
     only necessary when the same provider is contacted at the same time by
@@ -169,28 +169,6 @@ class DataProvider:
         for page_id, size in items:
             self._put_virtual(page_id, size)
 
-    def multi_fetch(
-        self, requests: list[tuple[str, int, int | None]]
-    ) -> list[bytes]:
-        """Return the payloads of a batch of ``(page_id, offset, length)``
-        requests, aligned with ``requests``.
-
-        One liveness check and one counter-lock acquisition cover the whole
-        batch; per-page semantics (partial reads, checksum verification of
-        full-page reads, :class:`~repro.errors.PageNotFoundError` for
-        unknown ids) are identical to :meth:`fetch_page`.
-        """
-        if not requests:
-            return []
-        self._check_alive()
-        with self._lock:
-            self._get_requests += len(requests)
-            self._batch_get_requests += 1
-        return [
-            self._read_page(page_id, offset, length)
-            for page_id, offset, length in requests
-        ]
-
     def multi_fetch_into(
         self, requests: list[tuple[str, int, memoryview]]
     ) -> int:
@@ -198,10 +176,14 @@ class DataProvider:
         request's bytes directly into its writable ``out`` view; return the
         total number of bytes written.
 
-        The destination view's length is the request length.  Counter and
-        liveness semantics match :meth:`multi_fetch`; checksum-verifying
-        providers fall back to the bytes path per request so full-page
-        verification still happens.
+        The destination view's length is the request length.  One liveness
+        check and one counter-lock acquisition cover the whole batch;
+        per-page semantics (partial reads,
+        :class:`~repro.errors.PageNotFoundError` for unknown ids) are
+        identical to :meth:`fetch_page`, and checksum-verifying providers
+        fall back to the bytes path per request so full-page verification
+        still happens.  An empty batch is a no-op and is not counted as a
+        request.
 
         Short reads *raise* :class:`~repro.errors.ShortReadError` instead
         of silently leaving the tail of ``out`` untouched: request windows

@@ -6,7 +6,7 @@ import threading
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from ..aio import IORuntime, dispatch_jobs, ensure_runtime, run_sync
+from ..aio import SYNC_RUNTIME, IORuntime, dispatch_jobs, run_sync
 from ..errors import NoProvidersError, ShortReadError
 from ..fault.routing import rank_replicas
 from ..obs.trace import span
@@ -193,11 +193,11 @@ class ProviderManager:
             return [self._providers[pid] for pid in ids]
 
     # -- batched data I/O ------------------------------------------------------
-    def _dispatch_batches(
-        self, groups: list[tuple[str, list]], call, run_batches
+    async def _dispatch_batches_async(
+        self, groups: list[tuple[str, list]], call, runtime: IORuntime
     ) -> list:
         """Run ``call(provider, batch)`` once per ``(provider_id, batch)``
-        group via ``run_batches``; outcomes align with ``groups``.
+        group on *runtime*; outcomes align with ``groups``.
 
         A job's exception is captured and returned in its slot instead of
         aborting the dispatch, so every live provider's batch completes
@@ -207,17 +207,7 @@ class ProviderManager:
         its provider call on transient errors before giving up; every job
         outcome (including each failed retry attempt) is recorded with the
         health registry.
-
-        Loop-free bridge over :meth:`_dispatch_batches_async` — the async
-        form is the only implementation (see :mod:`repro.aio`).
         """
-        return run_sync(
-            self._dispatch_batches_async(groups, call, ensure_runtime(run_batches))
-        )
-
-    async def _dispatch_batches_async(
-        self, groups: list[tuple[str, list]], call, runtime: IORuntime
-    ) -> list:
         def make_attempt(provider_id: str, batch: list):
             provider = self.provider(provider_id)
             return lambda: call(provider, batch)
@@ -268,61 +258,10 @@ class ProviderManager:
             untried, suspects=suspects
         )
 
-    def multi_fetch(
-        self,
-        requests: Sequence[tuple[str, str, int, int | None]],
-        run_batches=None,
-    ) -> tuple[list[bytes], int]:
-        """Fetch a batch of ``(provider_id, page_id, offset, length)``
-        requests, grouped into ONE :meth:`DataProvider.multi_fetch` per
-        provider.
-
-        Returns ``(payloads, round_trips)``: the payloads aligned with
-        ``requests`` and the number of per-provider batches issued — the
-        data-path analogue of a metadata frontier's round-trip count.
-        ``run_batches`` optionally executes the per-provider jobs (zero-arg
-        callables, one per touched provider) concurrently; it must return
-        their results in order.  Grouping stays in the manager (the single
-        owner of the provider directory) either way.  A dead provider fails
-        its whole batch with :class:`~repro.errors.ProviderUnavailableError`
-        after the other providers' batches completed.
-
-        The hot read path uses the zero-copy :meth:`multi_fetch_into`
-        instead; this bytes-returning variant serves callers that cannot
-        pre-size a destination (``length=None`` reads to the end of a
-        page).  Keep the two variants' grouping and failure semantics in
-        sync.
-        """
-        if not requests:
-            return [], 0
-        by_provider: dict[str, list[int]] = {}
-        for index, (provider_id, _page_id, _offset, _length) in enumerate(requests):
-            by_provider.setdefault(provider_id, []).append(index)
-        groups = list(by_provider.items())
-        outcomes = self._dispatch_batches(
-            groups,
-            lambda provider, indices: provider.multi_fetch(
-                [requests[index][1:] for index in indices]
-            ),
-            run_batches,
-        )
-        payloads: list[bytes | None] = [None] * len(requests)
-        first_error: Exception | None = None
-        for (_provider_id, indices), outcome in zip(groups, outcomes):
-            if isinstance(outcome, Exception):
-                if first_error is None:
-                    first_error = outcome
-                continue
-            for index, payload in zip(indices, outcome):
-                payloads[index] = payload
-        if first_error is not None:
-            raise first_error
-        return payloads, len(groups)
-
-    def multi_fetch_into(
+    async def multi_fetch_into_async(
         self,
         requests: Sequence[tuple[str, str, int, memoryview]],
-        run_batches=None,
+        runtime: IORuntime,
         cache=None,
         cache_key=None,
         tally=None,
@@ -331,16 +270,18 @@ class ProviderManager:
         peer_lookup=None,
         peer_tally=None,
     ) -> int:
-        """Zero-copy variant of :meth:`multi_fetch`: each
-        ``(provider_id, page_id, offset, out)`` request carries a writable
-        ``memoryview`` and the provider deposits the page bytes directly
-        into it (:meth:`DataProvider.multi_fetch_into`) — no per-chunk
-        ``bytes`` objects, no second copy at assembly time.
+        """Zero-copy batched fetch: each ``(provider_id, page_id, offset,
+        out)`` request carries a writable ``memoryview`` and the provider
+        deposits the page bytes directly into it
+        (:meth:`DataProvider.multi_fetch_into`) — no per-chunk ``bytes``
+        objects, no second copy at assembly time.
 
-        Returns the number of per-provider batches issued.  Grouping,
-        ``run_batches`` execution and failure semantics match
-        :meth:`multi_fetch`; the destination views must be disjoint when
-        ``run_batches`` executes batches concurrently.
+        Requests are grouped into ONE batch per provider — the data-path
+        analogue of a metadata frontier — and the per-provider jobs execute
+        on *runtime*; grouping stays in the manager (the single owner of
+        the provider directory).  Returns the number of per-provider
+        batches issued.  The destination views must be disjoint, since a
+        runtime may execute batches concurrently.
 
         With ``cache`` (a :class:`~repro.cache.PageCache`) and ``cache_key``
         (``cache_key(page_id, offset, length) -> key``, usually
@@ -362,12 +303,13 @@ class ProviderManager:
         is dead, a page is missing, a read came back short — every request
         of that batch *fails over* to its next untried replica in the
         following wave, exactly like the replicated DHT's
-        :meth:`repro.dht.DHT.multi_get`; the error surfaces only when a
-        request exhausts its replicas.  The optional ``fault_tally``
+        :meth:`repro.dht.DHT.multi_get_async`; the error surfaces only when
+        a request exhausts its replicas.  The optional ``fault_tally``
         (a :class:`FaultTally`) reports how many requests re-routed and how
         many were ultimately served degraded (by a non-primary replica).
         Without ``failover`` — or with single-replica tuples — one failed
-        batch fails the call, exactly the pre-replication behaviour.
+        batch fails the call (after the other providers' batches
+        completed), exactly the pre-replication behaviour.
 
         ``peer_lookup`` (``peer_lookup(cache_key) -> bytes | None``, see
         :class:`repro.cache.PeerCacheGroup`) is consulted for each request
@@ -376,38 +318,7 @@ class ProviderManager:
         and counted in ``peer_tally`` — it never travels from a provider
         and never counts in ``tally.fetched``.  Requires the cache path
         (``cache`` + ``cache_key``) so the probe keys exist.
-
-        Loop-free bridge over :meth:`multi_fetch_into_async`.
         """
-        return run_sync(
-            self.multi_fetch_into_async(
-                requests,
-                ensure_runtime(run_batches),
-                cache=cache,
-                cache_key=cache_key,
-                tally=tally,
-                failover=failover,
-                fault_tally=fault_tally,
-                peer_lookup=peer_lookup,
-                peer_tally=peer_tally,
-            )
-        )
-
-    async def multi_fetch_into_async(
-        self,
-        requests: Sequence[tuple[str, str, int, memoryview]],
-        runtime: IORuntime,
-        cache=None,
-        cache_key=None,
-        tally=None,
-        failover: Sequence[tuple[str, ...]] | None = None,
-        fault_tally: FaultTally | None = None,
-        peer_lookup=None,
-        peer_tally=None,
-    ) -> int:
-        """Awaitable :meth:`multi_fetch_into` (see there for cache, peer
-        and failover semantics); per-provider batches execute on
-        *runtime*."""
         if not requests:
             return 0
         misses: Sequence[tuple[str, str, int, memoryview]] = requests
@@ -552,33 +463,14 @@ class ProviderManager:
             tally.trips += total_trips
         return total_trips
 
-    def multi_store(
-        self,
-        items: Sequence[tuple[str, str, bytes]],
-        run_batches=None,
-    ) -> int:
-        """Store a batch of ``(provider_id, page_id, payload)`` items, one
-        :meth:`DataProvider.multi_store` per provider; return the number of
-        per-provider batches issued.
-
-        In this single-home variant any dead provider fails the whole call —
-        after the live providers' batches completed, leaving the caller to
-        garbage-collect the pages that did land (see
-        :meth:`repro.core.blob_store.BlobStore._store_payloads`).  The
-        replicated write path uses :meth:`multi_store_replicated`, which
-        tolerates dead replicas the way the DHT's ``multi_put`` does.
-        """
-        return self._multi_store(
-            items, lambda provider, batch: provider.multi_store(batch), run_batches
-        )
-
-    def multi_store_replicated(
+    async def multi_store_replicated_async(
         self,
         items: Sequence[tuple[tuple[str, ...], str, bytes]],
-        run_batches=None,
+        runtime: IORuntime,
     ) -> tuple[list[tuple[str, ...]], int]:
         """Store each ``(provider_ids, page_id, payload)`` item on EVERY
-        listed replica, one batch per touched provider.
+        listed replica, one :meth:`DataProvider.multi_store` batch per
+        touched provider, executed on *runtime*.
 
         Returns ``(landed, round_trips)``: ``landed`` aligns with ``items``
         and holds the replicas that actually stored each page, preserving
@@ -587,23 +479,11 @@ class ProviderManager:
         least one replica — a dead replica merely degrades that page's
         redundancy (the leaf records only the replicas that hold it, and
         the :class:`repro.fault.RepairService` tops it back up later).  A
-        page that landed nowhere raises, after all batches completed.  With
-        single-replica tuples the failure semantics and the per-provider
-        trip count match :meth:`multi_store` exactly.
-
-        Loop-free bridge over :meth:`multi_store_replicated_async`.
+        page that landed nowhere raises, after all batches completed —
+        leaving the caller to garbage-collect the pages that did land.
+        With single-replica tuples any dead provider therefore fails the
+        whole call, the single-home behaviour.
         """
-        return run_sync(
-            self.multi_store_replicated_async(items, ensure_runtime(run_batches))
-        )
-
-    async def multi_store_replicated_async(
-        self,
-        items: Sequence[tuple[tuple[str, ...], str, bytes]],
-        runtime: IORuntime,
-    ) -> tuple[list[tuple[str, ...]], int]:
-        """Awaitable :meth:`multi_store_replicated` (see there for the
-        degraded-redundancy semantics)."""
         if not items:
             return [], 0
         by_provider: dict[str, list[tuple[int, str, bytes]]] = {}
@@ -645,28 +525,30 @@ class ProviderManager:
             )
         return landed, len(groups)
 
-    def multi_store_virtual(
-        self,
-        items: Sequence[tuple[str, str, int]],
-        run_batches=None,
+    def multi_store_virtual(self, items: Sequence[tuple[str, str, int]]) -> int:
+        """Synchronous :meth:`multi_store_virtual_async` (inline, no event
+        loop) — the discrete-event simulator's store call."""
+        return run_sync(self.multi_store_virtual_async(items, SYNC_RUNTIME))
+
+    async def multi_store_virtual_async(
+        self, items: Sequence[tuple[str, str, int]], runtime: IORuntime
     ) -> int:
         """Batched counterpart of :meth:`DataProvider.multi_store_virtual`
-        over ``(provider_id, page_id, size)`` items; one batch per provider,
-        returning the batch count (see :meth:`multi_store`)."""
-        return self._multi_store(
-            items,
-            lambda provider, batch: provider.multi_store_virtual(batch),
-            run_batches,
-        )
-
-    def _multi_store(self, items, store, run_batches) -> int:
+        over ``(provider_id, page_id, size)`` items: one batch per provider
+        on *runtime*, returning the batch count.  Single-home, so any dead
+        provider fails the whole call — after the live providers' batches
+        completed."""
         if not items:
             return 0
-        by_provider: dict[str, list[tuple]] = {}
-        for provider_id, page_id, payload in items:
-            by_provider.setdefault(provider_id, []).append((page_id, payload))
+        by_provider: dict[str, list[tuple[str, int]]] = {}
+        for provider_id, page_id, size in items:
+            by_provider.setdefault(provider_id, []).append((page_id, size))
         groups = list(by_provider.items())
-        outcomes = self._dispatch_batches(groups, store, run_batches)
+        outcomes = await self._dispatch_batches_async(
+            groups,
+            lambda provider, batch: provider.multi_store_virtual(batch),
+            runtime,
+        )
         for outcome in outcomes:
             if isinstance(outcome, Exception):
                 raise outcome

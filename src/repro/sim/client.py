@@ -17,7 +17,7 @@ from ..cache import CacheTally, VirtualPagePayload, complete_frontier, split_fro
 from ..errors import InvalidRangeError
 from ..metadata.build import border_plan, border_targets, build_nodes
 from ..metadata.geometry import pages_for_size, span_for_pages
-from ..metadata.node import Frontier, NodeKey, PageDescriptor
+from ..metadata.node import NodeKey, PageDescriptor
 from ..metadata.read_plan import plan_walker, read_plan
 from ..util.ranges import covering_page_range
 from ..version.records import CompletionNotice, RegisterRequest, resolve_owner
@@ -557,8 +557,7 @@ class SimClient:
         frontier costs (roughly) one round-trip latency regardless of how
         many nodes it holds, exactly the parallel metadata access the
         paper's DHT design is meant to enable.  Fetched nodes are inserted
-        into the cache on the way back.  A legacy plan yielding single refs
-        is handled the same way.
+        into the cache on the way back.
 
         Returns ``(plan_result, tally)`` where the
         :class:`~repro.cache.CacheTally` carries the traversal's hit/fetch/
@@ -573,10 +572,9 @@ class SimClient:
         cluster = dep.cluster
         tally = CacheTally()
         try:
-            request = next(plan)
+            frontier = next(plan)
             while True:
-                batched = isinstance(request, Frontier)
-                refs = list(request.refs) if batched else [request]
+                refs = list(frontier.refs)
                 keys = [
                     NodeKey(
                         resolve_owner(record, ref.version),
@@ -604,7 +602,7 @@ class SimClient:
                     complete_frontier(
                         cache, cache_keys, miss_indices, fetched, nodes, tally
                     )
-                request = plan.send(nodes if batched else nodes[0])
+                frontier = plan.send(nodes)
         except StopIteration as stop:
             return stop.value, tally
 
@@ -710,10 +708,9 @@ class SimClient:
         spec_predicted = 0
         plan = read_plan(version, span, page_offset, page_count)
         try:
-            request = next(plan)
+            frontier = next(plan)
             while True:
-                batched = isinstance(request, Frontier)
-                refs = list(request.refs) if batched else [request]
+                refs = list(frontier.refs)
                 keys = [
                     NodeKey(
                         resolve_owner(record, ref.version),
@@ -773,7 +770,7 @@ class SimClient:
                     complete_frontier(
                         cache, cache_keys, miss_indices, fetched, nodes, tally
                     )
-                request = plan.send(nodes if batched else nodes[0])
+                frontier = plan.send(nodes)
         except StopIteration as stop:
             # Wasted speculative fetches (wrong version guess, or the node
             # was cached after all) keep running in the background — their

@@ -135,7 +135,7 @@ class SimDeployment:
         allocation_strategy: str = "round_robin",
         co_locate_clients: bool = False,
         page_replication: int = 1,
-        metadata_replication: int | None = None,
+        metadata_replication: int = 1,
         speculative_prefetch: bool = False,
         replica_routing: bool = True,
         peer_caching: bool = True,

@@ -172,7 +172,7 @@ def run_read_concurrency_experiment(
     populate_append_bytes: int | None = None,
     measure_warm: bool = False,
     page_replication: int = 1,
-    metadata_replication: int | None = None,
+    metadata_replication: int = 1,
     speculative_prefetch: bool = False,
     replica_routing: bool = True,
     peer_caching: bool = True,

@@ -12,6 +12,7 @@ import os
 import pytest
 
 from repro import BlobStore, Cluster
+from repro.aio import SyncRuntime, run_sync
 from repro.analysis.sanitizer import LockSanitizer
 from repro.config import BlobSeerConfig
 
@@ -95,6 +96,15 @@ def replicated_cluster() -> Cluster:
         verify_checksums=True,
     )
     return Cluster(config)
+
+
+def run_inline(method, batch, runtime=None, **kwargs):
+    """Drive one batched ``*_async`` component call to completion without an
+    event loop: ``method(batch, runtime, **kwargs)`` on a
+    :class:`~repro.aio.SyncRuntime` (or the given subclass of it)."""
+    if runtime is None:
+        runtime = SyncRuntime()
+    return run_sync(method(batch, runtime, **kwargs))
 
 
 def make_payload(size: int, seed: int = 0) -> bytes:

@@ -19,7 +19,7 @@ import threading
 from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro import (
     AsyncBlobStore,
@@ -309,10 +309,27 @@ class TestAsyncSyncEquivalence:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    @given(operations=history_strategy)
-    def test_same_bytes_and_same_trip_counters(self, operations):
+    @given(operations=history_strategy, strict_unaligned=st.booleans())
+    @example(
+        # Strict mode pinned on one history that crosses page boundaries
+        # every way: unaligned appends, a write at v>1 inside one page, one
+        # spanning two, a branch written to, and reads over the seams.
+        operations=[
+            ("append", 0.0, 100, 1),
+            ("write", 0.0, 30, 0.25, 2),
+            ("write", 0.0, 90, 0.5, 3),
+            ("append", 0.0, 50, 4),
+            ("branch", 0.5),
+            ("write", 1.0, 70, 0.9, 5),
+            ("read", 1.0, 0.1, 0.9),
+            ("read", 0.5, 0.0, 1.0),
+        ],
+        strict_unaligned=True,
+    )
+    def test_same_bytes_and_same_trip_counters(self, operations, strict_unaligned):
         """The tentpole property: one async code path, two execution modes,
-        identical bytes AND identical ReadStats/WriteResult counters.
+        identical bytes AND identical ReadStats/WriteResult counters — with
+        lock-free and with strict boundary pages alike.
 
         Each store gets its own cluster and its own dedicated caches (the
         process-shared defaults would leak occupancy between the twins);
@@ -321,7 +338,10 @@ class TestAsyncSyncEquivalence:
         """
         sync_cluster = small_cluster()
         sync_store = BlobStore(
-            sync_cluster, node_cache=NodeCache(), page_cache=PageCache()
+            sync_cluster,
+            strict_unaligned=strict_unaligned,
+            node_cache=NodeCache(),
+            page_cache=PageCache(),
         )
         sync_outcomes = asyncio.run(
             _drive_history(_SyncAsAsync(sync_store), operations)
@@ -331,7 +351,10 @@ class TestAsyncSyncEquivalence:
 
         async def run_async():
             async with AsyncBlobStore(
-                async_cluster, node_cache=NodeCache(), page_cache=PageCache()
+                async_cluster,
+                strict_unaligned=strict_unaligned,
+                node_cache=NodeCache(),
+                page_cache=PageCache(),
             ) as store:
                 return await _drive_history(store, operations)
 
@@ -510,9 +533,9 @@ class TestRuntimeSeam:
 
     def test_sync_bridge_uses_sync_runtime(self):
         store = BlobStore(small_cluster())
-        assert isinstance(store._runtime, SyncRuntime)
-        assert not store._runtime.pipelined
         assert isinstance(store._engine, AsyncBlobStore)
+        assert isinstance(store._engine._runtime, SyncRuntime)
+        assert not store._engine._runtime.pipelined
 
     def test_async_store_defaults_to_event_loop_runtime(self):
         store = AsyncBlobStore(small_cluster())

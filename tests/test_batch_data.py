@@ -3,7 +3,7 @@
 Mirrors ``test_batch_metadata.py`` one layer down: the same three concerns,
 now for pages instead of tree nodes:
 
-* the provider multi-ops — ``multi_fetch``/``multi_store`` must be
+* the provider multi-ops — ``multi_fetch_into``/``multi_store`` must be
   byte-for-byte equivalent to the per-page loop, count one batch per
   request, and fail whole batches on a dead provider;
 * the provider-manager grouping — requests are grouped into one batch per
@@ -18,6 +18,7 @@ now for pages instead of tree nodes:
 import pytest
 
 from repro import BlobStore, Cluster
+from repro.aio import SyncRuntime, run_sync
 from repro.errors import (
     IntegrityError,
     PageNotFoundError,
@@ -31,9 +32,48 @@ from repro.sim.client import SimClient
 from repro.sim.deployment import SimDeployment
 from repro.util.ranges import covering_page_range
 
-from .conftest import TEST_PAGE_SIZE, make_payload
+from .conftest import TEST_PAGE_SIZE, make_payload, run_inline
 
 PAGE = TEST_PAGE_SIZE
+
+
+def provider_fetch(provider, requests):
+    """One ``DataProvider.multi_fetch_into`` batch over ``(page_id, offset,
+    length)`` requests; returns the payloads aligned with ``requests``."""
+    outs = [bytearray(length) for _page_id, _offset, length in requests]
+    provider.multi_fetch_into(
+        [
+            (page_id, offset, memoryview(out))
+            for (page_id, offset, _length), out in zip(requests, outs)
+        ]
+    )
+    return [bytes(out) for out in outs]
+
+
+def manager_store(manager, items, runtime=None):
+    """Single-home batched store of ``(provider_id, page_id, payload)``
+    items through the manager; returns the per-provider batch count."""
+    _landed, trips = run_inline(
+        manager.multi_store_replicated_async,
+        [((provider_id,), page_id, payload) for provider_id, page_id, payload in items],
+        runtime,
+    )
+    return trips
+
+
+def manager_fetch(manager, requests, runtime=None):
+    """Batched fetch of ``(provider_id, page_id, offset, length)`` requests
+    through the manager; returns ``(payloads, batch count)``."""
+    outs = [bytearray(length) for *_request, length in requests]
+    trips = run_inline(
+        manager.multi_fetch_into_async,
+        [
+            (provider_id, page_id, offset, memoryview(out))
+            for (provider_id, page_id, offset, _length), out in zip(requests, outs)
+        ],
+        runtime,
+    )
+    return [bytes(out) for out in outs], trips
 
 
 def per_page_read(cluster, store, blob_id, version, offset, size):
@@ -44,8 +84,10 @@ def per_page_read(cluster, store, blob_id, version, offset, size):
     snapshot_size = cluster.version_manager.get_size(blob_id, version)
     page_offset, page_count = covering_page_range(offset, size, page_size)
     span = span_for_pages(pages_for_size(snapshot_size, page_size))
-    plan_result = store._run_read_plan(
-        record, version, span, page_offset, page_count
+    plan_result = run_sync(
+        store._engine._resolve_ranges(
+            record, version, span, [(page_offset, page_count)]
+        )
     )
     buffer = bytearray(size)
     fetched = 0
@@ -70,7 +112,9 @@ class TestProviderMultiOps:
         provider = DataProvider("data-0000")
         items = [(f"p{i}", bytes([i]) * (10 + i)) for i in range(6)]
         provider.multi_store(items)
-        payloads = provider.multi_fetch([(pid, 0, None) for pid, _ in items])
+        payloads = provider_fetch(
+            provider, [(pid, 0, len(data)) for pid, data in items]
+        )
         assert payloads == [data for _, data in items]
 
     def test_batch_equals_per_page_loop(self):
@@ -81,7 +125,7 @@ class TestProviderMultiOps:
         for page_id, data in items:
             looped.store_page(page_id, data)
         requests = [(f"p{i}", 3, 7) for i in range(5)]
-        assert batched.multi_fetch(requests) == [
+        assert provider_fetch(batched, requests) == [
             looped.fetch_page(pid, offset=off, length=length)
             for pid, off, length in requests
         ]
@@ -97,7 +141,7 @@ class TestProviderMultiOps:
         provider = DataProvider("data-0000")
         provider.multi_store([])
         provider.multi_store_virtual([])
-        assert provider.multi_fetch([]) == []
+        assert provider.multi_fetch_into([]) == 0
         stats = provider.stats()
         assert stats.batch_put_requests == 0
         assert stats.batch_get_requests == 0
@@ -107,11 +151,11 @@ class TestProviderMultiOps:
         provider.multi_store([("p0", b"x"), ("p1", b"y")])
         provider.kill()
         with pytest.raises(ProviderUnavailableError):
-            provider.multi_fetch([("p0", 0, None)])
+            provider_fetch(provider, [("p0", 0, 1)])
         with pytest.raises(ProviderUnavailableError):
             provider.multi_store([("p2", b"z")])
         provider.revive()
-        assert provider.multi_fetch([("p0", 0, None), ("p1", 0, None)]) == [
+        assert provider_fetch(provider, [("p0", 0, 1), ("p1", 0, 1)]) == [
             b"x", b"y",
         ]
 
@@ -119,26 +163,27 @@ class TestProviderMultiOps:
         provider = DataProvider("data-0000")
         provider.store_page("p0", b"x")
         with pytest.raises(PageNotFoundError):
-            provider.multi_fetch([("p0", 0, None), ("ghost", 0, None)])
+            provider_fetch(provider, [("p0", 0, 1), ("ghost", 0, 1)])
 
     def test_full_page_batched_reads_verify_checksums(self):
         provider = DataProvider("data-0000", verify_checksums=True)
         provider.multi_store([("p0", b"payload-bytes")])
         # Full-page reads verify, whether the length is explicit or open.
-        assert provider.multi_fetch([("p0", 0, None), ("p0", 0, 13)]) == [
-            b"payload-bytes", b"payload-bytes",
-        ]
+        assert provider.fetch_page("p0") == b"payload-bytes"
+        assert provider_fetch(provider, [("p0", 0, 13)]) == [b"payload-bytes"]
         provider._store._pages["p0"] = b"corrupted-byte"[:13]
         with pytest.raises(IntegrityError):
-            provider.multi_fetch([("p0", 0, 13)])
+            provider.fetch_page("p0")
+        with pytest.raises(IntegrityError):
+            provider_fetch(provider, [("p0", 0, 13)])
         # Partial reads cannot verify and still pass through.
-        assert provider.multi_fetch([("p0", 1, 4)]) == [b"orru"]
+        assert provider_fetch(provider, [("p0", 1, 4)]) == [b"orru"]
 
     def test_multi_store_virtual_records_sizes(self):
         provider = DataProvider("data-0000")
         provider.multi_store_virtual([("p0", 100), ("p1", 200)])
         assert provider.bytes_used() == 300
-        assert provider.multi_fetch([("p1", 10, 5)]) == [bytes(5)]
+        assert provider_fetch(provider, [("p1", 10, 5)]) == [bytes(5)]
 
 
 class TestShortReads:
@@ -188,8 +233,9 @@ class TestShortReads:
         manager.register(provider)
         provider.multi_fetch_into = lambda requests: 3  # claims a short batch
         with pytest.raises(ShortReadError):
-            manager.multi_fetch_into(
-                [("data-0000", "p0", 0, memoryview(bytearray(8)))]
+            run_inline(
+                manager.multi_fetch_into_async,
+                [("data-0000", "p0", 0, memoryview(bytearray(8)))],
             )
 
     def test_end_to_end_read_surfaces_truncation(self, store, cluster, blob_id):
@@ -221,10 +267,10 @@ class TestProviderManagerGrouping:
         items = [
             (f"data-{i % 3:04d}", f"p{i}", bytes([i]) * 8) for i in range(9)
         ]
-        trips = manager.multi_store(items)
+        trips = manager_store(manager, items)
         assert trips == 3
-        requests = [(pid, page_id, 0, None) for pid, page_id, _ in items]
-        payloads, fetch_trips = manager.multi_fetch(requests)
+        requests = [(pid, page_id, 0, 8) for pid, page_id, _ in items]
+        payloads, fetch_trips = manager_fetch(manager, requests)
         assert payloads == [payload for _, _, payload in items]
         assert fetch_trips == 3
         for provider in providers:
@@ -234,17 +280,17 @@ class TestProviderManagerGrouping:
 
     def test_empty_request_list(self):
         manager, _providers = self._manager(2)
-        assert manager.multi_fetch([]) == ([], 0)
-        assert manager.multi_store([]) == 0
+        assert manager_fetch(manager, []) == ([], 0)
+        assert manager_store(manager, []) == 0
         assert manager.multi_store_virtual([]) == 0
 
     def test_killed_provider_mid_batch_fails_after_live_ones(self):
         manager, providers = self._manager(3)
         items = [(f"data-{i % 3:04d}", f"p{i}", b"x" * 4) for i in range(6)]
-        manager.multi_store(items)
+        manager_store(manager, items)
         providers[1].kill()
         with pytest.raises(ProviderUnavailableError):
-            manager.multi_fetch([(pid, page_id, 0, None) for pid, page_id, _ in items])
+            manager_fetch(manager, [(pid, page_id, 0, 4) for pid, page_id, _ in items])
         # The live providers' batches still completed before the error; the
         # dead one rejected its batch before counting it.
         assert providers[0].stats().batch_get_requests == 1
@@ -256,14 +302,15 @@ class TestProviderManagerGrouping:
         items = [(f"data-{i % 4:04d}", f"p{i}", b"y" * 4) for i in range(8)]
         seen = []
 
-        def run_batches(jobs):
-            seen.append(len(jobs))
-            return [job() for job in jobs]
+        class CountingRuntime(SyncRuntime):
+            async def run_batches(self, jobs):
+                seen.append(len(jobs))
+                return await super().run_batches(jobs)
 
-        manager.multi_store(items, run_batches=run_batches)
-        manager.multi_fetch(
-            [(pid, page_id, 0, None) for pid, page_id, _ in items],
-            run_batches=run_batches,
+        runtime = CountingRuntime()
+        manager_store(manager, items, runtime)
+        manager_fetch(
+            manager, [(pid, page_id, 0, 4) for pid, page_id, _ in items], runtime
         )
         assert seen == [4, 4]
 
@@ -326,21 +373,6 @@ class TestEndToEndAccounting:
         reference = bytearray(make_payload(8 * PAGE, seed=2))
         reference[PAGE // 2:PAGE // 2 + 300] = make_payload(300, seed=4)
         assert merged == bytes(reference)
-
-    def test_parallel_io_batches_match_sequential(self):
-        cluster = self._cluster(providers=8)
-        # cache_pages pinned off: the second read would otherwise be served
-        # by the shared page cache and report zero data trips.
-        parallel = BlobStore(cluster, parallel_io=4, cache_pages=False)
-        sequential = BlobStore(cluster, cache_pages=False)
-        blob_id = parallel.create()
-        payload = make_payload(64 * PAGE, seed=9)
-        version = parallel.append(blob_id, payload)
-        parallel.sync(blob_id, version)
-        p_data, p_stats = parallel.read_ex(blob_id, version, 0, 64 * PAGE)
-        s_data, s_stats = sequential.read_ex(blob_id, version, 0, 64 * PAGE)
-        assert p_data == s_data == payload
-        assert p_stats.data_round_trips == s_stats.data_round_trips <= 8
 
     def test_mid_store_death_discards_landed_pages(self):
         cluster = self._cluster(providers=2)

@@ -289,18 +289,6 @@ class TestCacheAccountingAcrossBatches:
         assert stats.metadata_cache_hits > 0
         assert cluster.dht.stats().gets - gets_before == new_nodes
 
-    def test_parallel_io_batches_give_identical_results(self):
-        cluster = self._cluster()
-        parallel = BlobStore(cluster, parallel_io=4, node_cache=NodeCache())
-        plain = BlobStore(cluster, cache_metadata=False)
-        blob_id = parallel.create()
-        payload = make_payload(32 * PAGE, seed=7)
-        version = parallel.append(blob_id, payload)
-        parallel.sync(blob_id, version)
-        for _ in range(2):  # second pass reads through the warm cache
-            assert parallel.read(blob_id, version, PAGE, 20 * PAGE) == \
-                plain.read(blob_id, version, PAGE, 20 * PAGE)
-
     def test_cached_reads_match_uncached_reads(self):
         cluster = self._cluster()
         cached_store = BlobStore(cluster, node_cache=NodeCache())

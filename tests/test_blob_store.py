@@ -276,13 +276,6 @@ class TestStorageAccounting:
 
 
 class TestParallelIOAndStrictModes:
-    def test_parallel_io_client_gives_identical_results(self, cluster, blob_id):
-        parallel_store = BlobStore(cluster, parallel_io=4)
-        payload = make_payload(16 * PAGE, seed=3)
-        version = parallel_store.append(blob_id, payload)
-        parallel_store.sync(blob_id, version)
-        assert parallel_store.read(blob_id, version, 0, len(payload)) == payload
-
     def test_strict_unaligned_mode(self, cluster):
         store = BlobStore(cluster, strict_unaligned=True)
         blob_id = store.create()

@@ -35,7 +35,7 @@ from repro.providers.provider_manager import FaultTally
 from repro.sim.deployment import SimDeployment
 from repro.sim.experiments import run_read_concurrency_experiment
 
-from .conftest import TEST_PAGE_SIZE, make_payload
+from .conftest import TEST_PAGE_SIZE, make_payload, run_inline
 from .test_async_store import _drive_history, history_strategy
 
 PAGE = 64
@@ -338,7 +338,8 @@ class TestRequeueRerank:
     def fetch(manager):
         out_x, out_y = bytearray(PAGE), bytearray(PAGE)
         tally = FaultTally()
-        trips = manager.multi_fetch_into(
+        trips = run_inline(
+            manager.multi_fetch_into_async,
             [
                 ("p0", "page-x", 0, memoryview(out_x)),
                 ("p1", "page-y", 0, memoryview(out_y)),
@@ -404,7 +405,9 @@ class TestDHTReplicaRouting:
         victim = dht.bucket_ids()[0]
         dht.kill_bucket(victim)
         for _ in range(2):  # second pass runs with suspicion learned
-            values = dht.try_multi_get([key for key, _value in items])
+            values = run_inline(
+                dht.try_multi_get_async, [key for key, _value in items]
+            )
             assert values == [value for _key, value in items]
 
 

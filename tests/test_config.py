@@ -26,15 +26,17 @@ class TestBlobSeerConfig:
     def test_defaults_are_valid(self):
         config = BlobSeerConfig()
         assert config.page_size == 64 * 1024
-        assert config.replication == 1
+        assert config.metadata_replication == config.page_replication == 1
 
     def test_page_size_must_be_power_of_two(self):
         with pytest.raises(ConfigurationError):
             BlobSeerConfig(page_size=1000)
 
     def test_replication_bounded_by_providers(self):
-        with pytest.warns(DeprecationWarning), pytest.raises(ConfigurationError):
-            BlobSeerConfig(num_data_providers=2, replication=3)
+        with pytest.raises(ConfigurationError):
+            BlobSeerConfig(num_data_providers=2, page_replication=3)
+        with pytest.raises(ConfigurationError):
+            BlobSeerConfig(num_metadata_providers=2, metadata_replication=3)
 
     def test_unknown_allocation_strategy_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -186,4 +186,3 @@ class TestMetadataCache:
         # The legacy metadata_cache_stats() positional shim was removed one
         # release after deprecation, as promised.
         assert not hasattr(store, "metadata_cache_stats")
-        assert store.cache_stats().as_tuple() == (0, 0, 0)

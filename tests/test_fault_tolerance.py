@@ -33,7 +33,7 @@ from repro.providers.data_provider import DataProvider
 from repro.providers.provider_manager import ProviderManager
 from repro.tools.gc import collect_garbage
 
-from .conftest import TEST_PAGE_SIZE, make_payload
+from .conftest import TEST_PAGE_SIZE, make_payload, run_inline
 
 PAGE = TEST_PAGE_SIZE
 
@@ -174,8 +174,12 @@ class TestRetryPolicy:
         )
         manager.register(provider)
         provider.kill()
-        payloads, trips = manager.multi_fetch([("data-0000", "page-1", 0, PAGE)])
-        assert payloads == [b"x" * PAGE]
+        out = bytearray(PAGE)
+        trips = run_inline(
+            manager.multi_fetch_into_async,
+            [("data-0000", "page-1", 0, memoryview(out))],
+        )
+        assert bytes(out) == b"x" * PAGE
         assert trips == 1
 
 
@@ -222,27 +226,15 @@ class TestConfigReplicationKnobs:
         config = BlobSeerConfig()
         assert config.metadata_replication == 1
         assert config.page_replication == 1
-        assert config.replication == 1  # deprecated alias, resolved
-
-    def test_deprecated_alias_warns_and_sets_metadata_replication(self):
-        with pytest.warns(DeprecationWarning, match="metadata_replication"):
-            config = BlobSeerConfig(
-                num_data_providers=6, num_metadata_providers=6, replication=3
-            )
-        # Semantics unchanged by the deprecation: the alias still resolves
-        # into the split knobs exactly as before.
-        assert config.metadata_replication == 3
-        assert config.replication == 3
-        assert config.page_replication == 1  # pages were never replicated
 
     def test_alias_conflict_is_rejected(self):
-        with pytest.warns(DeprecationWarning), pytest.raises(ConfigurationError):
+        # The pre-split ``replication`` alias is gone: alone or next to the
+        # knob it used to shadow, it is rejected like any unknown field.
+        with pytest.raises(TypeError):
+            BlobSeerConfig(replication=2)
+        with pytest.raises(TypeError):
             BlobSeerConfig(replication=2, metadata_replication=3)
-
-    def test_alias_agreement_is_accepted(self):
-        with pytest.warns(DeprecationWarning):
-            config = BlobSeerConfig(replication=2, metadata_replication=2)
-        assert config.metadata_replication == 2
+        assert not hasattr(BlobSeerConfig(), "replication")
 
     def test_metadata_replication_bounded_by_metadata_providers(self):
         with pytest.raises(ConfigurationError):
@@ -251,18 +243,6 @@ class TestConfigReplicationKnobs:
     def test_page_replication_bounded_by_data_providers(self):
         with pytest.raises(ConfigurationError):
             BlobSeerConfig(num_data_providers=2, page_replication=3)
-
-    def test_legacy_alias_keeps_its_historical_envelope(self):
-        # The old combined knob validated against the data-provider count
-        # and the DHT clamped it to the bucket count; both stay true so old
-        # configs construct unchanged (modulo the deprecation warning).
-        with pytest.warns(DeprecationWarning), pytest.raises(ConfigurationError):
-            BlobSeerConfig(num_data_providers=2, replication=3)
-        with pytest.warns(DeprecationWarning):
-            clamped = BlobSeerConfig(
-                num_data_providers=6, num_metadata_providers=2, replication=3
-            )
-        assert clamped.metadata_replication == 2
 
     def test_retry_knobs_are_validated(self):
         with pytest.raises(ConfigurationError):

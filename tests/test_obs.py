@@ -184,7 +184,7 @@ class TestMetricsRegistry:
 
     def test_concurrent_increments_are_exact(self):
         """The sharded locks must lose no increment under thread contention
-        (the sync bridge's parallel_io pool touches the registry)."""
+        (threaded clients sharing one cluster all touch the registry)."""
         registry = MetricsRegistry(shards=4)
 
         def hammer():

@@ -27,7 +27,7 @@ import threading
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import BlobStore, Cluster, PageCache
+from repro import BlobStore, CacheStats, Cluster, PageCache
 from repro.cache import VirtualPagePayload, page_weight, shared_page_cache
 from repro.sim.client import SimClient
 from repro.sim.deployment import SimDeployment
@@ -191,7 +191,7 @@ class TestSharingSemantics:
             assert data == payload
             assert stats.data_round_trips > 0
             assert stats.page_cache_hits == 0 and stats.page_cache is None
-        assert store.page_cache_stats().as_tuple() == (0, 0, 0)
+        assert store.page_cache_stats() == CacheStats()
 
     def test_gc_discards_collected_pages_from_the_cache(self):
         cluster = small_cluster(page_cache_entries=4096)

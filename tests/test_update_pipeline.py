@@ -1,0 +1,184 @@
+"""The single update pipeline (``AsyncBlobStore._update``): every WRITE and
+APPEND kind runs the same code, under both runtimes.
+
+* a table over the six update kinds pins bytes (against a ``bytearray``
+  model) and the exact trip counters each kind reported before the four
+  hand-copied update paths were merged — unifying them must not move one;
+* regression tests for the reference-snapshot rule (DESIGN.md §6): an
+  update that needs exact boundary bytes waits for its nearest NON-ABORTED
+  predecessor, so an aborted predecessor neither zeroes an in-flight
+  append's bytes nor cascades its abort into the next strict writer.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import threading
+
+import pytest
+
+from repro import AsyncBlobStore, BlobStore, Cluster
+
+from .conftest import TEST_PAGE_SIZE, make_payload
+from .test_async_store import _SyncAsAsync
+
+PAGE = TEST_PAGE_SIZE
+
+RUNTIMES = pytest.mark.parametrize(
+    "event_loop", [False, True], ids=["sync", "event_loop"]
+)
+
+#: kind -> (strict_unaligned, sizes of the appends that set the blob up,
+#: operation, offset, size, expected (vm_round_trips, data_round_trips,
+#: metadata_round_trips, pages_written)).  Cold store (no node/page cache),
+#: leases on, 8 providers, 64-byte pages; the numbers are what the commit
+#: before the merge returned under either runtime.
+UPDATE_KINDS = {
+    "aligned_write": (False, [4 * PAGE], "write", PAGE, 2 * PAGE, (2, 2, 3, 2)),
+    "unaligned_write": (False, [4 * PAGE], "write", 30, 100, (2, 5, 3, 3)),
+    "strict_write_at_v1": (True, [], "write", 0, 100, (3, 2, 1, 2)),
+    "strict_write_later": (True, [4 * PAGE], "write", 30, 100, (3, 5, 3, 3)),
+    "aligned_append": (False, [4 * PAGE], "append", None, 2 * PAGE, (2, 2, 1, 2)),
+    "unaligned_append": (False, [100], "append", None, 50, (3, 3, 2, 2)),
+}
+
+
+def make_cluster(page_size: int = PAGE) -> Cluster:
+    return Cluster.in_memory(
+        num_data_providers=8, num_metadata_providers=8, page_size=page_size
+    )
+
+
+@RUNTIMES
+@pytest.mark.parametrize("kind", UPDATE_KINDS)
+def test_update_kinds_keep_bytes_and_trip_counters(kind, event_loop):
+    strict, setup, operation, offset, size, expected = UPDATE_KINDS[kind]
+
+    async def scenario():
+        knobs = dict(
+            strict_unaligned=strict, cache_metadata=False, cache_pages=False
+        )
+        cluster = make_cluster()
+        store = (
+            AsyncBlobStore(cluster, **knobs)
+            if event_loop
+            else _SyncAsAsync(BlobStore(cluster, **knobs))
+        )
+        blob_id = await store.create()
+        model = bytearray()
+        for seed, nbytes in enumerate(setup):
+            result = await store.append_ex(blob_id, make_payload(nbytes, seed))
+            await store.sync(blob_id, result.version)
+            model += make_payload(nbytes, seed)
+        data = make_payload(size, seed=9)
+        if operation == "write":
+            result = await store.write_ex(blob_id, data, offset)
+            model[offset:offset + size] = data
+        else:
+            result = await store.append_ex(blob_id, data)
+            model += data
+        await store.sync(blob_id, result.version)
+        read_back, _stats = await store.read_ex(
+            blob_id, result.version, 0, len(model)
+        )
+        assert read_back == bytes(model)
+        return result
+
+    result = asyncio.run(scenario())
+    assert result.version == len(setup) + 1
+    assert result.bytes_written == size
+    assert (
+        result.vm_round_trips,
+        result.data_round_trips,
+        result.metadata_round_trips,
+        result.pages_written,
+    ) == expected
+
+
+def open_engine(cluster: Cluster, event_loop: bool, **knobs):
+    """``(engine, append)``: the async core on the requested runtime, plus a
+    coroutine function running one APPEND *concurrently* with the caller —
+    a task on the loop, or the blocking sync bridge on a worker thread."""
+    if event_loop:
+        engine = AsyncBlobStore(cluster, **knobs)
+        return engine, engine.append
+    bridge = BlobStore(cluster, **knobs)
+
+    async def append(blob_id, data):
+        versions = []
+        worker = threading.Thread(
+            target=lambda: versions.append(bridge.append(blob_id, data)),
+            daemon=True,  # a failing test must not hang on a blocked SYNC
+        )
+        worker.start()
+        while worker.is_alive():
+            await asyncio.sleep(0.01)
+        return versions[0]
+
+    return bridge._engine, append
+
+
+async def finish_by_hand(engine, record, ticket, data, reference_version):
+    """Carry an update whose ticket the test registered by hand through the
+    rest of the pipeline: compose, store, weave, notify."""
+    payloads, _data_trips, _vm_trips = await engine._compose_page_payloads(
+        record, ticket, data, reference_version=reference_version
+    )
+    pending = engine._start_page_stores(payloads)
+    await engine._finish_update(record, ticket, pending)
+
+
+@RUNTIMES
+def test_unaligned_append_after_an_abort_keeps_an_inflight_appends_bytes(
+    event_loop,
+):
+    """v2 (in flight) and v4 append into the same 16-byte tail page; v3,
+    between them, aborted.  v4 must wait for v2 — its nearest non-aborted
+    predecessor — instead of falling back to the last *published* snapshot
+    (v1), which published zeros over v2's bytes."""
+
+    async def scenario():
+        cluster = make_cluster(page_size=16)
+        vm = cluster.version_manager
+        engine, append = open_engine(cluster, event_loop)
+        blob_id = await engine.create()
+        v1 = await engine.append(blob_id, b"A" * 10)
+        await engine.sync(blob_id, v1)
+        record = vm.get_record(blob_id)
+        ticket2 = vm.register_update(blob_id, 3, is_append=True)  # in flight
+        ticket3 = vm.register_update(blob_id, 2, is_append=True)
+        vm.abort_update(blob_id, ticket3.version, "writer died")
+        appending = asyncio.ensure_future(append(blob_id, b"D" * 4))
+        # Long enough for an append that does NOT wait for v2 to finish.
+        await asyncio.sleep(0.2)
+        await finish_by_hand(engine, record, ticket2, b"B" * 3, reference_version=1)
+        v4 = await asyncio.wait_for(appending, timeout=10)
+        await engine.sync(blob_id, v4)
+        return v4, await engine.read(blob_id, v4, 0, 17)
+
+    v4, data = asyncio.run(scenario())
+    assert v4 == 4
+    assert data == b"AAAAAAAAAABBBDDDD"
+
+
+@RUNTIMES
+def test_strict_write_after_an_aborted_predecessor_publishes(event_loop):
+    """An aborted predecessor used to cascade: the next strict writer's SYNC
+    on it raised ``UpdateAbortedError`` and aborted that writer too."""
+
+    async def scenario():
+        cluster = make_cluster(page_size=16)
+        vm = cluster.version_manager
+        engine, _append = open_engine(cluster, event_loop, strict_unaligned=True)
+        blob_id = await engine.create()
+        v1 = await engine.append(blob_id, b"a" * 20)
+        await engine.sync(blob_id, v1)
+        ticket2 = vm.register_update(blob_id, 4, offset=2)
+        vm.abort_update(blob_id, ticket2.version, "writer died")
+        v3 = await engine.write(blob_id, b"XYZ", 5)
+        await engine.sync(blob_id, v3)
+        return v3, await engine.read(blob_id, v3, 0, 20)
+
+    v3, data = asyncio.run(scenario())
+    assert v3 == 3
+    assert data == b"a" * 5 + b"XYZ" + b"a" * 12
