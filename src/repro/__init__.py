@@ -57,16 +57,22 @@ existing code:
   ``BlobSeerConfig(replication=...)`` — spell it ``metadata_replication=``
   (and ``page_replication=`` for the data path); ``CacheStats.as_tuple()``
   — read the named fields.  Batched component calls exist as ``*_async``
-  methods taking a runtime; only ``DHT.multi_put``/``multi_get``,
-  ``MetadataProvider.put_nodes``/``get_nodes`` and
-  ``ProviderManager.multi_store_virtual`` keep a synchronous façade.
+  methods taking a runtime; only ``DHT.multi_get`` and
+  ``MetadataProvider.get_nodes`` keep a synchronous façade.
+  The size-only ("virtual") store calls of the provider manager, data
+  providers and page stores went with their one caller, the simulator's
+  own APPEND: store ``bytes(size)`` — a ``NullPageStore`` keeps only the
+  length anyway.  ``repro.sim.AppendOutcome`` is ``(result: WriteResult,
+  elapsed)`` now, and ``SimDeployment.provider_manager`` is spelled
+  ``deployment.cluster.provider_manager``.
 
 Package layout:
 
 * :mod:`repro.core` — client API (CREATE/WRITE/APPEND/READ/SYNC/BRANCH),
   async and sync, and in-process cluster wiring.
 * :mod:`repro.aio` — the I/O runtime seam: one async code path, two
-  execution modes (event loop vs suspension-free trampoline).
+  shipped execution modes (event loop vs suspension-free trampoline); the
+  simulator's virtual clock is a third (:mod:`repro.sim.runtime`).
 * :mod:`repro.cache` — the shared, sharded, LRU-bounded caches for
   immutable metadata tree nodes AND immutable page payloads that every
   client reads through (one common sharded-LRU core).

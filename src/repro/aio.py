@@ -30,9 +30,12 @@ decides how the coroutine's awaits actually execute:
   never parks a thread.
 
 The runtime is the ONLY execution strategy: a component call takes the
-runtime it executes on, and a different strategy (a counting runtime, a
-simulated clock) is a subclass or a sibling of these two classes — never a
-per-call hook.
+runtime it executes on, and a different strategy (the wall benchmark's
+counting runtime, the simulated clock of :mod:`repro.sim.runtime`) is a
+subclass or a sibling of these two classes — never a per-call hook.  So
+that a sibling can charge a cost model, ``run_batches`` receives a
+:class:`JobBatch` and the version manager's update calls go through
+``vm_call``.
 """
 
 from __future__ import annotations
@@ -97,6 +100,21 @@ class TaskHandle:
 Handle = SyncHandle | TaskHandle
 
 
+class JobBatch(list):
+    """The jobs of ONE dispatch — a plain list of zero-argument coroutine
+    functions to a runtime that only executes them — plus what they are:
+    ``leg`` (``"page_store"``, ``"page_fetch"``, ``"meta_get"`` or
+    ``"meta_put"``) and ``groups``, the ``(endpoint_id, batch)`` pairs the
+    jobs were built from, aligned with them."""
+
+    __slots__ = ("leg", "groups")
+
+    def __init__(self, jobs, leg: str, groups: list):
+        super().__init__(jobs)
+        self.leg = leg
+        self.groups = groups
+
+
 class SyncRuntime:
     """Suspension-free runtime: the engine's awaits all complete inline.
 
@@ -131,6 +149,11 @@ class SyncRuntime:
             # Blocking inline is SyncRuntime's documented contract: awaits
             # complete eagerly on the calling thread (no event loop exists).
             time.sleep(seconds)  # noqa: ASYNC251
+
+    async def vm_call(self, vm, op: str, *args, **kwargs):
+        """One of the version manager's update calls (``register_update``,
+        ``complete_update``, ``abort_update``), issued inline."""
+        return getattr(vm, op)(*args, **kwargs)
 
     async def vm_sync(self, vm, blob_id: str, version: int, timeout=None) -> None:
         vm.sync(blob_id, version, timeout)
@@ -180,6 +203,10 @@ class AsyncRuntime:
     async def sleep(self, seconds: float) -> None:
         await asyncio.sleep(seconds)
 
+    async def vm_call(self, vm, op: str, *args, **kwargs):
+        # Inline too: the in-process version manager answers without I/O.
+        return getattr(vm, op)(*args, **kwargs)
+
     async def vm_sync(self, vm, blob_id: str, version: int, timeout=None) -> None:
         """SYNC without parking a thread on the VM's condition variable.
 
@@ -224,6 +251,7 @@ IORuntime = SyncRuntime | AsyncRuntime
 
 async def dispatch_jobs(
     runtime: IORuntime,
+    leg: str,
     groups: list,
     make_attempt: Callable,
     retry=None,
@@ -231,10 +259,11 @@ async def dispatch_jobs(
     note_success: Callable[[str], None] | None = None,
     note_failure: Callable[[str], None] | None = None,
 ) -> list:
-    """Run one job per ``(endpoint_id, batch)`` group; outcomes align with
-    ``groups`` and exceptions of the ``capture`` classes are returned in
-    their slot instead of aborting the dispatch — every live backend's batch
-    completes before the caller decides how to surface failures.
+    """Run one job per ``(endpoint_id, batch)`` group of protocol leg ``leg``
+    (see :class:`JobBatch`); outcomes align with ``groups`` and exceptions of
+    the ``capture`` classes are returned in their slot instead of aborting
+    the dispatch — every live backend's batch completes before the caller
+    decides how to surface failures.
 
     When a :class:`repro.fault.RetryPolicy` is wired, each job retries its
     call on transient errors before giving up (awaitable backoff under an
@@ -265,15 +294,15 @@ async def dispatch_jobs(
 
         return job
 
-    return await runtime.run_batches(
-        [make_job(endpoint_id, batch) for endpoint_id, batch in groups]
-    )
+    jobs = (make_job(endpoint_id, batch) for endpoint_id, batch in groups)
+    return await runtime.run_batches(JobBatch(jobs, leg, groups))
 
 
 __all__ = [
     "AsyncRuntime",
     "Handle",
     "IORuntime",
+    "JobBatch",
     "SYNC_RUNTIME",
     "SyncHandle",
     "SyncRuntime",

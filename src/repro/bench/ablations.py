@@ -141,7 +141,7 @@ def run_ablation_metadata(scale: str = "small") -> ExperimentResult:
     result.note(
         f"metadata write work for one {update_pages}-page update on a "
         f"{pages_total}-page blob: "
-        f"BlobSeer {outcome.metadata_nodes_written} tree nodes, "
+        f"BlobSeer {outcome.result.metadata_nodes_written} tree nodes, "
         f"centralized flat table {centralized_write_work} descriptors"
     )
     return result

@@ -39,7 +39,9 @@ Each leg of the protocol has ONE implementation here: every WRITE and
 APPEND — aligned, unaligned, strict — runs the single ``_update`` pipeline
 (Algorithm 2: store pages, get a version, weave metadata, notify), every
 tree walk goes through ``_resolve_ranges``, every page fetch through
-``_fetch_pages_into``, and the runtime is the only execution strategy.
+``_fetch_pages_into``, and the runtime is the only execution strategy —
+the version manager's update calls included (``runtime.vm_call``), so the
+simulator's :class:`~repro.sim.runtime.SimRuntime` can put them on its clock.
 
 Everything the sync client's docstring says about frontier-parallel
 metadata I/O, provider-parallel data I/O, shared caches and version leases
@@ -453,8 +455,9 @@ class AsyncBlobStore:
             )
         try:
             with span("write.vm"):
-                ticket = self._vm.register_update(
-                    record.blob_id, len(data), offset=offset, is_append=is_append
+                ticket = await self._runtime.vm_call(
+                    self._vm, "register_update",
+                    record.blob_id, len(data), offset=offset, is_append=is_append,
                 )
         except Exception:
             if pending is not None:
@@ -482,7 +485,10 @@ class AsyncBlobStore:
                 vm_round_trips=vm_trips, page_cache_hits=page_cache_hits,
             )
         except Exception:
-            self._vm.abort_update(record.blob_id, ticket.version, f"{kind} failed")
+            await self._runtime.vm_call(
+                self._vm, "abort_update",
+                record.blob_id, ticket.version, f"{kind} failed",
+            )
             raise
 
     async def _reference_snapshot(
@@ -977,7 +983,9 @@ class AsyncBlobStore:
         # so caching them at publish time makes the writer's own subsequent
         # reads (and every other store on this cluster) warm.
         self._cache_put_items(items)
-        self._vm.complete_update(record.blob_id, ticket.version)
+        await self._runtime.vm_call(
+            self._vm, "complete_update", record.blob_id, ticket.version
+        )
         return WriteResult(
             version=ticket.version,
             bytes_written=ticket.byte_size,

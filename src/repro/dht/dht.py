@@ -9,10 +9,10 @@ accepted it.  This is the minimal fault-tolerance hook the paper defers to
 future work.
 
 Besides the per-key ``get``/``put``, the DHT exposes true multi-ops
-(:meth:`DHT.multi_get` / :meth:`DHT.multi_put`): keys are grouped by bucket
-and each :class:`~repro.dht.storage.BucketStore` lock is taken once per
-batch instead of once per key, which is what lets the client resolve a whole
-metadata-tree frontier in one round trip.
+(:meth:`DHT.multi_get_async` / :meth:`DHT.multi_put_async`): keys are
+grouped by bucket and each :class:`~repro.dht.storage.BucketStore` lock is
+taken once per batch instead of once per key, which is what lets the client
+resolve a whole metadata-tree frontier in one round trip.
 """
 
 from __future__ import annotations
@@ -183,10 +183,6 @@ class DHT:
         if self._routing:
             self._suspect_buckets.discard(bucket_id)
 
-    def multi_put(self, items: list[tuple[str, object]]) -> None:
-        """Synchronous :meth:`multi_put_async` (inline, no event loop)."""
-        run_sync(self.multi_put_async(items, SYNC_RUNTIME))
-
     async def multi_put_async(
         self, items: list[tuple[str, object]], runtime: IORuntime
     ) -> None:
@@ -218,6 +214,7 @@ class DHT:
         groups = list(by_bucket.items())
         outcomes = await dispatch_jobs(
             runtime,
+            "meta_put",
             groups,
             make_attempt,
             retry=self._retry,
@@ -313,6 +310,7 @@ class DHT:
             with span("dht.wave", attempt=attempt, buckets=len(groups)):
                 outcomes = await dispatch_jobs(
                     runtime,
+                    "meta_get",
                     groups,
                     make_attempt,
                     retry=self._retry,

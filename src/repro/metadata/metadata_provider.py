@@ -39,10 +39,6 @@ class MetadataProvider:
         value = encode_node(node) if self._encode else node
         self._dht.put(key.to_string(), value)
 
-    def put_nodes(self, items: list[tuple[NodeKey, TreeNode]]) -> None:
-        """Synchronous :meth:`put_nodes_async` (inline, no event loop)."""
-        run_sync(self.put_nodes_async(items, SYNC_RUNTIME))
-
     async def put_nodes_async(
         self, items: list[tuple[NodeKey, TreeNode]], runtime: IORuntime
     ) -> None:

@@ -91,27 +91,6 @@ class DataProvider:
             self._put_requests += 1
         self._store.put(page_id, data)
 
-    def store_virtual_page(self, page_id: str, size: int) -> None:
-        """Record a page of ``size`` bytes without a payload.
-
-        Used by the discrete-event simulator, whose page stores are
-        :class:`~repro.providers.page_store.NullPageStore` instances: the
-        real placement/metadata code paths run, only the bytes are virtual.
-        """
-        self._check_alive()
-        with self._lock:
-            self._put_requests += 1
-        self._put_virtual(page_id, size)
-
-    def _put_virtual(self, page_id: str, size: int) -> None:
-        """One virtual-page write; stores lacking ``put_virtual`` get the
-        zero-filled payload instead."""
-        put_virtual = getattr(self._store, "put_virtual", None)
-        if put_virtual is not None:
-            put_virtual(page_id, size)
-        else:
-            self._store.put(page_id, bytes(size))
-
     def fetch_page(
         self, page_id: str, offset: int = 0, length: int | None = None
     ) -> bytes:
@@ -152,22 +131,6 @@ class DataProvider:
             self._batch_put_requests += 1
         for page_id, data in items:
             self._store.put(page_id, data)
-
-    def multi_store_virtual(self, items: list[tuple[str, int]]) -> None:
-        """Record a batch of ``(page_id, size)`` pages without payloads.
-
-        Batched counterpart of :meth:`store_virtual_page`, used by the
-        discrete-event simulator so one provider receives all of its pages
-        of an update as a single request.
-        """
-        if not items:
-            return
-        self._check_alive()
-        with self._lock:
-            self._put_requests += len(items)
-            self._batch_put_requests += 1
-        for page_id, size in items:
-            self._put_virtual(page_id, size)
 
     def multi_fetch_into(
         self, requests: list[tuple[str, int, memoryview]]

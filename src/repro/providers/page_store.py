@@ -269,15 +269,6 @@ class NullPageStore(PageStore):
             self._sizes[page_id] = size
             self._bytes += size
 
-    def put_virtual(self, page_id: str, size: int) -> None:
-        """Record a page of *size* bytes without materializing a payload."""
-        with self._lock:
-            previous = self._sizes.get(page_id)
-            if previous is not None:
-                self._bytes -= previous
-            self._sizes[page_id] = size
-            self._bytes += size
-
     def get(self, page_id: str, offset: int = 0, length: int | None = None) -> bytes:
         with self._lock:
             size = self._sizes.get(page_id)

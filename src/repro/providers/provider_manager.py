@@ -6,7 +6,7 @@ import threading
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from ..aio import SYNC_RUNTIME, IORuntime, dispatch_jobs, run_sync
+from ..aio import IORuntime, dispatch_jobs
 from ..errors import NoProvidersError, ShortReadError
 from ..fault.routing import rank_replicas
 from ..obs.trace import span
@@ -194,10 +194,11 @@ class ProviderManager:
 
     # -- batched data I/O ------------------------------------------------------
     async def _dispatch_batches_async(
-        self, groups: list[tuple[str, list]], call, runtime: IORuntime
+        self, leg: str, groups: list[tuple[str, list]], call, runtime: IORuntime
     ) -> list:
         """Run ``call(provider, batch)`` once per ``(provider_id, batch)``
-        group on *runtime*; outcomes align with ``groups``.
+        group of protocol leg ``leg`` on *runtime*; outcomes align with
+        ``groups``.
 
         A job's exception is captured and returned in its slot instead of
         aborting the dispatch, so every live provider's batch completes
@@ -214,6 +215,7 @@ class ProviderManager:
 
         return await dispatch_jobs(
             runtime,
+            leg,
             groups,
             make_attempt,
             retry=self._retry,
@@ -408,6 +410,7 @@ class ProviderManager:
                 requests=len(outstanding),
             ) as wave_span:
                 outcomes = await self._dispatch_batches_async(
+                    "page_fetch",
                     groups,
                     lambda provider, batch: provider.multi_fetch_into(
                         [(entry[0], entry[1], entry[2]) for entry in batch]
@@ -494,6 +497,7 @@ class ProviderManager:
                 )
         groups = list(by_provider.items())
         outcomes = await self._dispatch_batches_async(
+            "page_store",
             groups,
             lambda provider, batch: provider.multi_store(
                 [(page_id, payload) for _index, page_id, payload in batch]
@@ -524,35 +528,6 @@ class ProviderManager:
                 tuple(pid for pid in provider_ids if pid in stored)
             )
         return landed, len(groups)
-
-    def multi_store_virtual(self, items: Sequence[tuple[str, str, int]]) -> int:
-        """Synchronous :meth:`multi_store_virtual_async` (inline, no event
-        loop) — the discrete-event simulator's store call."""
-        return run_sync(self.multi_store_virtual_async(items, SYNC_RUNTIME))
-
-    async def multi_store_virtual_async(
-        self, items: Sequence[tuple[str, str, int]], runtime: IORuntime
-    ) -> int:
-        """Batched counterpart of :meth:`DataProvider.multi_store_virtual`
-        over ``(provider_id, page_id, size)`` items: one batch per provider
-        on *runtime*, returning the batch count.  Single-home, so any dead
-        provider fails the whole call — after the live providers' batches
-        completed."""
-        if not items:
-            return 0
-        by_provider: dict[str, list[tuple[str, int]]] = {}
-        for provider_id, page_id, size in items:
-            by_provider.setdefault(provider_id, []).append((page_id, size))
-        groups = list(by_provider.items())
-        outcomes = await self._dispatch_batches_async(
-            groups,
-            lambda provider, batch: provider.multi_store_virtual(batch),
-            runtime,
-        )
-        for outcome in outcomes:
-            if isinstance(outcome, Exception):
-                raise outcome
-        return len(groups)
 
     # -- introspection -----------------------------------------------------------
     def total_bytes_used(self) -> int:

@@ -9,12 +9,15 @@ FIFO serialization, one-way latency, and per-request software overheads.
 Crucially, the simulated clients drive the *real* BlobSeer code — the
 provider manager, the version manager, the DHT and the sans-IO segment-tree
 algorithms — so metadata traffic, tree depth and placement are exact; only
-byte payloads and timing are virtual.
+byte payloads and timing are virtual.  Appends go further: they ARE the
+shipped client engine, executed on the virtual clock by
+:class:`~repro.sim.runtime.SimRuntime`.
 """
 
 from .engine import AllOf, Event, Pipe, Process, Simulator
 from .network import Network, SimNode
 from .deployment import SimDeployment
+from .runtime import SimRuntime
 from .client import AppendOutcome, ReadOutcome, SimClient
 from .experiments import (
     AppendSample,
@@ -34,6 +37,7 @@ __all__ = [
     "Network",
     "SimNode",
     "SimDeployment",
+    "SimRuntime",
     "SimClient",
     "AppendOutcome",
     "ReadOutcome",

@@ -1,59 +1,45 @@
 """Simulated BlobSeer clients.
 
-A :class:`SimClient` executes the client-side algorithms of the paper —
-Algorithm 2 (WRITE/APPEND) and Algorithms 1 and 3 (READ) — as discrete-event
-processes: every page transfer, metadata round trip and version-manager call
-is charged to the simulated network, while the state changes (placement,
-version assignment, metadata weaving) run through the same real components
-used by the threaded client.
+A :class:`SimClient` executes the client-side algorithms of the paper as
+discrete-event processes: every page transfer, metadata round trip and
+version-manager call is charged to the simulated network, while the state
+changes (placement, version assignment, metadata weaving) run through the
+same real components used by the threaded client.  APPEND (Algorithm 2) is
+the shipped engine itself, run on a :class:`~repro.sim.runtime.SimRuntime`;
+READ (Algorithms 1 and 3) is still modelled by hand here.
 """
 
 from __future__ import annotations
 
+import types
 from dataclasses import dataclass
 from collections.abc import Generator
 
 from ..cache import CacheTally, VirtualPagePayload, complete_frontier, split_frontier
+from ..core.async_store import AsyncBlobStore, WriteResult
 from ..errors import InvalidRangeError
-from ..metadata.build import border_plan, border_targets, build_nodes
 from ..metadata.geometry import pages_for_size, span_for_pages
-from ..metadata.node import NodeKey, PageDescriptor
+from ..metadata.node import NodeKey
 from ..metadata.read_plan import plan_walker, read_plan
 from ..util.ranges import covering_page_range
-from ..version.records import CompletionNotice, RegisterRequest, resolve_owner
+from ..version.records import resolve_owner
 from .deployment import SimDeployment
 from .engine import Event
+from .runtime import SimRuntime
 
 
 @dataclass(frozen=True)
 class AppendOutcome:
-    """Result of one simulated APPEND."""
+    """Result of one simulated APPEND: the engine's own result plus the
+    virtual time the append took."""
 
-    version: int
-    bytes_written: int
+    result: WriteResult
     elapsed: float
-    pages_written: int
-    metadata_nodes_written: int
-    #: Border nodes that actually travelled from the DHT (cache hits are
-    #: counted in ``metadata_cache_hits`` and skip the NIC pipes).
-    border_nodes_fetched: int
-    #: Batched metadata round trips: one per border-plan frontier with at
-    #: least one cache miss, plus one for the batched publish.
-    metadata_round_trips: int = 0
-    #: Batched data round trips: one multi-page store per provider touched.
-    data_round_trips: int = 0
-    #: Border-node lookups served by the client machine's metadata cache.
-    metadata_cache_hits: int = 0
-    #: Version-manager round trips of this append: the (group-committed)
-    #: ticket request plus the (one-way, pipelined) completion notice.  The
-    #: VM endpoint's serialized service time is charged once per office
-    #: *batch*, so N concurrent appends cost O(batches) VM rounds.
-    vm_round_trips: int = 0
 
     @property
     def bandwidth(self) -> float:
         """Achieved bandwidth in bytes/second."""
-        return self.bytes_written / self.elapsed if self.elapsed > 0 else 0.0
+        return self.result.bytes_written / self.elapsed if self.elapsed > 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -162,160 +148,28 @@ class SimClient:
         # The machine-wide version-lease cache (None when leasing is
         # disabled): same sharing and lifetime as the node cache.
         self._version_lease = deployment.version_lease_for(self.node)
+        # The shipped engine over this machine's caches, on virtual time.
+        self._store = AsyncBlobStore(
+            deployment.cluster,
+            node_cache=self._node_cache,
+            cache_pages=self._page_cache is not None,
+            page_cache=self._page_cache,
+            lease_versions=self._version_lease is not None,
+            version_leases=self._version_lease,
+            runtime=SimRuntime(deployment, self.node),
+        )
 
     # ------------------------------------------------------------------ APPEND
+    @types.coroutine
     def append_process(
         self, blob_id: str, nbytes: int
     ) -> Generator[Event, object, AppendOutcome]:
-        """Simulate one page-aligned APPEND of ``nbytes`` (Algorithm 2).
-
-        Pages are pushed to their providers in parallel; the version manager
-        is then contacted to obtain the snapshot version, border hints are
-        resolved against the metadata DHT, the new tree nodes are written,
-        and the version manager is notified of completion.
-        """
-        dep = self._dep
-        sim = dep.simulator
-        net = dep.network
-        cfg = dep.sim_config
-        vm = dep.version_manager
-        meta = dep.metadata_provider
-        record = vm.get_record(blob_id)
-        page_size = record.page_size
-        if nbytes <= 0 or nbytes % page_size != 0:
-            raise InvalidRangeError(
-                "simulated appends must be a positive multiple of the page size"
-            )
-        page_count = nbytes // page_size
-        start = sim.now
-
-        # Phase 1: store the pages on providers chosen by the provider
-        # manager — one allocation request, then ONE batched multi-page push
-        # per provider, all providers in parallel (Algorithm 2, line 4).
-        # With page_replication > 1 every replica gets its own push, so the
-        # writer honestly pays the replication bandwidth.
-        yield from net.small_rpc(
-            self.node, dep.pmgr_node, cfg.version_manager_service_time
-        )
-        replica_sets = dep.provider_manager.allocate_replicas(
-            page_count, dep.config.page_replication
-        )
-        page_ids = [dep.cluster._ids.next_page_id() for _ in replica_sets]
-        by_provider: dict[str, list[str]] = {}
-        for page_id, replicas in zip(page_ids, replica_sets):
-            for provider_id in replicas:
-                by_provider.setdefault(provider_id, []).append(page_id)
-        transfers = [
-            sim.process(
-                net.multi_push(
-                    self.node,
-                    dep.node_for_provider(provider_id),
-                    page_size * len(batch_page_ids),
-                    count=len(batch_page_ids),
-                    item_service_time=cfg.page_service_time,
-                )
-            )
-            for provider_id, batch_page_ids in by_provider.items()
-        ]
-        yield sim.all_of([process.event for process in transfers])
-        data_round_trips = dep.provider_manager.multi_store_virtual(
-            [
-                (provider_id, page_id, page_size)
-                for page_id, replicas in zip(page_ids, replica_sets)
-                for provider_id in replicas
-            ]
-        )
-
-        # Phase 2: obtain the snapshot version (and the border hints)
-        # through the VM's group-commit ticket office: the request leg
-        # travels individually, but the VM's serialized service time is
-        # charged once per *batch* of concurrently arrived registrations.
-        yield from net.small_request(self.node, dep.vm_node)
-        ticket = yield from dep.ticket_office.submit(
-            RegisterRequest(blob_id=blob_id, size=nbytes, is_append=True)
-        )
-        yield sim.timeout(cfg.latency)  # the ticket's response leg
-        descriptors = [
-            PageDescriptor(
-                page_index=ticket.page_offset + index,
-                page_id=page_id,
-                provider_id=replicas[0],
-                length=page_size,
-                provider_ids=replicas,
-            )
-            for index, (page_id, replicas) in enumerate(zip(page_ids, replica_sets))
-        ]
-
-        # Phase 3: resolve border nodes by descending the published tree.
-        needed, dangling = border_targets(
-            ticket.page_offset, ticket.page_count, ticket.span, ticket.prev_num_pages
-        )
-        plan = border_plan(
-            needed,
-            dangling,
-            ticket.published_version if ticket.published_version else None,
-            ticket.published_num_pages,
-            ticket.inflight_tuples(),
-        )
-        spec, border_tally = yield from self._drive_plan_timed(record, plan)
-
-        # Phase 4: weave and write the new metadata tree nodes — one batched
-        # multi-put (Algorithm 4 line 34 "in parallel"): the items are
-        # grouped per serving metadata node and each group travels as a
-        # single message, all groups concurrently.
-        build = build_nodes(
-            ticket.version,
-            ticket.page_offset,
-            ticket.page_count,
-            ticket.span,
-            descriptors,
-            spec,
-        )
-        items = [
-            (NodeKey(record.blob_id, ref.version, ref.offset, ref.size), node)
-            for ref, node in build.nodes
-        ]
-        meta.put_nodes(items)
-        # Write-through: the published nodes are immutable from here on, so
-        # this machine's subsequent traversals over them are warm.  Keys go
-        # through the cluster namespace, same as the lookups.
-        self._node_cache.put_many(
-            [(dep.cluster.node_cache_key(key), node) for key, node in items]
-        )
-        puts = self._batched_meta_rpcs(
-            [key for key, _node in items],
-            lambda server, count: net.small_rpc(
-                self.node,
-                server,
-                cfg.metadata_service_time * count,
-                payload_bytes=cfg.metadata_node_size * count,
-            ),
-        )
-        yield sim.all_of([process.event for process in puts])
-
-        # Phase 5: notify the version manager of success — one-way and
-        # pipelined: the writer pays only its send framing; the notice
-        # travels behind its back into the publish office, which advances
-        # publication in order batches (Algorithm 2 line 12 without the
-        # synchronous wait; SYNC still gives read-your-writes).
-        yield from net.send_frame(self.node)
-        dep.publish_office.post_delayed(
-            CompletionNotice(blob_id=blob_id, version=ticket.version),
-            cfg.latency,
-        )
-
-        return AppendOutcome(
-            version=ticket.version,
-            bytes_written=nbytes,
-            elapsed=sim.now - start,
-            pages_written=page_count,
-            metadata_nodes_written=build.node_count,
-            border_nodes_fetched=border_tally.fetched,
-            metadata_round_trips=border_tally.trips + 1,
-            data_round_trips=data_round_trips,
-            metadata_cache_hits=border_tally.hits,
-            vm_round_trips=2,
-        )
+        """Simulate one page-aligned APPEND of ``nbytes`` (Algorithm 2): the
+        engine's ``append_ex`` on this client's virtual-time store."""
+        payload = self._dep.append_payload(blob_id, nbytes)
+        start = self._dep.simulator.now
+        result = yield from self._store.append_ex(blob_id, payload)
+        return AppendOutcome(result, self._dep.simulator.now - start)
 
     # -------------------------------------------------------------------- READ
     def read_process(
@@ -525,87 +379,6 @@ class SimClient:
         )
 
     # --------------------------------------------------------------- internals
-    def _batched_meta_rpcs(self, keys, rpc):
-        """Spawn one batched metadata message per serving node.
-
-        ``keys`` are grouped by the node that hosts their DHT bucket and
-        ``rpc(server, count)`` builds the timed exchange for one group — all
-        of a batch's groups proceed concurrently, which is what makes a
-        frontier (or a tree publish) cost one round trip.  Returns the
-        spawned processes for the caller to join.
-        """
-        dep = self._dep
-        by_node: dict = {}
-        for key in keys:
-            server = dep.metadata_node_for_key(key)
-            by_node[server] = by_node.get(server, 0) + 1
-        return [
-            dep.simulator.process(rpc(server, count))
-            for server, count in by_node.items()
-        ]
-
-    def _drive_plan_timed(self, record, plan):
-        """Drive a sans-IO metadata plan, charging one batched network round
-        trip per frontier *that has at least one cache miss*.
-
-        Cached keys are filtered before anything touches the network: a hit
-        is served from the client machine's shared
-        :class:`~repro.cache.NodeCache` and skips the NIC pipes entirely, so
-        a fully cached frontier costs zero simulated time.  The misses are
-        grouped per serving metadata node, each group travels as one request
-        carrying all its nodes, and the groups proceed concurrently — so a
-        frontier costs (roughly) one round-trip latency regardless of how
-        many nodes it holds, exactly the parallel metadata access the
-        paper's DHT design is meant to enable.  Fetched nodes are inserted
-        into the cache on the way back.
-
-        Returns ``(plan_result, tally)`` where the
-        :class:`~repro.cache.CacheTally` carries the traversal's hit/fetch/
-        trip counts.
-        """
-        dep = self._dep
-        sim = dep.simulator
-        net = dep.network
-        cfg = dep.sim_config
-        meta = dep.metadata_provider
-        cache = self._node_cache
-        cluster = dep.cluster
-        tally = CacheTally()
-        try:
-            frontier = next(plan)
-            while True:
-                refs = list(frontier.refs)
-                keys = [
-                    NodeKey(
-                        resolve_owner(record, ref.version),
-                        ref.version,
-                        ref.offset,
-                        ref.size,
-                    )
-                    for ref in refs
-                ]
-                cache_keys = [cluster.node_cache_key(key) for key in keys]
-                nodes, miss_indices = split_frontier(cache, cache_keys, tally)
-                if miss_indices:
-                    miss_keys = [keys[index] for index in miss_indices]
-                    fetches = self._batched_meta_rpcs(
-                        miss_keys,
-                        lambda server, count: net.fetch(
-                            self.node,
-                            server,
-                            cfg.metadata_node_size * count,
-                            service_time=cfg.metadata_service_time * count,
-                        ),
-                    )
-                    yield sim.all_of([process.event for process in fetches])
-                    fetched = meta.get_nodes(miss_keys)
-                    complete_frontier(
-                        cache, cache_keys, miss_indices, fetched, nodes, tally
-                    )
-                frontier = plan.send(nodes)
-        except StopIteration as stop:
-            return stop.value, tally
-
     def _meta_server_for_key(self, key: NodeKey):
         """The machine a READ fetches ``key`` from, with cache-aware
         replica routing (DESIGN.md §9).

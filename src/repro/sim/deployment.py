@@ -23,13 +23,11 @@ from collections.abc import Generator
 
 from ..cache import CacheStats, NodeCache, PageCache
 from ..config import BlobSeerConfig, SimConfig
+from ..core.blob_store import BlobStore
 from ..core.cluster import Cluster
-from ..errors import BlobSeerError
-from ..metadata.build import border_plan, border_targets, build_nodes
-from ..metadata.node import NodeKey, PageDescriptor
-from ..metadata.read_plan import drive_plan
+from ..errors import BlobSeerError, InvalidRangeError
+from ..metadata.node import NodeKey
 from ..providers.page_store import NullPageStore
-from ..version.records import resolve_owner
 from ..vm import LeaseCache
 from .engine import Event, Simulator
 from .network import Network, SimNode
@@ -45,7 +43,7 @@ class SimVersionOffice:
     ``multi_complete`` — so the service-side :class:`~repro.vm.VMStats`
     count the simulator's batches exactly like the threaded window's.
 
-    ``submit`` is the blocking path (ticket requests need their answer);
+    ``submit`` is the awaited path (ticket requests need their answer);
     ``post`` is the fire-and-forget path (completion notices — pipelined
     publication: the writer streams the notice and moves on).
     """
@@ -61,15 +59,13 @@ class SimVersionOffice:
         #: real VM logs and moves on, so the office counts and moves on.
         self.dropped = 0
 
-    def submit(self, request: object) -> Generator[Event, object, object]:
-        """Enqueue ``request`` and wait for its batch; returns the
-        per-request result (exception instances are raised)."""
+    def submit(self, request: object) -> Event:
+        """Enqueue ``request``; the returned event fires with its
+        per-request result once its batch is served (or fails with it, when
+        the result is an exception)."""
         done = self._dep.simulator.event()
         self._enqueue(request, done)
-        result = yield done
-        if isinstance(result, BaseException):
-            raise result
-        return result
+        return done
 
     def post(self, request: object) -> None:
         """Enqueue ``request`` without waiting (one-way notification)."""
@@ -108,7 +104,10 @@ class SimVersionOffice:
                 results = self._execute([request for request, _done in batch])
                 for (request, done), result in zip(batch, results):
                     if done is not None:
-                        done.succeed(result)
+                        if isinstance(result, BaseException):
+                            done.fail(result)
+                        else:
+                            done.succeed(result)
                     elif isinstance(result, BlobSeerError):
                         # A fire-and-forget notice lost a benign race (the
                         # reaper aborted its version first, a duplicate
@@ -198,6 +197,14 @@ class SimDeployment:
         #: through the context-local ``span()`` helper.  Survives
         #: :meth:`reset_timing` — tracing is client state, not NIC state.
         self.tracer = None
+        # Untimed appends bypass every client cache, like a bulk loader
+        # that is not one of the measured machines.
+        self._untimed_store = BlobStore(
+            self.cluster,
+            cache_metadata=False,
+            cache_pages=False,
+            lease_versions=False,
+        )
         self.reset_timing()
 
     # -- timing / topology -----------------------------------------------------
@@ -415,10 +422,6 @@ class SimDeployment:
         return self.cluster.version_manager.vm_stats()
 
     @property
-    def provider_manager(self):
-        return self.cluster.provider_manager
-
-    @property
     def metadata_provider(self):
         return self.cluster.metadata_provider
 
@@ -453,77 +456,18 @@ class SimDeployment:
             remaining -= chunk
         return version
 
-    def untimed_append(self, blob_id: str, nbytes: int) -> int:
-        """One page-aligned virtual append executed instantaneously."""
-        vm = self.version_manager
-        meta = self.metadata_provider
-        record = vm.get_record(blob_id)
-        page_size = record.page_size
+    def append_payload(self, blob_id: str, nbytes: int) -> bytes:
+        """The payload of a simulated append of ``nbytes``: zeros, since the
+        page stores keep sizes only.  Simulated appends — timed and untimed
+        — must be a positive multiple of the blob's page size."""
+        page_size = self.version_manager.get_record(blob_id).page_size
         if nbytes <= 0 or nbytes % page_size != 0:
-            raise ValueError(
-                "untimed appends must be a positive multiple of the page size"
+            raise InvalidRangeError(
+                "simulated appends must be a positive multiple of the page size"
             )
-        page_count = nbytes // page_size
-        replica_sets = self.provider_manager.allocate_replicas(
-            page_count, self.config.page_replication
-        )
-        ticket = vm.register_update(blob_id, nbytes, is_append=True)
-        descriptors = []
-        for index, replicas in enumerate(replica_sets):
-            page_id = self.cluster._ids.next_page_id()
-            descriptors.append(
-                PageDescriptor(
-                    page_index=ticket.page_offset + index,
-                    page_id=page_id,
-                    provider_id=replicas[0],
-                    length=page_size,
-                    provider_ids=replicas,
-                )
-            )
-        self.provider_manager.multi_store_virtual(
-            [
-                (provider_id, descriptor.page_id, page_size)
-                for descriptor in descriptors
-                for provider_id in descriptor.provider_ids
-            ]
-        )
-        needed, dangling = border_targets(
-            ticket.page_offset, ticket.page_count, ticket.span, ticket.prev_num_pages
-        )
-        plan = border_plan(
-            needed,
-            dangling,
-            ticket.published_version if ticket.published_version else None,
-            ticket.published_num_pages,
-            ticket.inflight_tuples(),
-        )
-        spec = drive_plan(
-            plan,
-            fetch_many=lambda refs: meta.get_nodes(
-                [
-                    NodeKey(
-                        resolve_owner(record, ref.version),
-                        ref.version,
-                        ref.offset,
-                        ref.size,
-                    )
-                    for ref in refs
-                ]
-            ),
-        )
-        build = build_nodes(
-            ticket.version,
-            ticket.page_offset,
-            ticket.page_count,
-            ticket.span,
-            descriptors,
-            spec,
-        )
-        meta.put_nodes(
-            [
-                (NodeKey(record.blob_id, ref.version, ref.offset, ref.size), node)
-                for ref, node in build.nodes
-            ]
-        )
-        vm.complete_update(blob_id, ticket.version)
-        return ticket.version
+        return bytes(nbytes)
+
+    def untimed_append(self, blob_id: str, nbytes: int) -> int:
+        """One page-aligned virtual append executed instantaneously: the
+        engine's APPEND on the suspension-free runtime."""
+        return self._untimed_store.append(blob_id, self.append_payload(blob_id, nbytes))

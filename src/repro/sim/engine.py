@@ -4,8 +4,9 @@ The engine provides just what the BlobSeer experiments need:
 
 * :class:`Simulator` — an event loop with virtual time;
 * :class:`Event` — a one-shot occurrence carrying a value;
-* :class:`Process` — a Python generator that ``yield``\\ s events and is
-  resumed with their values (``yield from`` composes sub-activities);
+* :class:`Process` — a Python generator (or coroutine) that ``yield``\\ s
+  events and is resumed with their values (``yield from`` composes
+  sub-activities); a failed process delivers its exception to its joiners;
 * :class:`Pipe` — a FIFO, serially-occupied resource (a NIC direction or a
   server CPU): callers reserve it for a duration and are released when their
   occupancy ends;
@@ -20,20 +21,25 @@ lines and has no dependencies.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Generator, Iterable
+from collections.abc import Coroutine, Generator, Iterable
 
 from ..errors import SimulationError
 
 
 class Event:
-    """A one-shot event.  Processes wait on it by ``yield``-ing it."""
+    """A one-shot event.  Processes wait on it by ``yield``-ing it (from a
+    generator) or ``await``-ing it (from a coroutine)."""
 
-    __slots__ = ("_sim", "_callbacks", "triggered", "value")
+    __slots__ = ("_sim", "_callbacks", "triggered", "failed", "joined", "value")
 
     def __init__(self, sim: "Simulator"):
         self._sim = sim
         self._callbacks: list = []
         self.triggered = False
+        #: True when :attr:`value` is an exception to raise in the waiters.
+        self.failed = False
+        #: True once anything waited on this event (see :meth:`Simulator.run`).
+        self.joined = False
         self.value = None
 
     def succeed(self, value=None) -> "Event":
@@ -47,9 +53,19 @@ class Event:
         self._callbacks.clear()
         return self
 
+    def fail(self, error: BaseException) -> "Event":
+        """Mark the event as having failed *now* with ``error``."""
+        self.succeed(error)
+        self.failed = True
+        return self
+
+    def __await__(self):
+        return (yield self)
+
     def add_callback(self, callback) -> None:
         """Invoke ``callback(value)`` when the event fires (immediately if it
         already has)."""
+        self.joined = True
         if self.triggered:
             self._sim._schedule(0.0, callback, self.value)
         else:
@@ -60,6 +76,8 @@ class AllOf(Event):
     """An event that fires once every event in *events* has fired.
 
     Its value is the list of the individual event values, in input order.
+    It fails with the first failure among them, without waiting for the
+    rest (which keep running).
     """
 
     __slots__ = ("_pending", "_values")
@@ -73,50 +91,70 @@ class AllOf(Event):
             self.succeed([])
             return
         for index, event in enumerate(events):
-            event.add_callback(self._make_collector(index))
+            event.add_callback(self._make_collector(index, event))
 
-    def _make_collector(self, index: int):
+    def _make_collector(self, index: int, event: Event):
         def collect(value):
+            if self.triggered:
+                return
+            if event.failed:
+                self.fail(value)
+                return
             self._values[index] = value
             self._pending -= 1
-            if self._pending == 0 and not self.triggered:
+            if self._pending == 0:
                 self.succeed(list(self._values))
 
         return collect
 
 
 class Process:
-    """A simulated activity: a generator yielding :class:`Event` objects.
+    """A simulated activity: a generator yielding — or a coroutine awaiting
+    — :class:`Event` objects.
 
-    The generator is resumed with the value of each event it yields.  When it
-    returns, :attr:`event` fires with the generator's return value, so
-    processes can be joined like any other event.
+    The activity is resumed with the value of each event it waits on; a
+    failed event's exception is raised there instead.  When it returns,
+    :attr:`event` fires with its return value, so processes can be joined
+    like any other event; when it raises, :attr:`event` fails and whoever
+    joins it sees the exception.  (``done``/``result`` make a process the
+    handle of :meth:`repro.sim.runtime.SimRuntime.start`.)
     """
 
-    __slots__ = ("_sim", "_generator", "event", "_started")
+    __slots__ = ("_sim", "_generator", "event", "_waiting")
 
-    def __init__(self, sim: "Simulator", generator: Generator):
+    def __init__(self, sim: "Simulator", generator: Generator | Coroutine):
         self._sim = sim
         self._generator = generator
         self.event = Event(sim)
-        self._started = False
+        self._waiting: Event | None = None
         sim._schedule(0.0, self._resume, None)
 
     def _resume(self, value) -> None:
+        waiting, self._waiting = self._waiting, None
         try:
-            if not self._started:
-                self._started = True
-                waited = next(self._generator)
+            if waiting is not None and waiting.failed:
+                waited = self._generator.throw(value)
             else:
                 waited = self._generator.send(value)
+            if not isinstance(waited, Event):
+                raise SimulationError(
+                    f"process yielded {waited!r}, which is not an Event"
+                )
         except StopIteration as stop:
             self.event.succeed(stop.value)
             return
-        if not isinstance(waited, Event):
-            raise SimulationError(
-                f"process yielded {waited!r}, which is not an Event"
-            )
+        except Exception as error:  # noqa: BLE001 - delivered to the joiners
+            self.event.fail(error)
+            self._sim._failed.append(self.event)
+            return
+        self._waiting = waited
         waited.add_callback(self._resume)
+
+    def done(self) -> bool:
+        return self.event.triggered
+
+    async def result(self):
+        return await self.event
 
 
 class Pipe:
@@ -163,6 +201,9 @@ class Simulator:
         self.now = 0.0
         self._heap: list[tuple[float, int, object, object]] = []
         self._sequence = 0
+        #: Events of processes that raised; :meth:`run` re-raises the ones
+        #: nothing joined.
+        self._failed: list[Event] = []
 
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, delay: float, callback, value) -> None:
@@ -181,8 +222,8 @@ class Simulator:
         """A bare event to be succeeded manually."""
         return Event(self)
 
-    def process(self, generator: Generator) -> Process:
-        """Start a new process from a generator of events."""
+    def process(self, generator: Generator | Coroutine) -> Process:
+        """Start a new process from a generator (or coroutine) of events."""
         return Process(self, generator)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
@@ -193,7 +234,9 @@ class Simulator:
     def run(self, until: float | None = None) -> float:
         """Process events until the heap is empty (or virtual time ``until``).
 
-        Returns the final virtual time.
+        Returns the final virtual time.  A process that raised does not
+        stop the loop: its exception goes to whoever joins it, and only
+        after the drain is the first failure nothing joined re-raised here.
         """
         while self._heap:
             time, _seq, callback, value = self._heap[0]
@@ -204,10 +247,15 @@ class Simulator:
             callback(value)
         if until is not None and self.now < until:
             self.now = until
+        failed, self._failed = self._failed, []
+        for event in failed:
+            if not event.joined:
+                raise event.value
         return self.now
 
-    def run_process(self, generator: Generator):
-        """Convenience: run a single process to completion and return its value."""
+    def run_process(self, generator: Generator | Coroutine):
+        """Convenience: run a single process to completion and return its
+        value; its exception is raised once the heap has drained."""
         process = self.process(generator)
         self.run()
         if not process.event.triggered:

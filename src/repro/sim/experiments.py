@@ -35,8 +35,10 @@ class AppendSample:
     #: touched, and one metadata trip per border frontier + publish.
     data_round_trips: int = 0
     metadata_round_trips: int = 0
-    #: Version-manager round trips: the group-committed ticket request plus
-    #: the one-way (pipelined) completion notice.
+    #: ``WriteResult.vm_round_trips``: the group-committed ticket request and
+    #: the one-way completion notice, plus the record and recency lookups
+    #: the machine's version lease missed — 4 on a client's first append, 2
+    #: after.  Lease misses are not charged on the virtual clock.
     vm_round_trips: int = 0
 
 
@@ -143,7 +145,8 @@ def run_append_growth_experiment(
         outcome = deployment.simulator.run_process(
             client.append_process(blob_id, append_bytes)
         )
-        pages_total += outcome.pages_written
+        result = outcome.result
+        pages_total += result.pages_written
         samples.append(
             AppendSample(
                 pages_total=pages_total,
@@ -151,11 +154,11 @@ def run_append_growth_experiment(
                 num_providers=num_provider_nodes,
                 bandwidth_mbps=outcome.bandwidth / MiB,
                 elapsed=outcome.elapsed,
-                metadata_nodes_written=outcome.metadata_nodes_written,
-                border_nodes_fetched=outcome.border_nodes_fetched,
-                data_round_trips=outcome.data_round_trips,
-                metadata_round_trips=outcome.metadata_round_trips,
-                vm_round_trips=outcome.vm_round_trips,
+                metadata_nodes_written=result.metadata_nodes_written,
+                border_nodes_fetched=result.border_nodes_fetched,
+                data_round_trips=result.data_round_trips,
+                metadata_round_trips=result.metadata_round_trips,
+                vm_round_trips=result.vm_round_trips,
             )
         )
     return samples

@@ -140,7 +140,6 @@ class TestProviderMultiOps:
     def test_empty_batches_are_free(self):
         provider = DataProvider("data-0000")
         provider.multi_store([])
-        provider.multi_store_virtual([])
         assert provider.multi_fetch_into([]) == 0
         stats = provider.stats()
         assert stats.batch_put_requests == 0
@@ -178,12 +177,6 @@ class TestProviderMultiOps:
             provider_fetch(provider, [("p0", 0, 13)])
         # Partial reads cannot verify and still pass through.
         assert provider_fetch(provider, [("p0", 1, 4)]) == [b"orru"]
-
-    def test_multi_store_virtual_records_sizes(self):
-        provider = DataProvider("data-0000")
-        provider.multi_store_virtual([("p0", 100), ("p1", 200)])
-        assert provider.bytes_used() == 300
-        assert provider_fetch(provider, [("p1", 10, 5)]) == [bytes(5)]
 
 
 class TestShortReads:
@@ -282,7 +275,6 @@ class TestProviderManagerGrouping:
         manager, _providers = self._manager(2)
         assert manager_fetch(manager, []) == ([], 0)
         assert manager_store(manager, []) == 0
-        assert manager.multi_store_virtual([]) == 0
 
     def test_killed_provider_mid_batch_fails_after_live_ones(self):
         manager, providers = self._manager(3)
@@ -423,10 +415,10 @@ class TestSimulatedDataTrips:
         outcome = deployment.simulator.run_process(
             client.append_process(blob_id, 2 * 1024 * 1024)
         )
-        assert outcome.pages_written == 32
-        assert outcome.data_round_trips == 8  # one multi-push per provider
+        assert outcome.result.pages_written == 32
+        assert outcome.result.data_round_trips == 8  # one multi-push per provider
         read = deployment.simulator.run_process(
-            client.read_process(blob_id, outcome.version, 0, 2 * 1024 * 1024)
+            client.read_process(blob_id, outcome.result.version, 0, 2 * 1024 * 1024)
         )
         assert read.pages_fetched == 32
         assert read.data_round_trips == 8  # one multi-fetch per provider
@@ -436,7 +428,7 @@ class TestSimulatedDataTrips:
         assert read.metadata_cache_hits > 0
         deployment.clear_node_caches()
         cold = deployment.simulator.run_process(
-            client.read_process(blob_id, outcome.version, 0, 2 * 1024 * 1024)
+            client.read_process(blob_id, outcome.result.version, 0, 2 * 1024 * 1024)
         )
         assert cold.metadata_cache_hits == 0
         assert 0 < cold.metadata_round_trips < cold.metadata_nodes_fetched

@@ -26,7 +26,7 @@ from repro.metadata.read_plan import drive_plan, multi_range_read_plan, read_pla
 from repro.util.ranges import covering_page_range
 from repro.version.records import resolve_owner
 
-from .conftest import TEST_PAGE_SIZE, make_payload
+from .conftest import TEST_PAGE_SIZE, make_payload, run_inline
 
 PAGE = TEST_PAGE_SIZE
 
@@ -149,7 +149,7 @@ class TestDHTMultiOps:
     def _filled(self, num_buckets=6, replication=1, items=24):
         dht = DHT(num_buckets=num_buckets, replication=replication)
         pairs = [(f"key-{index}", index) for index in range(items)]
-        dht.multi_put(pairs)
+        run_inline(dht.multi_put_async, pairs)
         return dht, pairs
 
     def test_multi_roundtrip_preserves_order_and_duplicates(self):
@@ -183,9 +183,10 @@ class TestDHTMultiOps:
         for bucket_id in dht.bucket_ids():
             dht.kill_bucket(bucket_id)
         with pytest.raises(ProviderUnavailableError):
-            dht.multi_put([("a", 1), ("b", 2)])
+            run_inline(dht.multi_put_async, [("a", 1), ("b", 2)])
         dht.revive_bucket(dht.bucket_ids()[0])
-        dht.multi_put([("a", 1), ("b", 2)])  # one live replica is enough
+        # One live replica is enough.
+        run_inline(dht.multi_put_async, [("a", 1), ("b", 2)])
         assert dht.multi_get(["a", "b"]) == [1, 2]
 
     def test_batches_take_each_bucket_lock_once(self):
@@ -212,7 +213,7 @@ class TestDHTMultiOps:
     def test_killed_replica_mid_batch_falls_back_key_by_key(self):
         dht = DHT(num_buckets=6, replication=2)
         pairs = [(f"key-{index}", index) for index in range(30)]
-        dht.multi_put(pairs)
+        run_inline(dht.multi_put_async, pairs)
         # Kill one bucket: keys whose primary it was fall back to their
         # second replica; keys whose secondary it was are unaffected.
         dht.kill_bucket(dht.bucket_ids()[0])

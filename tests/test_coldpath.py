@@ -401,7 +401,7 @@ class TestDHTReplicaRouting:
     def test_try_multi_get_steers_around_a_suspect_bucket(self):
         dht = DHT(num_buckets=4, replication=2, routing=True)
         items = [(f"key-{index}", index) for index in range(16)]
-        dht.multi_put(items)
+        run_inline(dht.multi_put_async, items)
         victim = dht.bucket_ids()[0]
         dht.kill_bucket(victim)
         for _ in range(2):  # second pass runs with suspicion learned

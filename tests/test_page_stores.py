@@ -83,13 +83,13 @@ class TestNullPageStore:
     def test_records_sizes_only(self):
         store = NullPageStore()
         store.put("p1", b"xxxx")
-        store.put_virtual("p2", 1024)
+        store.put("p2", bytes(1024))
         assert store.page_count() == 2
         assert store.bytes_used() == 4 + 1024
 
     def test_reads_return_zero_bytes(self):
         store = NullPageStore()
-        store.put_virtual("p1", 100)
+        store.put("p1", bytes(100))
         assert store.get("p1") == bytes(100)
         assert store.get("p1", offset=90, length=20) == bytes(10)
 
@@ -100,7 +100,7 @@ class TestNullPageStore:
 
     def test_delete_and_info(self):
         store = NullPageStore()
-        store.put_virtual("p1", 64)
+        store.put("p1", bytes(64))
         assert store.page_info("p1").size == 64
         assert store.delete("p1") is True
         assert store.bytes_used() == 0

@@ -56,14 +56,9 @@ class TestDataProvider:
 
     def test_virtual_pages_on_null_store(self):
         provider = DataProvider("data-0000", store=NullPageStore())
-        provider.store_virtual_page("p1", 4096)
+        provider.store_page("p1", bytes(4096))
         assert provider.bytes_used() == 4096
         assert provider.fetch_page("p1", 0, 10) == bytes(10)
-
-    def test_virtual_pages_fall_back_to_zero_payload(self):
-        provider = DataProvider("data-0000")  # in-memory store, no put_virtual
-        provider.store_virtual_page("p1", 16)
-        assert provider.fetch_page("p1") == bytes(16)
 
     def test_delete_page(self):
         provider = DataProvider("data-0000")

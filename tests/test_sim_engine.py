@@ -124,6 +124,112 @@ class TestProcesses:
         assert sim.now == pytest.approx(4.0)
 
 
+class TestFailureDelivery:
+    def test_process_accepts_a_coroutine(self):
+        sim = Simulator()
+
+        async def step(duration):
+            await sim.timeout(duration)
+            return duration
+
+        async def activity():
+            return await step(2.0) + await step(1.0)
+
+        assert sim.run_process(activity()) == pytest.approx(3.0)
+        assert sim.now == pytest.approx(3.0)
+
+    def test_child_failure_is_raised_in_the_joiner(self):
+        sim = Simulator()
+
+        def child():
+            yield sim.timeout(1.0)
+            raise KeyError("child")
+
+        def parent():
+            try:
+                yield sim.process(child()).event
+            except KeyError as error:
+                return ("caught", error.args[0], sim.now)
+
+        assert sim.run_process(parent()) == ("caught", "child", pytest.approx(1.0))
+
+    def test_coroutine_joiner_sees_the_failure_too(self):
+        sim = Simulator()
+
+        async def child():
+            await sim.timeout(1.0)
+            raise KeyError("child")
+
+        async def parent():
+            with pytest.raises(KeyError):
+                await sim.process(child()).event
+            return "survived"
+
+        assert sim.run_process(parent()) == "survived"
+
+    def test_all_of_fails_with_the_first_failure(self):
+        sim = Simulator()
+        finished = []
+
+        def child(delay, error=None):
+            yield sim.timeout(delay)
+            if error is not None:
+                raise error
+            finished.append(delay)
+
+        def parent():
+            children = [
+                sim.process(child(3.0)),
+                sim.process(child(1.0, ValueError("first"))),
+                sim.process(child(2.0, KeyError("second"))),
+            ]
+            try:
+                yield sim.all_of([process.event for process in children])
+            except ValueError:
+                return sim.now
+
+        # The joiner wakes at the first failure; the siblings run on.
+        assert sim.run_process(parent()) == pytest.approx(1.0)
+        assert finished == [3.0]
+
+    def test_run_process_drains_the_heap_before_reraising(self):
+        sim = Simulator()
+        delivered = []
+
+        def one_way_notice():
+            yield sim.timeout(5.0)
+            delivered.append(sim.now)
+
+        def activity():
+            sim.process(one_way_notice())
+            yield sim.timeout(1.0)
+            raise RuntimeError("top-level failure")
+
+        with pytest.raises(RuntimeError, match="top-level failure"):
+            sim.run_process(activity())
+        assert delivered == [pytest.approx(5.0)]
+        assert sim.now == pytest.approx(5.0)
+
+    def test_run_reraises_only_failures_nothing_joined(self):
+        sim = Simulator()
+
+        def failing():
+            yield sim.timeout(1.0)
+            raise KeyError("handled")
+
+        def parent():
+            try:
+                yield sim.process(failing()).event
+            except KeyError:
+                pass
+
+        sim.process(parent())
+        sim.run()  # the child's failure was delivered, not leaked
+        sim.process(failing())
+        with pytest.raises(KeyError):
+            sim.run()
+
+
 class TestPipe:
     def test_fifo_serialization(self):
         sim = Simulator()

@@ -86,13 +86,13 @@ class TestSimDeployment:
         vm = deployment.version_manager
         assert vm.get_recent(blob_id) == 4
         assert vm.get_size(blob_id, 4) == 8 * MiB
-        assert deployment.provider_manager.total_pages() == 128
+        assert deployment.cluster.provider_manager.total_pages() == 128
         assert deployment.metadata_provider.node_count() > 128
 
     def test_untimed_append_requires_page_alignment(self):
         deployment = SimDeployment(num_provider_nodes=2, page_size=64 * KiB)
         blob_id = deployment.create_blob()
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidRangeError):
             deployment.untimed_append(blob_id, 1000)
 
     def test_reset_timing_keeps_storage_state(self):
@@ -114,9 +114,9 @@ class TestSimClient:
         outcome = deployment.simulator.run_process(
             client.append_process(blob_id, 2 * MiB)
         )
-        assert outcome.version == 1
-        assert outcome.pages_written == 32
-        assert outcome.metadata_nodes_written == 63  # full tree over 32 pages
+        assert outcome.result.version == 1
+        assert outcome.result.pages_written == 32
+        assert outcome.result.metadata_nodes_written == 63  # full tree over 32 pages
         assert outcome.elapsed > 0
         assert 0 < outcome.bandwidth < CFG.nic_bandwidth
         assert deployment.version_manager.get_size(blob_id, 1) == 2 * MiB

@@ -1,0 +1,232 @@
+"""The shipped engine on the simulated clock (``repro.sim.runtime``).
+
+One APPEND, three clocks: the same ``AsyncBlobStore.append_ex`` must report
+the same trip counters whether a ``SimRuntime``, an ``AsyncRuntime`` or the
+``SyncRuntime`` executes it — and on the virtual clock it must take time,
+interleave with other writers, and abort cleanly when it fails.
+"""
+
+import asyncio
+import random
+from itertools import accumulate
+
+import pytest
+
+from repro import AsyncBlobStore
+from repro.aio import SYNC_RUNTIME, AsyncRuntime, run_sync
+from repro.cache import NodeCache
+from repro.config import KiB
+from repro.errors import ProviderUnavailableError, VersionNotPublishedError
+from repro.sim import SimClient, SimDeployment, SimRuntime
+from repro.vm import LeaseCache
+
+PAGE = 16 * KiB
+COUNTERS = (
+    "pages_written",
+    "metadata_nodes_written",
+    "border_nodes_fetched",
+    "metadata_round_trips",
+    "data_round_trips",
+    "vm_round_trips",
+)
+
+
+def _page_counts() -> list[int]:
+    """A seeded list of append sizes (in pages) whose running total crosses
+    several power-of-two page counts — where the tree grows a level."""
+    rng = random.Random(22)
+    counts = [rng.randint(1, 9) for _ in range(18)]
+    totals = list(accumulate(counts))
+    for power in (8, 16, 32, 64):
+        assert any(
+            before < power <= after for before, after in zip([0] + totals, totals)
+        )
+    return counts
+
+
+def _counters(result) -> tuple:
+    return tuple(getattr(result, name) for name in COUNTERS)
+
+
+def _deployment() -> SimDeployment:
+    return SimDeployment(num_provider_nodes=4, page_size=PAGE)
+
+
+class TestCrossClockEquality:
+    @pytest.mark.parametrize("cold", [False, True], ids=["warm", "cold"])
+    def test_append_counters_equal_on_all_three_runtimes(self, cold):
+        counts = _page_counts()
+
+        def on_sim() -> list[tuple]:
+            dep = _deployment()
+            blob_id = dep.create_blob()
+            client = SimClient(dep, 0)
+            seen = []
+            for pages in counts:
+                if cold:
+                    dep.clear_node_caches()
+                outcome = dep.simulator.run_process(
+                    client.append_process(blob_id, pages * PAGE)
+                )
+                seen.append(_counters(outcome.result))
+            return seen
+
+        def on_engine(runtime, run) -> list[tuple]:
+            # Same geometry (a SimDeployment's cluster) and the same cache
+            # state as a SimClient's machine: a private node cache, no page
+            # cache traffic, a private version lease.
+            dep = _deployment()
+            blob_id = dep.create_blob()
+            cache = NodeCache()
+            lease = LeaseCache(dep.version_manager)
+            store = AsyncBlobStore(
+                dep.cluster, node_cache=cache, cache_pages=False,
+                version_leases=lease, runtime=runtime,
+            )
+            seen = []
+            for pages in counts:
+                if cold:
+                    cache.clear()
+                    lease.clear()
+                result = run(store.append_ex(blob_id, bytes(pages * PAGE)))
+                seen.append(_counters(result))
+            return seen
+
+        simulated = on_sim()
+        assert simulated == on_engine(AsyncRuntime(), asyncio.run)
+        assert simulated == on_engine(SYNC_RUNTIME, run_sync)
+        if cold:
+            # The cold regime exercises the border-fetch (meta_get) leg.
+            fetched = COUNTERS.index("border_nodes_fetched")
+            assert any(row[fetched] for row in simulated)
+
+
+class TestVirtualClock:
+    def test_virtual_time_advances_and_is_the_outcomes_elapsed(self):
+        dep = _deployment()
+        blob_id = dep.create_blob()
+        client = SimClient(dep, 0)
+        assert dep.simulator.now == 0.0
+        outcome = dep.simulator.run_process(
+            client.append_process(blob_id, 8 * PAGE)
+        )
+        # At least the payload's serialization on the client's NIC.
+        assert outcome.elapsed >= 8 * PAGE / dep.sim_config.nic_bandwidth
+        assert dep.simulator.now >= outcome.elapsed
+        assert dep.network.bytes_moved >= 8 * PAGE
+
+    def test_two_concurrent_writers_both_publish(self):
+        dep = _deployment()
+        blob_id = dep.create_blob()
+        writers, appends = 2, 3
+
+        def writer(index):
+            client = SimClient(dep, index)
+            versions = []
+            for _ in range(appends):
+                outcome = yield from client.append_process(blob_id, 4 * PAGE)
+                versions.append(outcome.result.version)
+            return versions
+
+        processes = [
+            dep.simulator.process(writer(index)) for index in range(writers)
+        ]
+        dep.simulator.run()
+        versions = sorted(v for process in processes for v in process.event.value)
+        assert versions == list(range(1, writers * appends + 1))
+        vm = dep.version_manager
+        assert vm.get_recent(blob_id) == writers * appends
+        assert vm.inflight_count(blob_id) == 0
+        # The writers really overlapped: their registrations group-committed.
+        stats = dep.vm_stats()
+        assert stats.register_batches < stats.register_requests
+
+    def test_sync_polls_until_published(self):
+        dep = _deployment()
+        blob_id = dep.create_blob()
+        store = AsyncBlobStore(
+            dep.cluster, runtime=SimRuntime(dep, dep.client_node(0)),
+            node_cache=NodeCache(), cache_pages=False, lease_versions=False,
+        )
+
+        async def append_then_sync():
+            result = await store.append_ex(blob_id, bytes(2 * PAGE))
+            returned_at = dep.simulator.now
+            published = dep.version_manager.is_published(blob_id, result.version)
+            await store.sync(blob_id, result.version)
+            return published, returned_at
+
+        published_on_return, returned_at = dep.simulator.run_process(
+            append_then_sync()
+        )
+        # Publication is pipelined behind the writer's back; SYNC waits it out.
+        assert not published_on_return
+        assert dep.simulator.now > returned_at
+        assert dep.version_manager.is_published(blob_id, 1)
+
+        dep.version_manager.register_update(blob_id, PAGE, is_append=True)
+        with pytest.raises(VersionNotPublishedError):
+            dep.simulator.run_process(store.sync(blob_id, 2, timeout=0.01))
+
+    def test_unaligned_write_charges_its_boundary_page_fetch(self):
+        dep = _deployment()
+        blob_id = dep.create_blob()
+        store = AsyncBlobStore(
+            dep.cluster, runtime=SimRuntime(dep, dep.client_node(0)),
+            node_cache=NodeCache(), cache_pages=False, lease_versions=False,
+        )
+        dep.simulator.run_process(store.append_ex(blob_id, bytes(2 * PAGE)))
+        moved = dep.network.bytes_moved
+        result = dep.simulator.run_process(store.write_ex(blob_id, b"x" * 10, 5))
+        # One boundary fetch plus one store, both on the virtual network.
+        assert result.data_round_trips == 2
+        assert dep.network.bytes_moved - moved >= 2 * PAGE - 10
+
+
+class TestFailureDelivery:
+    def test_handles_and_gather_deliver_a_childs_exception(self):
+        dep = _deployment()
+        runtime = SimRuntime(dep, dep.client_node(0))
+
+        async def ok():
+            await runtime.sleep(2.0)
+            return "ok"
+
+        async def boom():
+            await runtime.sleep(1.0)
+            raise KeyError("boom")
+
+        async def parent():
+            handle = runtime.start(boom())
+            with pytest.raises(KeyError):
+                await handle.result()
+            assert handle.done()
+            with pytest.raises(KeyError):
+                await runtime.gather(ok(), boom())
+            return await runtime.gather(ok(), ok())
+
+        assert dep.simulator.run_process(parent()) == ["ok", "ok"]
+
+    def test_failed_append_is_aborted_and_never_wedges_publication(self):
+        """Regression: the hand-written simulated APPEND had no abort path —
+        a version registered by an append that then failed stayed in flight
+        forever and every later append stayed unpublished behind it."""
+        dep = _deployment()
+        blob_id = dep.create_blob()
+        client = SimClient(dep, 0)
+        vm = dep.version_manager
+        dep.simulator.run_process(client.append_process(blob_id, 4 * PAGE))
+        assert vm.get_recent(blob_id) == 1
+
+        buckets = dep.cluster.dht.bucket_ids()
+        for bucket_id in buckets:
+            dep.cluster.kill_metadata_bucket(bucket_id)
+        with pytest.raises(ProviderUnavailableError):
+            dep.simulator.run_process(client.append_process(blob_id, 4 * PAGE))
+        for bucket_id in buckets:
+            dep.cluster.revive_metadata_bucket(bucket_id)
+        dep.simulator.run()
+
+        dep.simulator.run_process(client.append_process(blob_id, 4 * PAGE))
+        assert vm.get_recent(blob_id) == 3
+        assert vm.inflight_count(blob_id) == 0
