@@ -25,9 +25,9 @@ decides how the coroutine's awaits actually execute:
   ``asyncio.Task`` (the write path overlaps its metadata publish with the
   page stores this way), ``gather`` fans sub-traversals out concurrently
   (the read path pipelines level N+1 frontier fetches while level N's
-  slower buckets resolve), and ``vm_sync`` turns the version manager's
-  blocking condition-variable wait into a publish-notification wait that
-  never parks a thread.
+  slower buckets resolve) and cancels the siblings of a failed branch,
+  and ``vm_sync`` turns the version manager's blocking condition-variable
+  wait into a publish-notification wait that never parks a thread.
 
 The runtime is the ONLY execution strategy: a component call takes the
 runtime it executes on, and a different strategy (the wall benchmark's
@@ -81,6 +81,9 @@ class SyncHandle:
     async def result(self):
         return self._value
 
+    async def cancel(self) -> None:
+        """Nothing to stop: the work finished inside :meth:`start`."""
+
 
 class TaskHandle:
     """Result of :meth:`AsyncRuntime.start`: an in-flight ``asyncio.Task``."""
@@ -95,6 +98,15 @@ class TaskHandle:
 
     async def result(self):
         return await self._task
+
+    async def cancel(self) -> None:
+        """Cancel the task if it still runs and wait until it has finished;
+        its outcome is dropped (a failed operation settles what it started
+        this way, so nothing of it stays on the loop)."""
+        self._task.cancel()
+        await asyncio.wait([self._task])
+        if not self._task.cancelled():
+            self._task.exception()  # mark a failure as retrieved
 
 
 Handle = SyncHandle | TaskHandle
@@ -119,10 +131,10 @@ class SyncRuntime:
     """Suspension-free runtime: the engine's awaits all complete inline.
 
     Stateless — no hook, no pool, no lock — so one instance can serve any
-    number of stores and threads.  ``pipelined`` is False: the
-    level-by-level traversal and the store-then-publish write order — and
-    therefore every trip counter — stay exactly as they were before the
-    async core existed.
+    number of stores and threads.  ``pipelined`` is False: a tree level
+    with cache misses is fetched as ONE batch before the descent steps down,
+    and pages are stored before their metadata is published — so every trip
+    counter stays exactly as it was before the async core existed.
     """
 
     pipelined = False
@@ -167,10 +179,11 @@ SYNC_RUNTIME = SyncRuntime()
 class AsyncRuntime:
     """Event-loop runtime: awaits suspend, operations interleave, no pool.
 
-    ``pipelined`` is True: the engine switches its metadata traversal to the
-    bucket-grouped recursive descent (level N+1 fetches start while level N
+    ``pipelined`` is True: the engine fetches a tree level's cache misses
+    as one branch per DHT bucket (level N+1 fetches start while level N
     resolves) and overlaps the write path's batched ``put_nodes`` publish
-    with the page stores.
+    with the page stores.  A level the caches serve costs no turn of the
+    loop on either runtime.
     """
 
     pipelined = True
@@ -196,9 +209,18 @@ class AsyncRuntime:
         return TaskHandle(asyncio.ensure_future(coro))
 
     async def gather(self, *coros: Coroutine):
-        if not coros:
-            return []
-        return list(await asyncio.gather(*coros))
+        """Run *coros* concurrently and return their results in order.  The
+        branches belong to the caller: when one fails (or the caller is
+        cancelled) the others are cancelled and awaited before the error
+        propagates, so a failed operation leaves no task behind."""
+        tasks = [asyncio.ensure_future(coro) for coro in coros]
+        try:
+            return list(await asyncio.gather(*tasks))
+        except BaseException:
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
+            raise
 
     async def sleep(self, seconds: float) -> None:
         await asyncio.sleep(seconds)

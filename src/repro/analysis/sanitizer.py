@@ -347,9 +347,13 @@ class LockSanitizer:
 
     def task_factory(self, loop, coro, **kwargs):
         """``loop.set_task_factory`` hook driving tasks through the guard."""
-        if asyncio.iscoroutine(coro):
-            coro = self.guard(coro)
-        return asyncio.Task(coro, loop=loop, **kwargs)
+        if not asyncio.iscoroutine(coro):
+            return asyncio.Task(coro, loop=loop, **kwargs)
+        task = asyncio.Task(self.guard(coro), loop=loop, **kwargs)
+        # A task cancelled before its first step never enters the guard:
+        # close what it wraps, or it is reported as never awaited.
+        task.add_done_callback(lambda _task: coro.close())
+        return task
 
     # -- install / uninstall -------------------------------------------------
     def enable(self) -> "LockSanitizer":

@@ -42,7 +42,7 @@ from ..config import (
     DEFAULT_METADATA_CACHE_ENTRIES,
     DEFAULT_METADATA_CACHE_SHARDS,
 )
-from ..metadata.node import LeafNode, NodeKey
+from ..metadata.node import LeafNode
 from .sharded_lru import (
     ENTRY_OVERHEAD,
     MIN_SHARD_BYTES,
@@ -74,21 +74,15 @@ LEAF_NODE_WEIGHT = 72
 
 
 def node_weight(key: Hashable, node: object) -> int:
-    """Deterministic byte-footprint estimate of one cache entry."""
-    weight = ENTRY_OVERHEAD + _key_weight(key)
+    """Deterministic byte-footprint estimate of one cache entry (the key is
+    the flat tuple of :meth:`repro.core.cluster.Cluster.node_cache_key`:
+    its strings plus 8 bytes per integer)."""
+    weight = ENTRY_OVERHEAD + key_weight(key)
     if isinstance(node, LeafNode):
         weight += LEAF_NODE_WEIGHT + len(node.page_id) + len(node.provider_id)
     else:
         weight += INNER_NODE_WEIGHT
     return weight
-
-
-def _key_weight(key: Hashable) -> int:
-    if isinstance(key, NodeKey):
-        return len(key.blob_id) + 24
-    if isinstance(key, tuple):
-        return sum(_key_weight(part) for part in key)
-    return key_weight(key)
 
 
 class NodeCache(ShardedLRUCache):

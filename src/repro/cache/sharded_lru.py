@@ -319,6 +319,10 @@ class ShardedLRUCache:
         the None slots over the network.
         """
         out: list[object | None] = [None] * len(keys)
+        if len(keys) == 1:
+            # One key touches one shard: nothing to group.
+            self._shards[self._slot(keys[0])].lookup(keys, out, (0,))
+            return out
         by_shard: dict[int, tuple[list[Hashable], list[int]]] = {}
         for index, key in enumerate(keys):
             slot = self._slot(key)

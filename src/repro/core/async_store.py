@@ -7,18 +7,18 @@ class (see :mod:`repro.aio`), so planning, caching, replication, retry and
 trip accounting exist exactly once.  Which of the two execution modes runs
 underneath is decided by the injected :class:`~repro.aio.IORuntime`:
 
-* under :class:`~repro.aio.SyncRuntime` no awaitable ever suspends, the
-  traversal stays strictly level-by-level and the write path stores pages
-  before publishing metadata — the pre-async behaviour, timing and counters,
-  bit for bit;
+* under :class:`~repro.aio.SyncRuntime` no awaitable ever suspends, a tree
+  level with cache misses is fetched as one batch and the write path stores
+  pages before publishing metadata — the pre-async behaviour, timing and
+  counters, bit for bit;
 
 * under :class:`~repro.aio.AsyncRuntime` (the default) the store exploits
   the event loop:
 
-  - READ *pipelines* the metadata tree descent: one frontier's fetches are
-    grouped by DHT bucket and each group expands its children — and issues
-    their level-N+1 fetches — the moment it lands, while the level's slower
-    buckets are still in flight (``_pipelined_walk``);
+  - READ *pipelines* the misses of its metadata descent: they are grouped
+    by DHT bucket and each group expands its children — and issues their
+    level-N+1 fetches — the moment it lands, while the level's slower
+    buckets are still in flight;
   - WRITE *overlaps* the batched ``put_nodes`` publish with the page
     stores: descriptors are built optimistically from the allocated replica
     sets, the publish task starts while pages are still landing, and the
@@ -33,7 +33,9 @@ Both modes produce identical bytes and identical ``ReadStats`` /
 in ``tests/test_async_store.py`` asserts this across random histories);
 the only intentional divergence is the degraded-write reconciliation trip,
 which can only occur with ``page_replication > 1`` and a mid-write replica
-failure.
+failure.  In both, an operation yields only where it waits for a backend:
+the metadata descent (``_resolve_ranges``) is cache-first, so a READ the
+caches serve completes without suspending (DESIGN.md §8).
 
 Each leg of the protocol has ONE implementation here: every WRITE and
 APPEND — aligned, unaligned, strict — runs the single ``_update`` pipeline
@@ -70,9 +72,9 @@ from ..metadata.build import BorderSpec, border_plan, border_targets, build_node
 from ..metadata.geometry import pages_for_size, span_for_pages, validate_node_range
 from ..metadata.node import LeafNode, NodeKey, NodeRef, PageDescriptor, TreeNode
 from ..metadata.read_plan import (
+    FrontierWalker,
     ReadPlanResult,
     adrive_plan,
-    multi_range_read_plan,
     plan_walker,
 )
 from ..obs.trace import span
@@ -573,8 +575,8 @@ class AsyncBlobStore:
         page_offset, page_count = covering_page_range(offset, size, page_size)
         tree_span = span_for_pages(pages_for_size(snapshot_size, page_size))
         tally = CacheTally()
-        # Speculation needs the pipelined descent (there is nothing to
-        # overlap level-by-level) and is opt-in; peer probing needs an
+        # Speculation needs the pipelined descent (one batch per level has
+        # nothing to overlap) and is opt-in; peer probing needs an
         # attached group.  Both gates leave the default read path intact.
         spec = (
             _Speculation()
@@ -703,7 +705,7 @@ class AsyncBlobStore:
 
         Only the first page can need an old prefix and only the last page an
         old suffix; both are resolved with ONE combined metadata traversal
-        (:func:`repro.metadata.read_plan.multi_range_read_plan`) instead of
+        (:meth:`_resolve_ranges` over both page ranges) instead of
         one full READ — each a complete tree walk — per boundary page, and
         the boundary bytes of both ranges come back in one provider-grouped
         batch of page fetches.
@@ -1053,86 +1055,58 @@ class AsyncBlobStore:
         )
 
     # --------------------------------------------------------- metadata reads
-    async def _resolve_ranges(
-        self,
-        record: BlobRecord,
-        version: int,
-        span: int,
-        page_ranges: list[tuple[int, int]],
-        tally: CacheTally | None = None,
-        spec: _Speculation | None = None,
-        peer_tally: CacheTally | None = None,
-    ) -> ReadPlanResult:
-        """Walk snapshot ``version``'s tree down to the leaves of
-        ``page_ranges``: pipelined under the event loop, strictly level by
-        level otherwise — same node set, same tallies either way."""
-        if self._runtime.pipelined:
-            walker = plan_walker(version, span, page_ranges)
-            return await self._pipelined_walk(
-                record, walker, tally, spec=spec, peer_tally=peer_tally
+    @staticmethod
+    def _node_keys(record: BlobRecord, refs: list[NodeRef]) -> list[NodeKey]:
+        """The DHT identities of ``refs``, branch lineage resolved.  Built
+        only for nodes that travel; cache traffic keys through
+        :meth:`Cluster.node_cache_key` straight from the ref."""
+        return [
+            NodeKey(
+                resolve_owner(record, ref.version), ref.version, ref.offset, ref.size
             )
-        plan = multi_range_read_plan(version, span, page_ranges)
-        return await adrive_plan(
-            plan,
-            lambda refs: self._fetch_frontier(
-                record, refs, tally, peer_tally=peer_tally
-            ),
-        )
+            for ref in refs
+        ]
 
     def _split_frontier(
         self,
         record: BlobRecord,
         refs: list[NodeRef],
         tally: CacheTally | None,
-        peer_tally: CacheTally | None,
-    ) -> tuple[list[NodeKey], list, list[TreeNode | None], list[int]]:
+        peer_tally: CacheTally | None = None,
+    ) -> tuple[list, list[TreeNode | None], list[int]]:
         """What of one frontier still has to travel from the DHT:
-        ``(keys, cache_keys, nodes, miss_indices)``, branch lineage
-        resolved.  ``nodes`` holds what the own cache — and then, with a
-        peer group attached, the co-located peers' caches — already served;
-        ``miss_indices`` are the holes.  Both traversals split a frontier
-        here, which is what keeps their counters identical."""
-        keys = [
-            NodeKey(
-                resolve_owner(record, ref.version), ref.version, ref.offset, ref.size
-            )
-            for ref in refs
-        ]
-        cache_keys = [self._cluster.node_cache_key(key) for key in keys]
+        ``(cache_keys, nodes, miss_indices)``, branch lineage resolved.
+        ``nodes`` holds what the own cache — and then, with a peer group
+        attached, the co-located peers' caches — already served;
+        ``miss_indices`` are the holes.  Every traversal splits a frontier
+        here, which is what keeps the counters identical across runtimes."""
+        key_of = self._cluster.node_cache_key
+        cache_keys = [key_of(resolve_owner(record, ref.version), ref) for ref in refs]
         nodes, miss_indices = split_frontier(self._cache, cache_keys, tally)
         if miss_indices and peer_tally is not None:
             miss_indices = self._peer_fill_nodes(
                 cache_keys, miss_indices, nodes, peer_tally
             )
-        return keys, cache_keys, nodes, miss_indices
+        return cache_keys, nodes, miss_indices
 
     async def _fetch_frontier(
         self,
         record: BlobRecord,
         refs: list[NodeRef],
         tally: CacheTally | None = None,
-        peer_tally: CacheTally | None = None,
     ) -> list[TreeNode]:
-        """Resolve one frontier of node fetches, branch lineage included.
-
-        Cached keys are filtered out *before* the DHT multi-get: a hit is
-        served from the shared :class:`~repro.cache.NodeCache` and never
-        enters the batch (tree nodes are immutable, so a cached copy is
-        always valid), and a frontier of pure hits costs zero round trips.
-        With a peer group attached, the remaining misses then probe the
-        co-located peers' caches (identically to the pipelined walk, so the
-        two runtimes keep identical counters); only what the peers miss too
-        travels in one bucket-grouped multi-get and is inserted into the
-        cache on the way back — a frontier fully served by peers costs
-        zero round trips as well.
-        """
-        keys, cache_keys, nodes, miss_indices = self._split_frontier(
-            record, refs, tally, peer_tally
-        )
+        """Resolve one frontier of the write side's border plan, branch
+        lineage included: hits come from the shared
+        :class:`~repro.cache.NodeCache` (tree nodes are immutable, so a
+        cached copy is always valid), the misses travel in one
+        bucket-grouped multi-get and are written through on the way back —
+        a frontier of pure hits costs zero round trips."""
+        cache_keys, nodes, miss_indices = self._split_frontier(record, refs, tally)
         if miss_indices:
             with span("meta.fetch", nodes=len(miss_indices)):
                 fetched = await self._meta.get_nodes_async(
-                    [keys[index] for index in miss_indices], self._runtime
+                    self._node_keys(record, [refs[index] for index in miss_indices]),
+                    self._runtime,
                 )
             complete_frontier(
                 self._cache, cache_keys, miss_indices, fetched, nodes, tally
@@ -1168,59 +1142,74 @@ class AsyncBlobStore:
             self._cache.put_many(served)
         return remaining
 
-    async def _pipelined_walk(
+    async def _resolve_ranges(
         self,
         record: BlobRecord,
-        walker,
+        version: int,
+        span: int,
+        page_ranges: list[tuple[int, int]],
         tally: CacheTally | None = None,
         spec: _Speculation | None = None,
         peer_tally: CacheTally | None = None,
     ) -> ReadPlanResult:
-        """Event-loop metadata descent: level N+1 starts before level N ends.
+        """Walk snapshot ``version``'s tree down to the leaves of
+        ``page_ranges``: the one metadata descent (:meth:`_walk`) behind
+        READ and the boundary reads of unaligned updates, on every runtime."""
+        return await self._walk(
+            record, plan_walker(version, span, page_ranges), tally, spec, peer_tally
+        )
 
-        Each frontier's cache misses are grouped by primary DHT bucket
-        (:meth:`~repro.metadata.metadata_provider.MetadataProvider.bucket_groups`)
-        and fetched as independent tasks; every group expands its children
-        and recurses the moment its own fetch lands, so a slow bucket delays
-        only its own subtree.  Cache hits expand immediately without waiting
-        for any fetch at all.
+    async def _walk(
+        self,
+        record: BlobRecord,
+        walker: FrontierWalker,
+        tally: CacheTally | None,
+        spec: _Speculation | None,
+        peer_tally: CacheTally | None,
+    ) -> ReadPlanResult:
+        """Drive ``walker`` to the leaves, cache first (DESIGN.md §8): each
+        frontier is split against the node cache (then the peer group),
+        every hit is expanded on the spot and the walk steps down WITHOUT
+        awaiting anything — a descent the caches serve completes inside its
+        caller's turn of the loop.  Only a level with misses waits, and only
+        for the I/O it needs:
 
-        The trip accounting is defined to match the level-by-level driver
-        exactly: a tree level with at least one cache miss counts as ONE
-        metadata round trip no matter how many per-bucket tasks fanned out
-        (the sync driver issues those same per-bucket sub-batches inside one
-        ``multi_get``), and hit/fetched tallies are per-node sums that do
-        not depend on resolution order.
+        * ``runtime.pipelined`` false: ONE ``get_nodes_async`` batch for
+          the level, then expansion in frontier order — the sync bridge's
+          counters and LRU order, bit for bit;
+        * pipelined: one branch per primary DHT bucket with a miss
+          (:meth:`~repro.metadata.metadata_provider.MetadataProvider.bucket_groups`),
+          each expanding its children and walking on the moment its own
+          fetch lands, so a slow bucket delays only its own subtree; the
+          hits' children are one more branch.  A single branch is awaited
+          directly, several run under ``runtime.gather``, which cancels and
+          awaits the siblings of a failed one.
 
-        With a ``spec`` state, the walk additionally runs the *speculative
-        frontier prefetch* (DESIGN.md §9): the moment a level's misses are
-        known — BEFORE their fetch resolves — their wanted level-N+1 child
-        spans are predicted from geometry alone at the parent ref's version
+        Either way a level with at least one miss counts as ONE metadata
+        round trip however many branches fanned out (the one-batch path
+        issues the same per-bucket sub-batches inside one ``multi_get``),
+        and hit/fetched tallies are per-node sums independent of order.
+
+        With a ``spec`` state the pipelined walk also runs the speculative
+        frontier prefetch (DESIGN.md §9): the moment a level's misses are
+        known their wanted children are predicted from geometry
         (:meth:`~repro.metadata.read_plan.FrontierWalker.predicted_children`)
-        and issued as one miss-tolerant background multi-get.  When the
-        authoritative parent later confirms a predicted child as a real
-        miss, the already-in-flight result is consumed instead of starting
-        a fresh fetch, collapsing two levels of descent into one round-trip
-        latency.  Mispredictions surface as ``None`` slots and fall back to
-        the normal fetch path; leftover predictions are drained before
-        returning and never enter the node cache.  The trip/fetch tallies
-        are computed exactly as without speculation — a consumed prediction
-        IS the level's fetch — so only ``speculative_*`` counters differ.
+        and issued as one miss-tolerant background multi-get; a child the
+        authoritative parent later confirms as a miss consumes the in-flight
+        result instead of fetching afresh, and a ``None`` slot (a
+        misprediction) re-fetches normally.  Predictions never enter the
+        node cache and never outlive the read: leftovers are drained before
+        it returns and cancelled when it fails.  A consumed prediction IS
+        its level's fetch, so only the ``speculative_*`` counters differ.
         """
         runtime = self._runtime
-        levels: set[int] = set()
+        result = walker.result
         miss_levels: set[int] = set()
 
         def issue_predictions(missed_refs: list[NodeRef]) -> None:
             predictions: list[NodeKey] = []
             for ref in missed_refs:
-                for child in walker.predicted_children(ref):
-                    key = NodeKey(
-                        resolve_owner(record, child.version),
-                        child.version,
-                        child.offset,
-                        child.size,
-                    )
+                for key in self._node_keys(record, walker.predicted_children(ref)):
                     if key in spec.seen:
                         continue
                     spec.seen.add(key)
@@ -1238,16 +1227,9 @@ class AsyncBlobStore:
             for slot, key in enumerate(predictions):
                 spec.tasks[key] = (handle, slot)
 
-        def land(
-            refs: list[NodeRef],
-            cache_keys: list,
-            positions: list[int],
-            fetched: list[TreeNode],
-        ) -> list[NodeRef]:
-            """Nodes that travelled from the DHT have landed: cache them,
-            tally them, and expand them into the child refs still wanted."""
-            if not positions:
-                return []
+        def admit(cache_keys: list, positions: list[int], fetched: list) -> None:
+            """Nodes that travelled from the DHT have landed: cache them
+            and tally them."""
             if self._cache is not None:
                 self._cache.put_many(
                     [
@@ -1257,97 +1239,114 @@ class AsyncBlobStore:
                 )
             if tally is not None:
                 tally.fetched += len(positions)
-            children: list[NodeRef] = []
-            for position, node in zip(positions, fetched):
-                children.extend(walker.expand(refs[position], node))
-            return children
 
-        def group_fetches(
-            refs: list[NodeRef],
-            keys: list[NodeKey],
-            cache_keys: list,
-            indices: list[int],
-            level: int,
-        ) -> list:
-            """One :func:`fetch_group` branch per primary DHT bucket."""
-            if not indices:
-                return []
-            return [
-                fetch_group(
-                    refs, keys, cache_keys, [indices[g] for g in group], level
-                )
-                for group in self._meta.bucket_groups(
-                    [keys[index] for index in indices]
-                )
-            ]
-
-        async def resolve(refs: list[NodeRef], level: int) -> None:
-            levels.add(level)
-            for ref in refs:
-                validate_node_range(ref.offset, ref.size)
-            keys, cache_keys, nodes, miss_indices = self._split_frontier(
-                record, refs, tally, peer_tally
-            )
-            walker.note_fetched(len(refs))
-            if spec is not None and miss_indices:
-                # Predict the misses' children NOW, before any fetch of this
-                # level resolves — that head start is the entire win.
-                issue_predictions([refs[index] for index in miss_indices])
+        def expand(refs, nodes) -> list[NodeRef]:
+            """The child refs the resolved ``nodes`` still want (``None``
+            slots are misses another branch resolves)."""
             children: list[NodeRef] = []
             for ref, node in zip(refs, nodes):
                 if node is not None:
                     children.extend(walker.expand(ref, node))
-            branches = []
-            if miss_indices:
-                miss_levels.add(level)
-                spec_positions: list[int] = []
-                spec_entries: list[tuple[Handle, int]] = []
-                normal: list[int] = []
-                for index in miss_indices:
-                    entry = (
-                        spec.tasks.pop(keys[index], None)
-                        if spec is not None
-                        else None
-                    )
+            return children
+
+        async def join(branches: list) -> None:
+            if len(branches) == 1:
+                await branches[0]
+            elif branches:
+                await runtime.gather(*branches)
+
+        async def descend(refs: list[NodeRef], level: int) -> None:
+            """Walk ``refs`` down to the leaves; suspends only on a miss."""
+            while refs:
+                if level >= result.round_trips:
+                    result.round_trips = level + 1
+                for ref in refs:
+                    validate_node_range(ref.offset, ref.size)
+                cache_keys, nodes, miss_indices = self._split_frontier(
+                    record, refs, tally, peer_tally
+                )
+                walker.note_fetched(len(refs))
+                if miss_indices:
+                    miss_levels.add(level)
+                    if runtime.pipelined:
+                        await fan_out(refs, cache_keys, nodes, miss_indices, level)
+                        return
+                    keys = self._node_keys(record, [refs[i] for i in miss_indices])
+                    with span("meta.fetch", level=level, nodes=len(keys)):
+                        fetched = await self._meta.get_nodes_async(keys, runtime)
+                    admit(cache_keys, miss_indices, fetched)
+                    for index, node in zip(miss_indices, fetched):
+                        nodes[index] = node
+                refs = expand(refs, nodes)
+                level += 1
+
+        async def fan_out(
+            refs: list[NodeRef],
+            cache_keys: list,
+            nodes: list,
+            miss_indices: list[int],
+            level: int,
+        ) -> None:
+            """One branch per DHT bucket with a miss, one for the misses
+            whose prediction is already in flight, one for the hits'
+            children."""
+            normal = miss_indices
+            predicted: list[tuple[int, Handle, int]] = []
+            if spec is not None:
+                # Predict the misses' children NOW, before any fetch of this
+                # level resolves — that head start is the entire win.
+                issue_predictions([refs[index] for index in miss_indices])
+                normal = []
+                keys = self._node_keys(record, [refs[i] for i in miss_indices])
+                for index, key in zip(miss_indices, keys):
+                    entry = spec.tasks.pop(key, None)
                     if entry is None:
                         normal.append(index)
                     else:
-                        spec_positions.append(index)
-                        spec_entries.append(entry)
-                branches = group_fetches(refs, keys, cache_keys, normal, level)
-                if spec_positions:
-                    branches.append(
-                        consume_spec(
-                            refs, keys, cache_keys,
-                            spec_positions, spec_entries, level,
-                        )
-                    )
+                        predicted.append((index, *entry))
+            # Expand first: a malformed node must raise before any branch
+            # coroutine exists, or those would never be awaited.
+            children = expand(refs, nodes)
+            branches = group_fetches(refs, cache_keys, normal, level)
+            if predicted:
+                branches.append(consume_spec(refs, cache_keys, predicted, level))
             if children:
-                branches.append(resolve(children, level + 1))
-            if branches:
-                await runtime.gather(*branches)
+                branches.append(descend(children, level + 1))
+            await join(branches)
+
+        def group_fetches(
+            refs: list[NodeRef], cache_keys: list, positions: list[int], level: int
+        ) -> list:
+            """One :func:`fetch_group` branch per primary DHT bucket."""
+            if not positions:
+                return []
+            keys = self._node_keys(record, [refs[p] for p in positions])
+            return [
+                fetch_group(
+                    refs, cache_keys,
+                    [positions[g] for g in group], [keys[g] for g in group],
+                    level,
+                )
+                for group in self._meta.bucket_groups(keys)
+            ]
 
         async def fetch_group(
             refs: list[NodeRef],
-            keys: list[NodeKey],
             cache_keys: list,
             positions: list[int],
+            keys: list[NodeKey],
             level: int,
         ) -> None:
-            with span("meta.fetch", level=level, nodes=len(positions)):
-                fetched = await self._meta.get_nodes_async(
-                    [keys[position] for position in positions], runtime
-                )
-            children = land(refs, cache_keys, positions, fetched)
-            if children:
-                await resolve(children, level + 1)
+            with span("meta.fetch", level=level, nodes=len(keys)):
+                fetched = await self._meta.get_nodes_async(keys, runtime)
+            admit(cache_keys, positions, fetched)
+            children = expand([refs[position] for position in positions], fetched)
+            await descend(children, level + 1)
 
         async def consume_spec(
             refs: list[NodeRef],
-            keys: list[NodeKey],
             cache_keys: list,
-            positions: list[int],
-            entries: list[tuple[Handle, int]],
+            predicted: list[tuple[int, Handle, int]],
             level: int,
         ) -> None:
             """Reconcile confirmed misses against their in-flight
@@ -1357,46 +1356,46 @@ class AsyncBlobStore:
             landed_positions: list[int] = []
             landed_nodes: list[TreeNode] = []
             fallback: list[int] = []
-            with span("meta.consume_spec", level=level, nodes=len(positions)):
-                for position, (handle, slot) in zip(positions, entries):
-                    batch = await handle.result()
-                    node = batch[slot]
+            with span("meta.consume_spec", level=level, nodes=len(predicted)):
+                for position, handle, slot in predicted:
+                    node = (await handle.result())[slot]
                     if node is None:
                         fallback.append(position)
                     else:
                         landed_positions.append(position)
                         landed_nodes.append(node)
             spec.hits += len(landed_positions)
-            children = land(refs, cache_keys, landed_positions, landed_nodes)
-            branches = group_fetches(refs, keys, cache_keys, fallback, level)
+            admit(cache_keys, landed_positions, landed_nodes)
+            children = expand(
+                [refs[position] for position in landed_positions], landed_nodes
+            )
+            branches = group_fetches(refs, cache_keys, fallback, level)
             if children:
-                branches.append(resolve(children, level + 1))
-            if branches:
-                await runtime.gather(*branches)
+                branches.append(descend(children, level + 1))
+            await join(branches)
 
-        roots = walker.root_refs()
-        if roots:
-            await resolve(roots, 0)
-        if spec is not None:
-            # Drain leftover predictions: the last wave's unconsumed tasks
-            # must not outlive the read (they would warn as never-awaited
-            # work on the loop).  Their results are dropped on the floor —
-            # wasted speculation never touches the node cache.
-            for handle in spec.handles:
-                await handle.result()
+        # Predictions must not outlive the read: a failed one cancels them,
+        # a finished one drains the last wave's leftovers (their results are
+        # dropped on the floor — wasted speculation never touches the cache).
+        handles = spec.handles if spec is not None else ()
+        try:
+            await descend(walker.root_refs(), 0)
+        except BaseException:
+            for handle in handles:
+                await handle.cancel()
+            raise
+        for handle in handles:
+            await handle.result()
         if tally is not None:
             tally.trips += len(miss_levels)
-        walker.result.round_trips = len(levels)
-        return walker.result
+        return result
 
     # ----------------------------------------------------------- cache plumbing
     def _cache_put_items(self, items: list[tuple[NodeKey, TreeNode]]) -> None:
         if self._cache is not None:
+            key_of = self._cluster.node_cache_key
             self._cache.put_many(
-                [
-                    (self._cluster.node_cache_key(key), node)
-                    for key, node in items
-                ]
+                [(key_of(key.blob_id, key), node) for key, node in items]
             )
 
     @staticmethod

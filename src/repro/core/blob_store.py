@@ -15,10 +15,10 @@ every operation delegates to the one async client core,
 loop, a task, or a parked thread.  Planning, caching, replication, retry and
 trip accounting exist exactly once, in the async core; this module only
 supplies the synchronous calling convention.  Under the sync runtime the core
-keeps the strict level-by-level metadata traversal and the
+fetches each tree level's cache misses as one batch and keeps the
 store-then-publish write order, so behaviour, timing and every ``*_ex``
-counter are bit-for-bit what they were before the redesign; the pipelined
-traversal and the store/publish overlap switch on only under
+counter are bit-for-bit what they were before the redesign; the per-bucket
+pipelining of those misses and the store/publish overlap switch on only under
 :class:`~repro.aio.AsyncRuntime` (see :mod:`repro.core.async_store`).
 
 Write path (Algorithm 2): pages are stored on data providers chosen by the

@@ -232,15 +232,20 @@ class Cluster:
         self.dht.revive_bucket(bucket_id)
 
     # -- metadata cache ---------------------------------------------------------
-    def node_cache_key(self, key) -> tuple:
-        """Namespace a :class:`~repro.metadata.node.NodeKey` for the cache.
+    def node_cache_key(self, owner: str, ref) -> tuple:
+        """The node cache's key for tree node ``ref`` of blob ``owner`` —
+        anything carrying ``version``/``offset``/``size`` (a
+        :class:`~repro.metadata.node.NodeRef`, or a ``NodeKey`` whose
+        ``blob_id`` is ``owner``).
 
         All cache traffic of this cluster — the clients' frontier lookups,
         write-through inserts at publish time, GC invalidation — goes
         through this mapping, so one process-wide cache can serve many
-        in-process clusters without key collisions.
+        in-process clusters without key collisions.  The key is a flat
+        tuple of strings and ints: it hashes and compares in C, and a hit
+        never needs a ``NodeKey`` built.
         """
-        return (self.cache_namespace, key)
+        return (self.cache_namespace, owner, ref.version, ref.offset, ref.size)
 
     def register_node_cache(self, cache: NodeCache) -> None:
         """Track a per-store override cache so GC invalidation reaches it."""
@@ -250,7 +255,7 @@ class Cluster:
     def discard_cached_node(self, key) -> None:
         """Drop one node from the cluster cache AND every override cache —
         called by GC for each node it deletes from the DHT."""
-        cache_key = self.node_cache_key(key)
+        cache_key = self.node_cache_key(key.blob_id, key)
         self.node_cache.discard(cache_key)
         for cache in self._override_caches:
             cache.discard(cache_key)

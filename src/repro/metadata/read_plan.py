@@ -23,10 +23,10 @@ update without traversing the metadata in between).
 
 Drivers:
 
-* the client engine awaits :func:`adrive_plan` with a batched async
-  ``fetch_many`` that performs one grouped DHT multi-get per frontier (its
-  event-loop mode expands a :class:`FrontierWalker` directly instead, to
-  pipeline the levels);
+* the client engine expands a :class:`FrontierWalker` directly in its one
+  cache-first descent (``AsyncBlobStore._resolve_ranges``: a level served
+  by the caches is stepped over without an await), and awaits
+  :func:`adrive_plan` only for the write side's border plan;
 * tools and reference models call :func:`drive_plan` with a synchronous
   ``fetch_many`` — or a per-node ``fetch``, which also serves ad-hoc plans
   that yield bare :class:`NodeRef` requests;
@@ -112,16 +112,17 @@ def multi_range_read_plan(
 
 class FrontierWalker:
     """Incremental expansion core shared by the level-order generator and
-    the event-loop pipelined traversal.
+    the client engine's descent.
 
     Holds the pure decision logic of Algorithm 3 — which children of a
     fetched node the requested ranges still want, leaf-descriptor
     collection, traversal accounting — WITHOUT any notion of when fetches
     happen.  The generator (:func:`multi_range_read_plan`) expands one whole
-    level at a time; the pipelined driver in
-    :class:`~repro.core.async_store.AsyncBlobStore` expands each
-    bucket-group of nodes the moment its fetch lands, while sibling groups
-    of the same level are still in flight.  Both observe the same node set,
+    level at a time; the driver in
+    :class:`~repro.core.async_store.AsyncBlobStore` expands cache hits on
+    the spot and, on a pipelined runtime, each bucket-group of nodes the
+    moment its fetch lands, while sibling groups of the same level are
+    still in flight.  Both observe the same node set,
     because expansion depends only on the node's own content, never on the
     order siblings resolve in.
     """
@@ -141,10 +142,10 @@ class FrontierWalker:
         return [NodeRef(self._root_version, 0, self._span)]
 
     def _wanted(self, offset: int, size: int) -> bool:
-        return any(
-            intersects(offset, size, page_offset, page_count)
-            for page_offset, page_count in self._ranges
-        )
+        for page_offset, page_count in self._ranges:
+            if intersects(offset, size, page_offset, page_count):
+                return True
+        return False
 
     def note_fetched(self, count: int) -> None:
         """Account *count* nodes that arrived from a resolved fetch."""
@@ -221,7 +222,7 @@ def plan_walker(
 ) -> FrontierWalker:
     """A validated :class:`FrontierWalker` for *ranges* — the one range check
     behind :func:`read_plan`, :func:`multi_range_read_plan` and the
-    pipelined traversal: every non-empty range must lie inside the tree's
+    engine's descent: every non-empty range must lie inside the tree's
     span."""
     active = [(offset, count) for offset, count in ranges if count > 0]
     if active and span <= 0:
@@ -283,9 +284,9 @@ async def adrive_plan(plan: Generator, fetch_many):
 
     Resolves the plan strictly level by level (one awaited fetch per
     frontier) — the traversal order, node set and round-trip accounting are
-    identical to the sync driver's, which is what the sync bridge relies on
-    for bit-identical trip counters.  The pipelined event-loop traversal
-    lives in the client (it needs placement grouping), not here.
+    identical to the sync driver's.  The engine drives the write side's
+    border plan with it; its READ descent lives in the client (it needs the
+    caches and placement grouping), not here.
     """
     try:
         frontier = next(plan)

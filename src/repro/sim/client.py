@@ -493,7 +493,7 @@ class SimClient:
                     )
                     for ref in refs
                 ]
-                cache_keys = [cluster.node_cache_key(key) for key in keys]
+                cache_keys = [cluster.node_cache_key(key.blob_id, key) for key in keys]
                 nodes, miss_indices = split_frontier(cache, cache_keys, tally)
                 if miss_indices:
                     miss_keys = [keys[index] for index in miss_indices]

@@ -116,8 +116,8 @@ class Process:
     failed event's exception is raised there instead.  When it returns,
     :attr:`event` fires with its return value, so processes can be joined
     like any other event; when it raises, :attr:`event` fails and whoever
-    joins it sees the exception.  (``done``/``result`` make a process the
-    handle of :meth:`repro.sim.runtime.SimRuntime.start`.)
+    joins it sees the exception.  (``done``/``result``/``cancel`` make a
+    process the handle of :meth:`repro.sim.runtime.SimRuntime.start`.)
     """
 
     __slots__ = ("_sim", "_generator", "event", "_waiting")
@@ -155,6 +155,14 @@ class Process:
 
     async def result(self):
         return await self.event
+
+    async def cancel(self) -> None:
+        """The handle's settle call: a simulated activity cannot be
+        interrupted, so wait it out and drop its outcome."""
+        try:
+            await self.event
+        except Exception:  # noqa: BLE001 - the outcome no longer matters
+            pass
 
 
 class Pipe:

@@ -31,6 +31,8 @@ from repro import (
 )
 from repro.aio import AsyncRuntime, SyncRuntime, run_sync
 from repro.cache import NodeCache, PageCache
+from repro.config import BlobSeerConfig
+from repro.errors import ProviderUnavailableError
 
 from .conftest import TEST_PAGE_SIZE, make_payload
 
@@ -541,3 +543,121 @@ class TestRuntimeSeam:
         store = AsyncBlobStore(small_cluster())
         assert isinstance(store._runtime, AsyncRuntime)
         assert store._runtime.pipelined
+
+
+class _CountingRuntime(AsyncRuntime):
+    """The event-loop runtime, counting the two calls a READ can park in."""
+
+    def __init__(self) -> None:
+        self.gathers = 0
+        self.batches = 0
+
+    async def gather(self, *coros):
+        self.gathers += 1
+        return await super().gather(*coros)
+
+    async def run_batches(self, jobs):
+        self.batches += 1
+        return await super().run_batches(jobs)
+
+
+class TestSuspensionBudget:
+    """DESIGN.md §8's scheduling contract: an operation yields to the loop
+    only where it waits for a backend."""
+
+    PAGES = 16  # a five-level tree: spans 16, 8, 4, 2, 1
+
+    def _written_store(self, runtime):
+        """A store with dedicated caches over a published 16-page blob:
+        ``(store, node_cache, page_cache, blob_id, version, payload)``."""
+        node_cache, page_cache = NodeCache(), PageCache()
+        store = AsyncBlobStore(
+            small_cluster(), node_cache=node_cache, page_cache=page_cache,
+            runtime=runtime,
+        )
+        payload = make_payload(self.PAGES * TEST_PAGE_SIZE, seed=24)
+
+        async def write():
+            blob_id = await store.create()
+            version = await store.write(blob_id, payload, 0)
+            await store.sync(blob_id, version)
+            assert await store.read(blob_id, version, 0, len(payload)) == payload
+            return blob_id, version
+
+        blob_id, version = asyncio.run(write())
+        return store, node_cache, page_cache, blob_id, version, payload
+
+    def test_fully_cached_read_completes_in_one_send(self):
+        runtime = _CountingRuntime()
+        store, _nodes, _pages, blob_id, version, payload = self._written_store(runtime)
+        runtime.gathers = runtime.batches = 0
+        # Driven by hand, with no loop running: one send must finish it.
+        coro = store.read_ex(blob_id, version, 0, len(payload))
+        with pytest.raises(StopIteration) as stop:
+            coro.send(None)
+        data, stats = stop.value.value
+        assert data == payload
+        assert stats.metadata_round_trips == stats.data_round_trips == 0
+        assert stats.metadata_cache_hits == 2 * self.PAGES - 1
+        assert (runtime.gathers, runtime.batches) == (0, 0)
+
+    def test_cached_nodes_uncached_pages_park_once(self):
+        runtime = _CountingRuntime()
+        store, _nodes, pages, blob_id, version, payload = self._written_store(runtime)
+        pages.clear()
+        runtime.gathers = runtime.batches = 0
+        data, stats = asyncio.run(store.read_ex(blob_id, version, 0, len(payload)))
+        assert data == payload
+        assert stats.metadata_round_trips == 0
+        assert stats.data_round_trips > 1  # several providers, ONE dispatch
+        assert (runtime.gathers, runtime.batches) == (0, 1)
+
+    @pytest.mark.parametrize(
+        ("warm_pages", "miss_levels"), [(0, 5), (8, 4), (12, 3)],
+        ids=["cold", "left-half-warm", "three-quarters-warm"],
+    )
+    def test_metadata_trips_are_the_levels_with_a_miss(self, warm_pages, miss_levels):
+        def trips(runtime, run):
+            store, nodes, pages, blob_id, version, payload = self._written_store(
+                runtime
+            )
+            nodes.clear()
+            pages.clear()
+            if warm_pages:
+                run(store.read(blob_id, version, 0, warm_pages * TEST_PAGE_SIZE))
+            data, stats = run(store.read_ex(blob_id, version, 0, len(payload)))
+            assert data == payload
+            return stats.metadata_round_trips
+
+        assert trips(_CountingRuntime(), asyncio.run) == miss_levels
+        assert trips(SyncRuntime(), run_sync) == miss_levels
+
+
+class TestFailedReadLeavesNothingBehind:
+    """A read that raises cancels and awaits every branch and speculative
+    fetch it started; the loop holds nothing of it afterwards."""
+
+    @pytest.mark.parametrize("speculate", [False, True], ids=["plain", "speculative"])
+    def test_no_task_outlives_a_failed_read(self, speculate):
+        cluster = Cluster(
+            BlobSeerConfig(
+                page_size=1024, num_data_providers=4, num_metadata_providers=4,
+                speculative_prefetch=speculate,
+            ),
+            node_cache=NodeCache(),
+        )
+
+        async def scenario():
+            store = AsyncBlobStore(cluster)
+            blob_id = await store.create()
+            for seed in range(4):
+                payload = make_payload(64 * 1024, seed=seed)
+                version = await store.append(blob_id, payload)
+            await store.sync(blob_id, version)
+            cluster.node_cache.clear()
+            cluster.kill_metadata_bucket("meta-0001")
+            with pytest.raises(ProviderUnavailableError):
+                await store.read(blob_id, version, 0, 256 * 1024)
+            return asyncio.all_tasks() - {asyncio.current_task()}
+
+        assert asyncio.run(scenario()) == set()

@@ -25,7 +25,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import BlobStore, CacheStats, Cluster, NodeCache
 from repro.errors import ConfigurationError, MetadataNotFoundError
 from repro.cache import node_weight, shared_node_cache
-from repro.metadata.node import InnerNode, LeafNode
+from repro.cache.sharded_lru import ENTRY_OVERHEAD
+from repro.metadata.node import InnerNode, LeafNode, NodeKey
 from repro.tools.gc import collect_garbage
 
 from .conftest import TEST_PAGE_SIZE, make_payload
@@ -213,6 +214,37 @@ class TestSharingSemantics:
         with pytest.raises(MetadataNotFoundError):
             store.read(blob_id, 1, 0, 4 * PAGE)
         assert store.read(blob_id, version, 0, 4 * PAGE) == replacement
+
+    def test_flat_keys_weigh_what_nested_keys_did_and_gc_evicts_them(self):
+        """The cache key is the flat tuple of ``Cluster.node_cache_key``;
+        an entry still charges the bytes the ``(namespace, NodeKey)`` pair
+        used to — the two id strings plus three 8-byte integers — so byte
+        budgets did not move, and GC's discards find the flat keys."""
+        cache = NodeCache()
+        cluster = small_cluster()
+        store = BlobStore(cluster, node_cache=cache)
+        blob_id = store.create()
+        store.append(blob_id, make_payload(4 * PAGE, seed=1))
+        version = store.write(blob_id, make_payload(4 * PAGE, seed=2), 0)
+        store.sync(blob_id, version)
+
+        def resident_bytes() -> int:
+            total = 0
+            for bucket_id in cluster.dht.bucket_ids():
+                for raw in cluster.dht.bucket(bucket_id).keys():
+                    key = NodeKey.from_string(raw)
+                    node = cluster.metadata_provider.get_node(key)
+                    nested_key = len(cluster.cache_namespace) + len(key.blob_id) + 24
+                    total += nested_key + node_weight((), node)
+            return total
+
+        # Two full 4-page trees, written through at publish: 2 x 7 nodes.
+        assert node_weight((), InnerNode(1, 1)) > ENTRY_OVERHEAD  # () weighs 0
+        assert cache.stats().entries == cluster.metadata_node_count() == 14
+        assert cache.stats().bytes == resident_bytes()
+        collect_garbage(cluster, {blob_id: [version]})
+        assert cache.stats().entries == cluster.metadata_node_count() == 7
+        assert cache.stats().bytes == resident_bytes()
 
     def test_eviction_pressure_keeps_reads_correct(self):
         cluster = small_cluster()

@@ -12,9 +12,11 @@ from itertools import accumulate
 
 import pytest
 
-from repro import AsyncBlobStore
+from dataclasses import replace
+
+from repro import AsyncBlobStore, BlobSeerConfig, Cluster
 from repro.aio import SYNC_RUNTIME, AsyncRuntime, run_sync
-from repro.cache import NodeCache
+from repro.cache import CacheTally, NodeCache, PageCache, PeerCacheGroup
 from repro.config import KiB
 from repro.errors import ProviderUnavailableError, VersionNotPublishedError
 from repro.sim import SimClient, SimDeployment, SimRuntime
@@ -99,6 +101,119 @@ class TestCrossClockEquality:
             # The cold regime exercises the border-fetch (meta_get) leg.
             fetched = COUNTERS.index("border_nodes_fetched")
             assert any(row[fetched] for row in simulated)
+
+
+READ_COUNTERS = (
+    "pages_fetched",
+    "metadata_nodes_fetched",
+    "metadata_round_trips",
+    "metadata_cache_hits",
+    "data_round_trips",
+    "page_cache_hits",
+)
+READ_PAGE = 1024
+
+
+def _read_script() -> list[tuple[str, int, int]]:
+    """A seeded list of ``(cache regime, byte offset, byte size)`` reads of
+    a 96-page blob; ``half`` warms the first half of the range beforehand."""
+    rng = random.Random(24)
+    script = []
+    for regime in ("cold", "half", "warm", "cold", "half", "warm", "warm", "cold"):
+        pages = rng.randint(2, 40)
+        start = rng.randint(0, 96 - pages)
+        script.append(
+            (regime, start * READ_PAGE + rng.randint(0, 99), pages * READ_PAGE - 100)
+        )
+    return script
+
+
+class TestCrossRuntimeReads:
+    """One READ on two shipped runtimes: the descent suspends differently
+    (one batch per level vs. per-bucket branches) and must count alike."""
+
+    @staticmethod
+    def _run_script(runtime, run, speculate: bool, with_peer: bool) -> list[tuple]:
+        cluster = Cluster(
+            BlobSeerConfig(
+                page_size=READ_PAGE, num_data_providers=4, num_metadata_providers=4,
+                speculative_prefetch=speculate,
+            ),
+            node_cache=NodeCache(),
+            page_cache=PageCache(),
+        )
+        group = PeerCacheGroup() if with_peer else None
+        nodes, pages = NodeCache(), PageCache()
+        store = AsyncBlobStore(
+            cluster, node_cache=nodes, page_cache=pages, runtime=runtime,
+            peer_group=group,
+        )
+        blob_id = run(store.create())
+        for _ in range(3):
+            run(store.append(blob_id, bytes(32 * READ_PAGE)))
+        # Two overwrites, so subtrees carry different versions.
+        run(store.write(blob_id, b"x" * (5 * READ_PAGE), 7 * READ_PAGE))
+        version = run(store.write(blob_id, b"y" * 300, 40 * READ_PAGE + 17))
+        run(store.sync(blob_id, version))
+        if with_peer:
+            # A co-located peer that has read the middle third of the blob.
+            peer = AsyncBlobStore(
+                cluster, node_cache=NodeCache(), page_cache=PageCache(),
+                runtime=runtime, peer_group=group,
+            )
+            run(peer.read(blob_id, version, 32 * READ_PAGE, 32 * READ_PAGE))
+        seen = []
+        for regime, offset, size in _read_script():
+            if regime != "warm":
+                nodes.clear()
+                pages.clear()
+            if regime == "half":
+                run(store.read(blob_id, version, offset, size // 2))
+            data, stats = run(store.read_ex(blob_id, version, offset, size))
+            seen.append((data, stats))
+        # The two-range boundary read an unaligned write issues through
+        # ``_read_byte_ranges``: cold, then warm.
+        record, _trips = store._get_record(blob_id)
+        nodes.clear()
+        for _ in range(2):
+            tally = CacheTally()
+            plan = run(
+                store._resolve_ranges(record, version, 128, [(3, 1), (77, 1)], tally)
+            )
+            seen.append(
+                (
+                    [d.page_id for d in plan.sorted_descriptors()],
+                    (tally.hits, tally.fetched, tally.trips, plan.round_trips),
+                )
+            )
+        return seen
+
+    @pytest.mark.parametrize("with_peer", [False, True], ids=["alone", "peer"])
+    @pytest.mark.parametrize("speculate", [False, True], ids=["plain", "speculative"])
+    def test_read_counters_equal_on_both_runtimes(self, speculate, with_peer):
+        on_sync = self._run_script(SYNC_RUNTIME, run_sync, speculate, with_peer)
+        on_loop = self._run_script(AsyncRuntime(), asyncio.run, speculate, with_peer)
+        assert len(on_sync) == len(on_loop) == len(_read_script()) + 2
+        misses = peer_hits = 0
+        for (sync_data, sync_stats), (loop_data, loop_stats) in zip(on_sync, on_loop):
+            assert loop_data == sync_data
+            if isinstance(sync_stats, tuple):  # the two-range boundary read
+                assert loop_stats == sync_stats
+                continue
+            for name in READ_COUNTERS:
+                assert getattr(loop_stats, name) == getattr(sync_stats, name), name
+            assert loop_stats.peer_cache_hits == sync_stats.peer_cache_hits
+            # Speculation may move nothing but its own two counters.
+            assert sync_stats.speculative_hits == sync_stats.speculative_wasted == 0
+            assert replace(
+                loop_stats, speculative_hits=0, speculative_wasted=0
+            ) == sync_stats
+            misses += sync_stats.metadata_round_trips
+            peer_hits += sync_stats.peer_cache_hits
+        assert misses  # the script does leave the caches
+        assert bool(peer_hits) == with_peer
+        if speculate:
+            assert any(stats.speculative_hits for _data, stats in on_loop[:-2])
 
 
 class TestVirtualClock:
