@@ -157,9 +157,13 @@ class _Shard:
         self, items: Iterable[tuple[Hashable, object, int, Hashable | None]]
     ) -> None:
         """Insert ``(key, value, weight, group)`` items under one lock,
-        evicting LRU entries past the budgets."""
+        evicting LRU entries past the budgets.  An entry heavier than the
+        whole shard budget is not admitted: making room for it would evict
+        every resident entry and then the entry itself."""
         with self.lock:
             for key, value, weight, group in items:
+                if weight > self.max_bytes:
+                    continue
                 existing = self.entries.get(key)
                 if existing is not None:
                     # Values are immutable: same key means same value, so a

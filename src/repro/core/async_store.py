@@ -41,7 +41,7 @@ Each leg of the protocol has ONE implementation here: every WRITE and
 APPEND — aligned, unaligned, strict — runs the single ``_update`` pipeline
 (Algorithm 2: store pages, get a version, weave metadata, notify), every
 tree walk goes through ``_resolve_ranges``, every page fetch through
-``_fetch_pages_into``, and the runtime is the only execution strategy —
+``_fetch_pages``, and the runtime is the only execution strategy —
 the version manager's update calls included (``runtime.vm_call``), so the
 simulator's :class:`~repro.sim.runtime.SimRuntime` can put them on its clock.
 
@@ -131,7 +131,7 @@ class WriteResult:
 
 @dataclass(frozen=True)
 class ReadStats:
-    """Detailed outcome of a READ (``read_ex``)."""
+    """Detailed outcome of a READ (``read_ex`` / ``read_into``)."""
 
     #: Snapshot version the bytes came from.
     version: int
@@ -545,17 +545,52 @@ class AsyncBlobStore:
     async def read_ex(
         self, blob_id: str, version: int, offset: int, size: int
     ) -> tuple[bytes, ReadStats]:
+        """READ returning its :class:`ReadStats` too.  The result is
+        assembled once, by joining the immutable page payloads; a read of
+        exactly one cached range returns the cached object itself."""
         with self._trace_root(
             "read", blob_id=blob_id, version=version, offset=offset, size=size
         ) as root:
-            data, stats = await self._read_ex_impl(blob_id, version, offset, size)
+            parts, stats = await self._read_parts(blob_id, version, offset, size)
+            data = b"".join(parts)
         if root is not None:
             self._publish_op_metrics("read", stats, root)
         return data, stats
 
-    async def _read_ex_impl(
+    async def read_into(
+        self, blob_id: str, version: int, offset: int, out
+    ) -> ReadStats:
+        """READ into a caller-owned buffer, the paper's
+        ``READ(id, v, buffer, offset, size)`` with ``size = len(out)``.
+
+        ``out`` is any writable buffer-protocol object (``bytearray``,
+        ``memoryview``, ``array``, ``mmap``); each page payload is copied
+        into it once.  A read-only buffer raises :class:`TypeError` before
+        any I/O.  The returned stats equal :meth:`read_ex`'s for the same
+        cache state.
+        """
+        with memoryview(out) as raw, raw.cast("B") as view:
+            if view.readonly:
+                raise TypeError("read_into needs a writable buffer")
+            size = view.nbytes
+            with self._trace_root(
+                "read", blob_id=blob_id, version=version, offset=offset, size=size
+            ) as root:
+                parts, stats = await self._read_parts(blob_id, version, offset, size)
+                position = 0
+                for part in parts:
+                    end = position + len(part)
+                    view[position:end] = part
+                    position = end
+        if root is not None:
+            self._publish_op_metrics("read", stats, root)
+        return stats
+
+    async def _read_parts(
         self, blob_id: str, version: int, offset: int, size: int
-    ) -> tuple[bytes, ReadStats]:
+    ) -> tuple[list[bytes], ReadStats]:
+        """The READ itself: the payloads that make up ``[offset, offset +
+        size)`` in order, plus the stats.  Callers assemble them once."""
         self._ensure_open()
         if offset < 0 or size < 0:
             raise InvalidRangeError(f"negative read offset/size ({offset}, {size})")
@@ -569,7 +604,7 @@ class AsyncBlobStore:
                 f"size {snapshot_size}"
             )
         if size == 0:
-            return b"", ReadStats(version, 0, 0, 0, 0, vm_round_trips=vm_trips)
+            return [], ReadStats(version, 0, 0, 0, 0, vm_round_trips=vm_trips)
 
         page_size = record.page_size
         page_offset, page_count = covering_page_range(offset, size, page_size)
@@ -591,13 +626,12 @@ class AsyncBlobStore:
                 spec=spec, peer_tally=peer_tally,
             )
 
-        buffer = bytearray(size)
         descriptors = plan_result.sorted_descriptors()
         page_tally = CacheTally()
         fault_tally = FaultTally()
         with span("read.data", pages=len(descriptors)):
-            data_trips = await self._fetch_pages_into(
-                record, descriptors, [(offset, buffer)], page_tally,
+            (parts,), data_trips = await self._fetch_pages(
+                record, descriptors, [(offset, size)], page_tally,
                 fault_tally, peer_tally=peer_tally,
             )
         stats = ReadStats(
@@ -618,7 +652,7 @@ class AsyncBlobStore:
             speculative_wasted=spec.wasted if spec is not None else 0,
             peer_cache_hits=peer_tally.hits if peer_tally is not None else 0,
         )
-        return bytes(buffer), stats
+        return parts, stats
 
     async def read_recent(
         self, blob_id: str, offset: int, size: int
@@ -798,17 +832,10 @@ class AsyncBlobStore:
         # resolution is tiny (two boundary paths) and must stay identical
         # across runtimes and toggles.
         plan_result = await self._resolve_ranges(record, version, span, page_ranges)
-        buffers = [bytearray(byte_size) for _byte_offset, byte_size in byte_ranges]
-        data_trips = await self._fetch_pages_into(
-            record,
-            plan_result.sorted_descriptors(),
-            [
-                (byte_offset, buffer)
-                for (byte_offset, _byte_size), buffer in zip(byte_ranges, buffers)
-            ],
-            page_tally,
+        parts, data_trips = await self._fetch_pages(
+            record, plan_result.sorted_descriptors(), byte_ranges, page_tally
         )
-        return [bytes(buffer) for buffer in buffers], data_trips
+        return [b"".join(window) for window in parts], data_trips
 
     # ------------------------------------------------------------- page stores
     def _start_page_stores(self, payloads: list[tuple[int, bytes]]) -> _PendingStore:
@@ -1446,40 +1473,40 @@ class AsyncBlobStore:
         return self._lease.stats() if self._lease is not None else None
 
     # ------------------------------------------------------------- data fetches
-    async def _fetch_pages_into(
+    async def _fetch_pages(
         self,
         record: BlobRecord,
         descriptors: list[PageDescriptor],
-        windows: list[tuple[int, bytearray]],
+        windows: list[tuple[int, int]],
         page_tally: CacheTally | None = None,
         fault_tally: FaultTally | None = None,
         peer_tally: CacheTally | None = None,
-    ) -> int:
-        """Fill every ``(byte_offset, buffer)`` window — the blob's bytes
-        ``[byte_offset, byte_offset + len(buffer))`` — from the pages of
-        ``descriptors`` with one batched multi-fetch per provider covering
-        ALL windows; return the batch count.  Ranges held by the shared page
-        cache are deposited directly and never enter a provider batch — a
-        fully cached read costs zero batches.  With a peer group attached
-        (``peer_tally`` given), ranges the own cache missed then probe the
-        co-located peers' page caches before any provider wave.  Each
-        request carries its page's replica tuple, so a failed provider
-        batch fails over to the next live replica (counted in
-        ``fault_tally``) instead of failing the read.
+    ) -> tuple[list[list[bytes]], int]:
+        """The payloads of every ``(byte_offset, size)`` window — the
+        blob's bytes ``[byte_offset, byte_offset + size)`` — from the pages
+        of ``descriptors``, with one batched multi-fetch per provider
+        covering ALL windows: ``(parts, batches)``, one list of in-order
+        parts per window.  Ranges held by the shared page cache never enter
+        a provider batch — a fully cached read costs zero batches.  With a
+        peer group attached (``peer_tally`` given), ranges the own cache
+        missed then probe the co-located peers' page caches before any
+        provider wave.  Each request carries its page's replica tuple, so a
+        failed provider batch fails over to the next live replica (counted
+        in ``fault_tally``) instead of failing the read.
 
-        Zero-copy assembly: each request is the part of one page inside one
-        window and carries a writable ``memoryview`` slice of that window's
-        buffer, so providers deposit page bytes directly at their final
-        destination instead of materializing per-chunk ``bytes`` objects
-        that get copied a second time.  The slices are disjoint, so
-        concurrent per-provider batches never overlap.
+        Each request is the part of one page inside one window.  Parts are
+        the immutable payloads the providers or caches handed back, not
+        copies: the caller assembles each window once (``b"".join`` or a
+        copy into its own buffer).
         """
         page_size = record.page_size
-        requests: list[tuple[str, str, int, memoryview]] = []
+        requests: list[tuple[str, str, int, int]] = []
         failover: list[tuple[str, ...]] = []
-        for offset, buffer in windows:
-            view = memoryview(buffer)
-            end = offset + len(buffer)
+        # Each window's requests, as a [first, last) slice of ``requests``.
+        slices: list[tuple[int, int]] = []
+        for offset, size in windows:
+            end = offset + size
+            first = len(requests)
             for descriptor in descriptors:
                 page_start = descriptor.page_index * page_size
                 want_start = max(offset, page_start)
@@ -1491,14 +1518,15 @@ class AsyncBlobStore:
                         descriptor.provider_id,
                         descriptor.page_id,
                         want_start - page_start,
-                        view[want_start - offset:want_end - offset],
+                        want_end - want_start,
                     )
                 )
                 failover.append(descriptor.provider_ids)
+            slices.append((first, len(requests)))
         peer_lookup = None
         if peer_tally is not None and self._page_cache is not None:
             peer_lookup = self._peers.probe_page
-        return await self._pm.multi_fetch_into_async(
+        payloads, batches = await self._pm.multi_fetch_into_async(
             requests,
             self._runtime,
             cache=self._page_cache,
@@ -1509,3 +1537,4 @@ class AsyncBlobStore:
             peer_lookup=peer_lookup,
             peer_tally=peer_tally,
         )
+        return [payloads[first:last] for first, last in slices], batches

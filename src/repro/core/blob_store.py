@@ -49,9 +49,12 @@ subsystems* (see the async core's docstring and :mod:`repro.cache` /
 :mod:`repro.vm`): published tree nodes, stored pages and published-snapshot
 facts are immutable, so every store on a :class:`Cluster` reads and writes
 the same sharded LRU caches, frontier resolution filters cached keys before
-the DHT multi-get, page fetches are served zero-copy from the page cache,
-and a warm repeated READ costs zero metadata, data AND version-manager
-round trips.  Per-operation deltas are reported on
+the DHT multi-get, page fetches are served from the page cache (the cached
+entry is the immutable payload object itself, never a copy of it), and a
+warm repeated READ costs zero metadata, data AND version-manager round
+trips.  A READ copies each byte into its result once: :meth:`read_ex`
+joins the page payloads, :meth:`read_into` copies them into the caller's
+buffer.  Per-operation deltas are reported on
 ``ReadStats``/``WriteResult``; cache-wide totals via :meth:`cache_stats`,
 :meth:`page_cache_stats` and :meth:`lease_stats`.
 
@@ -203,6 +206,12 @@ class BlobStore:
         self, blob_id: str, version: int, offset: int, size: int
     ) -> tuple[bytes, ReadStats]:
         return run_sync(self._engine.read_ex(blob_id, version, offset, size))
+
+    def read_into(self, blob_id: str, version: int, offset: int, out) -> ReadStats:
+        """READ ``len(out)`` bytes at ``offset`` into the writable buffer
+        ``out`` (the paper's ``READ(id, v, buffer, offset, size)``); see
+        :meth:`~repro.core.async_store.AsyncBlobStore.read_into`."""
+        return run_sync(self._engine.read_into(blob_id, version, offset, out))
 
     def read_recent(self, blob_id: str, offset: int, size: int) -> tuple[int, bytes]:
         """Convenience: READ from the most recently published snapshot."""

@@ -77,9 +77,16 @@ class SnapshotReader(io.RawIOBase):
         return data
 
     def readinto(self, buffer) -> int:
-        data = self.read(len(buffer))
-        buffer[: len(data)] = data
-        return len(data)
+        if self.closed:
+            raise ValueError("read on a closed SnapshotReader")
+        with memoryview(buffer) as raw, raw.cast("B") as view:
+            size = min(view.nbytes, max(self._size - self._position, 0))
+            if size:
+                self._store.read_into(
+                    self._blob_id, self._version, self._position, view[:size]
+                )
+        self._position += size
+        return size
 
     def readall(self) -> bytes:
         return self.read(-1)

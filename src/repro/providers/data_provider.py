@@ -16,7 +16,7 @@ class DataProviderStats:
 
     ``batch_put_requests`` / ``batch_get_requests`` count the batched
     multi-page requests (see :meth:`DataProvider.multi_store` /
-    :meth:`DataProvider.multi_fetch_into`); the per-page counters keep counting
+    :meth:`DataProvider.multi_fetch`); the per-page counters keep counting
     individual pages, so load-distribution math is unchanged by batching.
     """
 
@@ -41,7 +41,7 @@ class DataProvider:
 
     The provider exposes a small RPC-like surface (``store_page``,
     ``fetch_page``) plus the batched multi-page counterparts
-    (``multi_store``, ``multi_fetch_into``) used by the provider-parallel data
+    (``multi_store``, ``multi_fetch``) used by the provider-parallel data
     path, plus failure injection used by the fault-tolerance tests.
     Concurrency note: the paper observes that "data access serialization is
     only necessary when the same provider is contacted at the same time by
@@ -132,49 +132,40 @@ class DataProvider:
         for page_id, data in items:
             self._store.put(page_id, data)
 
-    def multi_fetch_into(
-        self, requests: list[tuple[str, int, memoryview]]
-    ) -> int:
-        """Zero-copy batched read: deposit each ``(page_id, offset, out)``
-        request's bytes directly into its writable ``out`` view; return the
-        total number of bytes written.
+    def multi_fetch(self, requests: list[tuple[str, int, int]]) -> list[bytes]:
+        """Batched read: the payload of each ``(page_id, offset, length)``
+        request, aligned with ``requests``.
 
-        The destination view's length is the request length.  One liveness
-        check and one counter-lock acquisition cover the whole batch;
-        per-page semantics (partial reads,
-        :class:`~repro.errors.PageNotFoundError` for unknown ids) are
-        identical to :meth:`fetch_page`, and checksum-verifying providers
-        fall back to the bytes path per request so full-page verification
-        still happens.  An empty batch is a no-op and is not counted as a
-        request.
+        Payloads are the store's immutable ``bytes`` (a full page of an
+        in-memory store is the stored object itself), so the caller can
+        cache and assemble them without another copy.  One liveness check
+        and one counter-lock acquisition cover the whole batch; every page
+        goes through the same read as :meth:`fetch_page` (partial reads,
+        :class:`~repro.errors.PageNotFoundError` for unknown ids, checksum
+        verification of full pages).  An empty batch is a no-op and is not
+        counted as a request.
 
-        Short reads *raise* :class:`~repro.errors.ShortReadError` instead
-        of silently leaving the tail of ``out`` untouched: request windows
-        are sized from leaf metadata, so a store handing back fewer bytes
-        means the page was truncated — zeros must never be served as data.
+        Short reads *raise* :class:`~repro.errors.ShortReadError`: request
+        lengths are sized from leaf metadata, so a store handing back fewer
+        bytes means the page was truncated.
         """
         if not requests:
-            return 0
+            return []
         self._check_alive()
         with self._lock:
             self._get_requests += len(requests)
             self._batch_get_requests += 1
-        written = 0
-        for page_id, offset, out in requests:
-            if self._verify:
-                data = self._read_page(page_id, offset, len(out))
-                count = len(data)
-                out[:count] = data
-            else:
-                count = self._store.get_into(page_id, offset, out)
-            if count != len(out):
+        payloads = []
+        for page_id, offset, length in requests:
+            data = self._read_page(page_id, offset, length)
+            if len(data) != length:
                 raise ShortReadError(
                     f"page {page_id!r} on provider {self.provider_id!r}",
-                    expected=len(out),
-                    actual=count,
+                    expected=length,
+                    actual=len(data),
                 )
-            written += count
-        return written
+            payloads.append(data)
+        return payloads
 
     def has_page(self, page_id: str) -> bool:
         self._check_alive()

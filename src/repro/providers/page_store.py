@@ -1,10 +1,13 @@
 """Physical page storage backends.
 
 A data provider delegates the actual byte storage to a :class:`PageStore`.
+A page is immutable once stored, so :meth:`PageStore.get` hands back an
+immutable ``bytes`` payload that callers may keep — the read path caches it
+and assembles results from it without copying it first.
 Three backends are provided:
 
 * :class:`InMemoryPageStore` — a dict of byte strings; the default for tests
-  and examples.
+  and examples.  A full-page ``get`` returns the stored object itself.
 * :class:`FilePageStore` — one file per page under a directory, for blobs
   larger than memory.
 * :class:`NullPageStore` — records page sizes and checksums only; used by the
@@ -33,7 +36,7 @@ class StoredPage:
 
 
 class PageStore(ABC):
-    """Abstract page storage: maps page ids to byte payloads."""
+    """Abstract page storage: maps page ids to immutable byte payloads."""
 
     @abstractmethod
     def put(self, page_id: str, data: bytes) -> None:
@@ -44,21 +47,10 @@ class PageStore(ABC):
         """Return ``length`` bytes of a page starting at ``offset``.
 
         ``length=None`` means "until the end of the page".  Raises
-        :class:`PageNotFoundError` for unknown ids.
+        :class:`PageNotFoundError` for unknown ids.  The result is the one
+        copy a READ makes of the page: it is ``bytes``, so callers may
+        cache it and assemble from it without copying it again.
         """
-
-    def get_into(self, page_id: str, offset: int, out: memoryview) -> int:
-        """Copy up to ``len(out)`` bytes of a page starting at ``offset``
-        directly into the writable ``out`` view; return the bytes written.
-
-        This is the zero-copy read path: backends that can, write straight
-        into the caller's result buffer instead of materializing an
-        intermediate ``bytes`` chunk.  The default falls back to
-        :meth:`get` plus one copy, so custom stores keep working unchanged.
-        """
-        data = self.get(page_id, offset, len(out))
-        out[:len(data)] = data
-        return len(data)
 
     @abstractmethod
     def contains(self, page_id: str) -> bool:
@@ -111,18 +103,8 @@ class InMemoryPageStore(PageStore):
         if data is None:
             raise PageNotFoundError(page_id)
         end = len(data) if length is None else offset + length
+        # A full-page slice of ``bytes`` is the stored object itself.
         return data[offset:end]
-
-    def get_into(self, page_id: str, offset: int, out: memoryview) -> int:
-        with self._lock:
-            data = self._pages.get(page_id)
-        if data is None:
-            raise PageNotFoundError(page_id)
-        end = min(offset + len(out), len(data))
-        count = max(end - offset, 0)
-        # One copy, source page -> destination slice; no intermediate bytes.
-        out[:count] = memoryview(data)[offset:end]
-        return count
 
     def contains(self, page_id: str) -> bool:
         with self._lock:
@@ -202,16 +184,6 @@ class FilePageStore(PageStore):
             if length is None:
                 return handle.read()
             return handle.read(length)
-
-    def get_into(self, page_id: str, offset: int, out: memoryview) -> int:
-        path = self._path(page_id)
-        with self._lock:
-            known = page_id in self._info
-        if not known or not os.path.exists(path):
-            raise PageNotFoundError(page_id)
-        with open(path, "rb") as handle:
-            handle.seek(offset)
-            return handle.readinto(out)
 
     def contains(self, page_id: str) -> bool:
         with self._lock:

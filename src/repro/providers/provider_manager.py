@@ -262,7 +262,7 @@ class ProviderManager:
 
     async def multi_fetch_into_async(
         self,
-        requests: Sequence[tuple[str, str, int, memoryview]],
+        requests: Sequence[tuple[str, str, int, int]],
         runtime: IORuntime,
         cache=None,
         cache_key=None,
@@ -271,34 +271,39 @@ class ProviderManager:
         fault_tally: FaultTally | None = None,
         peer_lookup=None,
         peer_tally=None,
-    ) -> int:
-        """Zero-copy batched fetch: each ``(provider_id, page_id, offset,
-        out)`` request carries a writable ``memoryview`` and the provider
-        deposits the page bytes directly into it
-        (:meth:`DataProvider.multi_fetch_into`) — no per-chunk ``bytes``
-        objects, no second copy at assembly time.
+    ) -> tuple[list[bytes], int]:
+        """Batched fetch of ``(provider_id, page_id, offset, length)``
+        requests: returns ``(payloads, batches)``, the payloads aligned with
+        ``requests`` plus the number of per-provider batches issued.
+
+        Payloads are immutable objects handed back as they are: a
+        provider's :meth:`DataProvider.multi_fetch` result, a cached entry
+        or a peer's cached entry — never a copy.  The caller assembles its
+        result from them once.  (The name predates this shape, when callers
+        passed destination views to fill; it is kept because the wall-clock
+        benchmark proxies this method by name and times its span as
+        ``providers.fetch_us_per_page``.)
 
         Requests are grouped into ONE batch per provider — the data-path
         analogue of a metadata frontier — and the per-provider jobs execute
         on *runtime*; grouping stays in the manager (the single owner of
-        the provider directory).  Returns the number of per-provider
-        batches issued.  The destination views must be disjoint, since a
-        runtime may execute batches concurrently.
+        the provider directory).
 
         With ``cache`` (a :class:`~repro.cache.PageCache`) and ``cache_key``
         (``cache_key(page_id, offset, length) -> key``, usually
         :meth:`repro.core.cluster.Cluster.page_cache_key`), cached requests
-        are deposited straight into their destination views and never enter
-        a provider batch — published pages are immutable, so a cached range
-        can never be stale — and misses are write-through-cached after the
-        fetch.  An all-hit call costs ZERO provider round trips.  The
-        optional ``tally`` (a :class:`~repro.cache.CacheTally`) collects the
-        call's hit/fetch/trip counts.
+        are served from the cache and never enter a provider batch —
+        published pages are immutable, so a cached range can never be
+        stale — and misses are write-through-cached after the fetch (the
+        fetched objects themselves).  An all-hit call costs ZERO provider
+        round trips.  The optional ``tally`` (a
+        :class:`~repro.cache.CacheTally`) collects the call's hit/fetch/trip
+        counts.
 
-        Every provider batch's byte count is reconciled against the
-        requested total — a short read surfaces as
-        :class:`~repro.errors.ShortReadError` rather than silently served
-        zeros, even for provider implementations that do not self-check.
+        Every provider batch is reconciled against its requested lengths —
+        a short read surfaces as :class:`~repro.errors.ShortReadError`
+        rather than a short result, even for provider implementations that
+        do not self-check.
 
         ``failover`` (aligned with ``requests``) carries each page's full
         replica tuple, primary first.  When a provider's batch fails — it
@@ -316,84 +321,69 @@ class ProviderManager:
         ``peer_lookup`` (``peer_lookup(cache_key) -> bytes | None``, see
         :class:`repro.cache.PeerCacheGroup`) is consulted for each request
         the OWN cache missed, *before* any provider wave: a peer hit is
-        deposited into the destination view, write-through-cached locally
-        and counted in ``peer_tally`` — it never travels from a provider
-        and never counts in ``tally.fetched``.  Requires the cache path
-        (``cache`` + ``cache_key``) so the probe keys exist.
+        returned, write-through-cached locally and counted in
+        ``peer_tally`` — it never travels from a provider and never counts
+        in ``tally.fetched``.  Requires the cache path (``cache`` +
+        ``cache_key``) so the probe keys exist.
         """
         if not requests:
-            return 0
-        misses: Sequence[tuple[str, str, int, memoryview]] = requests
-        miss_failover = list(failover) if failover is not None else None
-        miss_keys: list | None = None
+            return [], 0
+        payloads: list = [None] * len(requests)
+        # Indices of the requests no cache served.
+        misses: list[int] = list(range(len(requests)))
+        keys: list | None = None
         if cache is not None and cache_key is not None:
             keys = [
-                cache_key(page_id, offset, len(out))
-                for _provider_id, page_id, offset, out in requests
+                cache_key(page_id, offset, length)
+                for _provider_id, page_id, offset, length in requests
             ]
-            cached = cache.get_many(keys)
-            misses, miss_keys, kept_failover = [], [], []
-            for index, (request, key, value) in enumerate(
-                zip(requests, keys, cached)
-            ):
-                if value is None:
-                    misses.append(request)
-                    miss_keys.append(key)
-                    if miss_failover is not None:
-                        kept_failover.append(miss_failover[index])
-                else:
-                    out = request[3]
-                    out[:] = value
-            if miss_failover is not None:
-                miss_failover = kept_failover
+            payloads = cache.get_many(keys)
+            misses = [index for index, value in enumerate(payloads) if value is None]
             if tally is not None:
                 tally.hits += len(requests) - len(misses)
             if not misses:
-                return 0
+                return payloads, 0
             if peer_lookup is not None:
                 # Cooperative peer caching (DESIGN.md §9): a co-located
                 # client's cache is one cheap hop away — probe it for each
                 # own-cache miss before paying a provider round.  Peer hits
-                # are deposited directly, cached locally, and never enter a
-                # provider wave (so they count in ``peer_tally``, not in
+                # are returned, cached locally, and never enter a provider
+                # wave (so they count in ``peer_tally``, not in
                 # ``tally.fetched``).
-                kept_misses, kept_keys, kept_failover = [], [], []
+                kept: list[int] = []
                 with span("data.peer_probe", probes=len(misses)) as probe_span:
-                    for index, (request, key) in enumerate(
-                        zip(misses, miss_keys)
-                    ):
-                        value = peer_lookup(key)
+                    for index in misses:
+                        value = peer_lookup(keys[index])
                         if value is None:
-                            kept_misses.append(request)
-                            kept_keys.append(key)
-                            if miss_failover is not None:
-                                kept_failover.append(miss_failover[index])
+                            kept.append(index)
                             continue
-                        out = request[3]
-                        out[:] = value
-                        cache.put(key, bytes(value))
+                        payloads[index] = value
+                        cache.put(keys[index], value)
                         if peer_tally is not None:
                             peer_tally.hits += 1
                     if probe_span is not None:
-                        probe_span.set(hits=len(misses) - len(kept_misses))
-                misses, miss_keys = kept_misses, kept_keys
-                if miss_failover is not None:
-                    miss_failover = kept_failover
+                        probe_span.set(hits=len(misses) - len(kept))
+                misses = kept
                 if not misses:
-                    return 0
-        # One entry per outstanding miss: [page_id, offset, out, replicas,
-        # next-replica index, recorded primary].  Requests whose batch fails
-        # re-enter the next wave pointed at their next replica.  The replica
-        # order is ranked (suspects last) when routing is enabled; the
-        # recorded primary is kept so ``degraded`` still means "served by a
-        # non-primary replica" whatever order the replicas were tried in.
+                    return payloads, 0
+        # One entry per outstanding miss: [page_id, offset, length, replicas,
+        # next-replica index, recorded primary, request index].  Requests
+        # whose batch fails re-enter the next wave pointed at their next
+        # replica.  The replica order is ranked (suspects last) when routing
+        # is enabled; the recorded primary is kept so ``degraded`` still
+        # means "served by a non-primary replica" whatever order the
+        # replicas were tried in.
         outstanding: list[list] = []
-        for index, (provider_id, page_id, offset, out) in enumerate(misses):
+        for index in misses:
+            provider_id, page_id, offset, length = requests[index]
             replicas: tuple[str, ...] = (provider_id,)
-            if miss_failover is not None and miss_failover[index]:
-                replicas = tuple(miss_failover[index])
+            if failover is not None and failover[index]:
+                replicas = tuple(failover[index])
             outstanding.append(
-                [page_id, offset, out, self._ranked(replicas), 0, replicas[0]]
+                [
+                    page_id, offset, length, self._ranked(replicas), 0,
+                    replicas[0], index,
+                ]
             )
         total_trips = 0
         wave = 0
@@ -412,7 +402,7 @@ class ProviderManager:
                 outcomes = await self._dispatch_batches_async(
                     "page_fetch",
                     groups,
-                    lambda provider, batch: provider.multi_fetch_into(
+                    lambda provider, batch: provider.multi_fetch(
                         [(entry[0], entry[1], entry[2]) for entry in batch]
                     ),
                     runtime,
@@ -424,15 +414,17 @@ class ProviderManager:
                 error: Exception | None = None
                 if isinstance(outcome, Exception):
                     error = outcome
-                else:
-                    expected = sum(len(entry[2]) for entry in batch)
-                    if outcome != expected:
-                        error = ShortReadError(
-                            f"batched fetch from provider {provider_id!r}",
-                            expected=expected,
-                            actual=int(outcome),
-                        )
+                elif len(outcome) != len(batch) or any(
+                    len(payload) != entry[2] for payload, entry in zip(outcome, batch)
+                ):
+                    error = ShortReadError(
+                        f"batched fetch from provider {provider_id!r}",
+                        expected=sum(entry[2] for entry in batch),
+                        actual=sum(len(payload) for payload in outcome),
+                    )
                 if error is None:
+                    for entry, payload in zip(batch, outcome):
+                        payloads[entry[6]] = payload
                     if fault_tally is not None:
                         fault_tally.degraded += sum(
                             1 for entry in batch if provider_id != entry[5]
@@ -452,19 +444,14 @@ class ProviderManager:
             if first_error is not None:
                 raise first_error
             outstanding = requeued
-        if miss_keys is not None:
-            # Write-through AFTER every batch landed: the views now hold the
-            # fetched bytes, and a failed call caches nothing.
-            cache.put_many(
-                [
-                    (key, bytes(request[3]))
-                    for key, request in zip(miss_keys, misses)
-                ]
-            )
+        if keys is not None:
+            # Write-through AFTER every batch landed, so a failed call
+            # caches nothing.  The fetched objects are cached as they are.
+            cache.put_many([(keys[index], payloads[index]) for index in misses])
         if tally is not None:
             tally.fetched += len(misses)
             tally.trips += total_trips
-        return total_trips
+        return payloads, total_trips
 
     async def multi_store_replicated_async(
         self,

@@ -85,12 +85,15 @@ class SimRuntime:
                 payload_bytes=cfg.metadata_node_size * count,
             )
         # page_store batch: (item_index, page_id, payload) per page;
-        # page_fetch batch: [page_id, offset, out, ...] per requested range.
-        move = net.multi_push if leg == "page_store" else net.multi_fetch
+        # page_fetch batch: [page_id, offset, length, ...] per requested range.
+        if leg == "page_store":
+            move, nbytes = net.multi_push, sum(len(item[2]) for item in batch)
+        else:
+            move, nbytes = net.multi_fetch, sum(item[2] for item in batch)
         return move(
             self._node,
             dep.node_for_provider(endpoint_id),
-            sum(len(item[2]) for item in batch),
+            nbytes,
             count=count,
             item_service_time=cfg.page_service_time,
         )

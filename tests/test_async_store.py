@@ -14,6 +14,7 @@ histories — one code path, two execution modes, same observable behaviour.
 
 from __future__ import annotations
 
+import array
 import asyncio
 import threading
 from dataclasses import replace
@@ -661,3 +662,133 @@ class TestFailedReadLeavesNothingBehind:
             return asyncio.all_tasks() - {asyncio.current_task()}
 
         assert asyncio.run(scenario()) == set()
+
+
+SYNC_AND_LOOP = [
+    pytest.param(SyncRuntime, run_sync, id="sync"),
+    pytest.param(AsyncRuntime, asyncio.run, id="async"),
+]
+
+
+class TestOneCopyReads:
+    """A READ copies each byte once: providers and caches hand back the
+    immutable page payloads themselves, ``read_ex`` joins them and
+    ``read_into`` copies them into the caller's buffer."""
+
+    @staticmethod
+    def _store(make_runtime, run, pages: int):
+        """An unleased store with dedicated caches over a published blob of
+        ``pages`` pages: ``(store, node_cache, page_cache, blob_id, version,
+        payload)``."""
+        node_cache, page_cache = NodeCache(), PageCache()
+        store = AsyncBlobStore(
+            small_cluster(), node_cache=node_cache, page_cache=page_cache,
+            lease_versions=False, runtime=make_runtime(),
+        )
+        payload = make_payload(pages * TEST_PAGE_SIZE, seed=26)
+
+        async def write():
+            blob_id = await store.create()
+            version = await store.write(blob_id, payload, 0)
+            await store.sync(blob_id, version)
+            return blob_id, version
+
+        blob_id, version = run(write())
+        return store, node_cache, page_cache, blob_id, version, payload
+
+    @pytest.mark.parametrize(("make_runtime", "run"), SYNC_AND_LOOP)
+    def test_cold_full_page_read_hands_back_the_stored_object(
+        self, make_runtime, run
+    ):
+        store, _nodes, pages, blob_id, version, payload = self._store(
+            make_runtime, run, 1
+        )
+        pages.clear()
+        data, stats = run(store.read_ex(blob_id, version, 0, TEST_PAGE_SIZE))
+        assert data == payload
+        assert (stats.page_cache_hits, stats.data_round_trips) == (0, 1)
+        cluster = store._cluster
+        (provider,) = [
+            p for p in cluster.provider_manager.providers() if p.page_count()
+        ]
+        (page_id,) = provider.page_ids()
+        stored = provider._store._pages[page_id]
+        # No copy anywhere: the cache entry and the result ARE the page.
+        assert pages.get(cluster.page_cache_key(page_id, 0, TEST_PAGE_SIZE)) is stored
+        assert data is stored
+
+    @pytest.mark.parametrize(("make_runtime", "run"), SYNC_AND_LOOP)
+    def test_read_into_matches_read_ex_bytes_and_stats(self, make_runtime, run):
+        store, nodes, pages, blob_id, version, payload = self._store(
+            make_runtime, run, 6
+        )
+        offset, size = TEST_PAGE_SIZE // 2 + 3, 4 * TEST_PAGE_SIZE + 5
+        for cold in (True, False):
+            if cold:
+                nodes.clear()
+                pages.clear()
+            data, expected = run(store.read_ex(blob_id, version, offset, size))
+            if cold:
+                nodes.clear()
+                pages.clear()
+            out = bytearray(size)
+            stats = run(store.read_into(blob_id, version, offset, out))
+            assert out == data == payload[offset:offset + size]
+            assert stats == expected
+            assert (stats.page_cache_hits == 0) == cold
+
+    def test_read_into_fills_any_writable_buffer(self):
+        store, _nodes, _pages, blob_id, version, payload = self._store(
+            SyncRuntime, run_sync, 3
+        )
+        words = array.array("H", bytes(2 * TEST_PAGE_SIZE))
+        stats = run_sync(store.read_into(blob_id, version, 5, words))
+        assert stats.bytes_read == 2 * TEST_PAGE_SIZE
+        assert words.tobytes() == payload[5:5 + 2 * TEST_PAGE_SIZE]
+        # A window of a larger buffer: the bytes around it stay untouched.
+        backing = bytearray(b"#" * (TEST_PAGE_SIZE + 20))
+        window = memoryview(backing)[10:10 + TEST_PAGE_SIZE]
+        run_sync(store.read_into(blob_id, version, 7, window))
+        window.release()
+        assert backing[10:-10] == payload[7:7 + TEST_PAGE_SIZE]
+        assert backing[:10] == backing[-10:] == b"#" * 10
+        empty = run_sync(store.read_into(blob_id, version, 0, bytearray()))
+        assert empty.bytes_read == 0
+
+    def test_read_only_buffer_raises_before_any_io(self):
+        store, nodes, pages, blob_id, version, _payload = self._store(
+            SyncRuntime, run_sync, 2
+        )
+        providers = store._cluster.provider_manager.providers()
+
+        def io_counters():
+            fetched = sum(provider.stats().get_requests for provider in providers)
+            return nodes.stats(), pages.stats(), fetched
+
+        before = io_counters()
+        with pytest.raises(TypeError):
+            run_sync(store.read_into(blob_id, version, 0, bytes(TEST_PAGE_SIZE)))
+        with pytest.raises(TypeError):
+            run_sync(store.read_into(blob_id, version, 0, [0] * 8))
+        bridge = BlobStore(store._cluster, node_cache=nodes, page_cache=pages)
+        with pytest.raises(TypeError):
+            bridge.read_into(blob_id, version, 0, b"x" * 8)
+        assert io_counters() == before
+
+    @pytest.mark.parametrize(("make_runtime", "run"), SYNC_AND_LOOP)
+    def test_mutating_the_caller_buffer_leaves_the_cache_intact(
+        self, make_runtime, run
+    ):
+        store, _nodes, pages, blob_id, version, payload = self._store(
+            make_runtime, run, 2
+        )
+        pages.clear()
+        out = bytearray(TEST_PAGE_SIZE)
+        run(store.read_into(blob_id, version, 0, out))
+        out[:] = b"\xff" * TEST_PAGE_SIZE
+        data, stats = run(store.read_ex(blob_id, version, 0, TEST_PAGE_SIZE))
+        assert (stats.page_cache_hits, stats.data_round_trips) == (1, 0)
+        assert data == payload[:TEST_PAGE_SIZE]
+        again = bytearray(TEST_PAGE_SIZE)
+        run(store.read_into(blob_id, version, 0, again))
+        assert again == payload[:TEST_PAGE_SIZE]

@@ -3,7 +3,7 @@
 Mirrors ``test_batch_metadata.py`` one layer down: the same three concerns,
 now for pages instead of tree nodes:
 
-* the provider multi-ops — ``multi_fetch_into``/``multi_store`` must be
+* the provider multi-ops — ``multi_fetch``/``multi_store`` must be
   byte-for-byte equivalent to the per-page loop, count one batch per
   request, and fail whole batches on a dead provider;
 * the provider-manager grouping — requests are grouped into one batch per
@@ -37,19 +37,6 @@ from .conftest import TEST_PAGE_SIZE, make_payload, run_inline
 PAGE = TEST_PAGE_SIZE
 
 
-def provider_fetch(provider, requests):
-    """One ``DataProvider.multi_fetch_into`` batch over ``(page_id, offset,
-    length)`` requests; returns the payloads aligned with ``requests``."""
-    outs = [bytearray(length) for _page_id, _offset, length in requests]
-    provider.multi_fetch_into(
-        [
-            (page_id, offset, memoryview(out))
-            for (page_id, offset, _length), out in zip(requests, outs)
-        ]
-    )
-    return [bytes(out) for out in outs]
-
-
 def manager_store(manager, items, runtime=None):
     """Single-home batched store of ``(provider_id, page_id, payload)``
     items through the manager; returns the per-provider batch count."""
@@ -64,16 +51,7 @@ def manager_store(manager, items, runtime=None):
 def manager_fetch(manager, requests, runtime=None):
     """Batched fetch of ``(provider_id, page_id, offset, length)`` requests
     through the manager; returns ``(payloads, batch count)``."""
-    outs = [bytearray(length) for *_request, length in requests]
-    trips = run_inline(
-        manager.multi_fetch_into_async,
-        [
-            (provider_id, page_id, offset, memoryview(out))
-            for (provider_id, page_id, offset, _length), out in zip(requests, outs)
-        ],
-        runtime,
-    )
-    return [bytes(out) for out in outs], trips
+    return run_inline(manager.multi_fetch_into_async, requests, runtime)
 
 
 def per_page_read(cluster, store, blob_id, version, offset, size):
@@ -112,9 +90,7 @@ class TestProviderMultiOps:
         provider = DataProvider("data-0000")
         items = [(f"p{i}", bytes([i]) * (10 + i)) for i in range(6)]
         provider.multi_store(items)
-        payloads = provider_fetch(
-            provider, [(pid, 0, len(data)) for pid, data in items]
-        )
+        payloads = provider.multi_fetch([(pid, 0, len(data)) for pid, data in items])
         assert payloads == [data for _, data in items]
 
     def test_batch_equals_per_page_loop(self):
@@ -125,7 +101,7 @@ class TestProviderMultiOps:
         for page_id, data in items:
             looped.store_page(page_id, data)
         requests = [(f"p{i}", 3, 7) for i in range(5)]
-        assert provider_fetch(batched, requests) == [
+        assert batched.multi_fetch(requests) == [
             looped.fetch_page(pid, offset=off, length=length)
             for pid, off, length in requests
         ]
@@ -140,7 +116,7 @@ class TestProviderMultiOps:
     def test_empty_batches_are_free(self):
         provider = DataProvider("data-0000")
         provider.multi_store([])
-        assert provider.multi_fetch_into([]) == 0
+        assert provider.multi_fetch([]) == []
         stats = provider.stats()
         assert stats.batch_put_requests == 0
         assert stats.batch_get_requests == 0
@@ -150,11 +126,11 @@ class TestProviderMultiOps:
         provider.multi_store([("p0", b"x"), ("p1", b"y")])
         provider.kill()
         with pytest.raises(ProviderUnavailableError):
-            provider_fetch(provider, [("p0", 0, 1)])
+            provider.multi_fetch([("p0", 0, 1)])
         with pytest.raises(ProviderUnavailableError):
             provider.multi_store([("p2", b"z")])
         provider.revive()
-        assert provider_fetch(provider, [("p0", 0, 1), ("p1", 0, 1)]) == [
+        assert provider.multi_fetch([("p0", 0, 1), ("p1", 0, 1)]) == [
             b"x", b"y",
         ]
 
@@ -162,41 +138,42 @@ class TestProviderMultiOps:
         provider = DataProvider("data-0000")
         provider.store_page("p0", b"x")
         with pytest.raises(PageNotFoundError):
-            provider_fetch(provider, [("p0", 0, 1), ("ghost", 0, 1)])
+            provider.multi_fetch([("p0", 0, 1), ("ghost", 0, 1)])
 
     def test_full_page_batched_reads_verify_checksums(self):
         provider = DataProvider("data-0000", verify_checksums=True)
         provider.multi_store([("p0", b"payload-bytes")])
         # Full-page reads verify, whether the length is explicit or open.
         assert provider.fetch_page("p0") == b"payload-bytes"
-        assert provider_fetch(provider, [("p0", 0, 13)]) == [b"payload-bytes"]
+        assert provider.multi_fetch([("p0", 0, 13)]) == [b"payload-bytes"]
         provider._store._pages["p0"] = b"corrupted-byte"[:13]
         with pytest.raises(IntegrityError):
             provider.fetch_page("p0")
         with pytest.raises(IntegrityError):
-            provider_fetch(provider, [("p0", 0, 13)])
+            provider.multi_fetch([("p0", 0, 13)])
         # Partial reads cannot verify and still pass through.
-        assert provider_fetch(provider, [("p0", 1, 4)]) == [b"orru"]
+        assert provider.multi_fetch([("p0", 1, 4)]) == [b"orru"]
 
 
 class TestShortReads:
-    """Zero-copy short reads must raise, never silently serve zeros.
+    """Short reads must raise, never silently serve short or zero-filled
+    data.
 
-    Regression tests for the PR 5 bugfix: ``multi_fetch_into`` used to do
-    ``out[:len(data)] = data`` and count ``len(data)``, leaving the tail of
-    the destination view untouched when a stored page was truncated — the
-    caller then returned those zero bytes as blob content.
+    Regression tests for the PR 5 bugfix: the batched fetch used to copy
+    ``len(data)`` bytes into a zeroed destination and count them, so a
+    truncated stored page came back with a tail of zeros served as blob
+    content.  Payloads are now returned as they are, and every length is
+    reconciled against its request.
     """
 
     def test_truncated_page_raises_instead_of_serving_zeros(self):
         provider = DataProvider("data-0000")
         provider.store_page("p0", b"x" * 64)
         # Simulate truncation: the store now holds fewer bytes than the
-        # leaf metadata (and hence the request window) promises.
+        # leaf metadata (and hence the request length) promises.
         provider._store.put("p0", b"x" * 40)
-        out = bytearray(64)
         with pytest.raises(ShortReadError):
-            provider.multi_fetch_into([("p0", 0, memoryview(out))])
+            provider.multi_fetch([("p0", 0, 64)])
 
     def test_truncated_page_raises_on_checksum_verify_path_too(self):
         provider = DataProvider("data-0000", verify_checksums=True)
@@ -205,31 +182,28 @@ class TestShortReads:
         # reconciliation can catch the truncation — the verify path used to
         # be the one silently zero-filling.
         provider._store.put("p0", b"y" * 40)
-        out = bytearray(64)
         with pytest.raises(ShortReadError):
-            provider.multi_fetch_into([("p0", 0, memoryview(out))])
+            provider.multi_fetch([("p0", 0, 64)])
 
     def test_intact_page_still_reads_full_window(self):
         provider = DataProvider("data-0000")
         provider.store_page("p0", b"z" * 64)
-        out = bytearray(16)
-        written = provider.multi_fetch_into([("p0", 8, memoryview(out))])
-        assert written == 16 and bytes(out) == b"z" * 16
+        assert provider.multi_fetch([("p0", 8, 16)]) == [b"z" * 16]
 
     def test_manager_reconciles_batch_byte_counts(self):
         # Even a provider implementation that does NOT self-check cannot
-        # smuggle a short batch past the manager: the per-batch byte count
-        # is reconciled against the requested total.
+        # smuggle a short batch past the manager: every payload length is
+        # reconciled against its request.
         manager = ProviderManager()
         provider = DataProvider("data-0000")
         provider.store_page("p0", b"w" * 64)
         manager.register(provider)
-        provider.multi_fetch_into = lambda requests: 3  # claims a short batch
+        provider.multi_fetch = lambda requests: [b"www"]  # a short payload
         with pytest.raises(ShortReadError):
-            run_inline(
-                manager.multi_fetch_into_async,
-                [("data-0000", "p0", 0, memoryview(bytearray(8)))],
-            )
+            manager_fetch(manager, [("data-0000", "p0", 0, 8)])
+        provider.multi_fetch = lambda requests: []  # a payload missing
+        with pytest.raises(ShortReadError):
+            manager_fetch(manager, [("data-0000", "p0", 0, 8)])
 
     def test_end_to_end_read_surfaces_truncation(self, store, cluster, blob_id):
         payload = make_payload(4 * PAGE, seed=11)

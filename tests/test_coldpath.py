@@ -305,9 +305,9 @@ class _RecordingProvider(DataProvider):
         super().__init__(provider_id)
         self._log = log
 
-    def multi_fetch_into(self, requests):
+    def multi_fetch(self, requests):
         self._log.append(self.provider_id)
-        return super().multi_fetch_into(requests)
+        return super().multi_fetch(requests)
 
 
 class TestRequeueRerank:
@@ -336,19 +336,14 @@ class TestRequeueRerank:
 
     @staticmethod
     def fetch(manager):
-        out_x, out_y = bytearray(PAGE), bytearray(PAGE)
         tally = FaultTally()
-        trips = run_inline(
+        payloads, trips = run_inline(
             manager.multi_fetch_into_async,
-            [
-                ("p0", "page-x", 0, memoryview(out_x)),
-                ("p1", "page-y", 0, memoryview(out_y)),
-            ],
+            [("p0", "page-x", 0, PAGE), ("p1", "page-y", 0, PAGE)],
             failover=[("p0", "p1", "p2"), ("p1", "p2")],
             fault_tally=tally,
         )
-        assert bytes(out_x) == b"x" * PAGE
-        assert bytes(out_y) == b"y" * PAGE
+        assert payloads == [b"x" * PAGE, b"y" * PAGE]
         return trips, tally
 
     def test_suspected_provider_is_tried_last_on_requeue(self):

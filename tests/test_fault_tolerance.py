@@ -174,12 +174,10 @@ class TestRetryPolicy:
         )
         manager.register(provider)
         provider.kill()
-        out = bytearray(PAGE)
-        trips = run_inline(
-            manager.multi_fetch_into_async,
-            [("data-0000", "page-1", 0, memoryview(out))],
+        payloads, trips = run_inline(
+            manager.multi_fetch_into_async, [("data-0000", "page-1", 0, PAGE)]
         )
-        assert bytes(out) == b"x" * PAGE
+        assert payloads == [b"x" * PAGE]
         assert trips == 1
 
 

@@ -65,6 +65,19 @@ class TestPageCacheStructure:
         assert cache.get(("ns", "p-011", 0, 100)) == payload
         assert cache.get(("ns", "p-000", 0, 100)) is None
 
+    def test_entry_heavier_than_its_shard_is_not_admitted(self):
+        # Regression: admitting first and evicting after emptied the whole
+        # shard, the oversize entry included.
+        cache = PageCache(max_entries=64, max_bytes=8 * 1024, shards=1)
+        small = [(("ns", f"p{index}", 0, 1024), b"s" * 1024) for index in range(4)]
+        cache.put_many(small)
+        assert (cache.stats().entries, cache.stats().evictions) == (4, 0)
+        cache.put(("ns", "huge", 0, 16 * 1024), b"h" * (16 * 1024))
+        stats = cache.stats()
+        assert (stats.entries, stats.evictions) == (4, 0)
+        assert cache.get(("ns", "huge", 0, 16 * 1024)) is None
+        assert all(cache.get(key) == value for key, value in small)
+
     def test_sub_ranges_of_one_page_share_a_shard_and_discard_together(self):
         cache = PageCache(max_entries=64, max_bytes=64 * 1024, shards=4)
         for offset, length in [(0, 10), (10, 20), (5, 40)]:

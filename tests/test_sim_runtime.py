@@ -133,7 +133,9 @@ class TestCrossRuntimeReads:
     (one batch per level vs. per-bucket branches) and must count alike."""
 
     @staticmethod
-    def _run_script(runtime, run, speculate: bool, with_peer: bool) -> list[tuple]:
+    def _run_script(
+        runtime, run, speculate: bool, with_peer: bool, reader: str = "read_ex"
+    ) -> list[tuple]:
         cluster = Cluster(
             BlobSeerConfig(
                 page_size=READ_PAGE, num_data_providers=4, num_metadata_providers=4,
@@ -169,7 +171,12 @@ class TestCrossRuntimeReads:
                 pages.clear()
             if regime == "half":
                 run(store.read(blob_id, version, offset, size // 2))
-            data, stats = run(store.read_ex(blob_id, version, offset, size))
+            if reader == "read_into":
+                out = bytearray(size)
+                stats = run(store.read_into(blob_id, version, offset, out))
+                data = bytes(out)
+            else:
+                data, stats = run(store.read_ex(blob_id, version, offset, size))
             seen.append((data, stats))
         # The two-range boundary read an unaligned write issues through
         # ``_read_byte_ranges``: cold, then warm.
@@ -214,6 +221,16 @@ class TestCrossRuntimeReads:
         assert bool(peer_hits) == with_peer
         if speculate:
             assert any(stats.speculative_hits for _data, stats in on_loop[:-2])
+
+    @pytest.mark.parametrize("with_peer", [False, True], ids=["alone", "peer"])
+    @pytest.mark.parametrize("speculate", [False, True], ids=["plain", "speculative"])
+    def test_read_into_equals_read_ex_on_both_runtimes(self, speculate, with_peer):
+        for runtime, run in ((SYNC_RUNTIME, run_sync), (AsyncRuntime(), asyncio.run)):
+            joined = self._run_script(runtime, run, speculate, with_peer)
+            copied = self._run_script(
+                runtime, run, speculate, with_peer, reader="read_into"
+            )
+            assert copied == joined
 
 
 class TestVirtualClock:
