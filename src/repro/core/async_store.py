@@ -34,16 +34,17 @@ in ``tests/test_async_store.py`` asserts this across random histories);
 the only intentional divergence is the degraded-write reconciliation trip,
 which can only occur with ``page_replication > 1`` and a mid-write replica
 failure.  In both, an operation yields only where it waits for a backend:
-the metadata descent (``_resolve_ranges``) is cache-first, so a READ the
-caches serve completes without suspending (DESIGN.md §8).
+the metadata descent (``_walk``) is cache-first, so a READ the caches
+serve completes without suspending (DESIGN.md §8).
 
 Each leg of the protocol has ONE implementation here: every WRITE and
 APPEND — aligned, unaligned, strict — runs the single ``_update`` pipeline
 (Algorithm 2: store pages, get a version, weave metadata, notify), every
-tree walk goes through ``_resolve_ranges``, every page fetch through
-``_fetch_pages``, and the runtime is the only execution strategy —
-the version manager's update calls included (``runtime.vm_call``), so the
-simulator's :class:`~repro.sim.runtime.SimRuntime` can put them on its clock.
+tree walk — READ, boundary read, border resolution — goes through
+``_walk``, every page fetch through ``_fetch_pages``, and the runtime is
+the only execution strategy — the version manager's update calls included
+(``runtime.vm_call``), so the simulator's
+:class:`~repro.sim.runtime.SimRuntime` can put them on its clock.
 
 Everything the sync client's docstring says about frontier-parallel
 metadata I/O, provider-parallel data I/O, shared caches and version leases
@@ -64,19 +65,13 @@ from ..cache import (
     PageCache,
     PeerCacheGroup,
     PeerCacheMember,
-    complete_frontier,
     split_frontier,
 )
 from ..errors import InvalidRangeError, StoreClosedError, UpdateAbortedError
-from ..metadata.build import BorderSpec, border_plan, border_targets, build_nodes
+from ..metadata.build import BorderSpec, BorderWalker, border_targets, build_nodes
 from ..metadata.geometry import pages_for_size, span_for_pages, validate_node_range
 from ..metadata.node import LeafNode, NodeKey, NodeRef, PageDescriptor, TreeNode
-from ..metadata.read_plan import (
-    FrontierWalker,
-    ReadPlanResult,
-    adrive_plan,
-    plan_walker,
-)
+from ..metadata.read_plan import FrontierWalker, ReadPlanResult, plan_walker
 from ..obs.trace import span
 from ..providers.provider_manager import FaultTally
 from ..util.ranges import covering_page_range, is_aligned
@@ -101,8 +96,8 @@ class WriteResult:
     #: resolution; nodes served by the shared cache are counted in
     #: ``metadata_cache_hits`` instead.
     border_nodes_fetched: int
-    #: Batched metadata round trips: one per border-plan frontier that had
-    #: at least one cache miss, plus one for the batched publish of the new
+    #: Batched metadata round trips: one per level of the border walk that
+    #: had at least one cache miss, plus one for the batched publish of the new
     #: tree nodes.  A fully cached border resolution costs just the publish.
     #: (An event-loop write that had to reconcile a degraded page adds one
     #: more for the leaf re-put.)
@@ -1070,16 +1065,16 @@ class AsyncBlobStore:
         dangling: list[tuple[int, int]],
         tally: CacheTally | None = None,
     ) -> BorderSpec:
-        plan = border_plan(
+        """Resolve the update's border versions (Algorithm 4) by the same
+        cache-first descent as READ, over the last published tree."""
+        walker = BorderWalker(
             needed,
             dangling,
             ticket.published_version if ticket.published_version else None,
             ticket.published_num_pages,
             ticket.inflight_tuples(),
         )
-        return await adrive_plan(
-            plan, lambda refs: self._fetch_frontier(record, refs, tally)
-        )
+        return await self._walk(record, walker, tally, None, None)
 
     # --------------------------------------------------------- metadata reads
     @staticmethod
@@ -1115,30 +1110,6 @@ class AsyncBlobStore:
                 cache_keys, miss_indices, nodes, peer_tally
             )
         return cache_keys, nodes, miss_indices
-
-    async def _fetch_frontier(
-        self,
-        record: BlobRecord,
-        refs: list[NodeRef],
-        tally: CacheTally | None = None,
-    ) -> list[TreeNode]:
-        """Resolve one frontier of the write side's border plan, branch
-        lineage included: hits come from the shared
-        :class:`~repro.cache.NodeCache` (tree nodes are immutable, so a
-        cached copy is always valid), the misses travel in one
-        bucket-grouped multi-get and are written through on the way back —
-        a frontier of pure hits costs zero round trips."""
-        cache_keys, nodes, miss_indices = self._split_frontier(record, refs, tally)
-        if miss_indices:
-            with span("meta.fetch", nodes=len(miss_indices)):
-                fetched = await self._meta.get_nodes_async(
-                    self._node_keys(record, [refs[index] for index in miss_indices]),
-                    self._runtime,
-                )
-            complete_frontier(
-                self._cache, cache_keys, miss_indices, fetched, nodes, tally
-            )
-        return nodes
 
     def _peer_fill_nodes(
         self,
@@ -1189,12 +1160,15 @@ class AsyncBlobStore:
     async def _walk(
         self,
         record: BlobRecord,
-        walker: FrontierWalker,
+        walker: FrontierWalker | BorderWalker,
         tally: CacheTally | None,
         spec: _Speculation | None,
         peer_tally: CacheTally | None,
-    ) -> ReadPlanResult:
-        """Drive ``walker`` to the leaves, cache first (DESIGN.md §8): each
+    ) -> ReadPlanResult | BorderSpec:
+        """Drive ``walker`` — a READ's or boundary read's
+        :class:`~repro.metadata.read_plan.FrontierWalker`, or an update's
+        :class:`~repro.metadata.build.BorderWalker` — to the end of its
+        descent and return its ``result``, cache first (DESIGN.md §8): each
         frontier is split against the node cache (then the peer group),
         every hit is expanded on the spot and the walk steps down WITHOUT
         awaiting anything — a descent the caches serve completes inside its
@@ -1230,7 +1204,7 @@ class AsyncBlobStore:
         its level's fetch, so only the ``speculative_*`` counters differ.
         """
         runtime = self._runtime
-        result = walker.result
+        depth = 0
         miss_levels: set[int] = set()
 
         def issue_predictions(missed_refs: list[NodeRef]) -> None:
@@ -1284,9 +1258,10 @@ class AsyncBlobStore:
 
         async def descend(refs: list[NodeRef], level: int) -> None:
             """Walk ``refs`` down to the leaves; suspends only on a miss."""
+            nonlocal depth
             while refs:
-                if level >= result.round_trips:
-                    result.round_trips = level + 1
+                if level >= depth:
+                    depth = level + 1
                 for ref in refs:
                     validate_node_range(ref.offset, ref.size)
                 cache_keys, nodes, miss_indices = self._split_frontier(
@@ -1415,6 +1390,8 @@ class AsyncBlobStore:
             await handle.result()
         if tally is not None:
             tally.trips += len(miss_levels)
+        result = walker.result
+        result.round_trips = depth
         return result
 
     # ----------------------------------------------------------- cache plumbing

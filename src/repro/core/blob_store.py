@@ -32,12 +32,12 @@ version manager, walks the segment tree of the requested snapshot through
 the metadata DHT, then fetches the needed (parts of) pages from the data
 providers.
 
-Metadata I/O is *frontier-parallel*: the sans-IO planners
-(:func:`repro.metadata.read_plan.read_plan`,
-:func:`repro.metadata.build.border_plan`) yield one
-:class:`~repro.metadata.node.Frontier` of independent node fetches per tree
-level, and the store resolves each frontier with one batched DHT multi-get
-(grouped by bucket, one bucket-lock acquisition per batch).  Likewise, an
+Metadata I/O is *frontier-parallel*: the sans-IO walkers
+(:class:`repro.metadata.read_plan.FrontierWalker`,
+:class:`repro.metadata.build.BorderWalker`) expand one tree level of
+independent node fetches at a time, and the store resolves each level's
+cache misses with one batched DHT multi-get (grouped by bucket, one
+bucket-lock acquisition per batch).  Likewise, an
 update publishes all of its new tree nodes in one batched multi-put —
 Algorithm 4 line 34's "in parallel", for real.  Metadata round trips per
 READ/WRITE are therefore O(tree depth) = O(log pages), not O(nodes

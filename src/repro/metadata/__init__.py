@@ -3,10 +3,11 @@
 Metadata is organized as a segment tree per snapshot version; nodes are
 shared between versions ("weaving") and stored in a DHT.  The algorithms are
 implemented *sans-IO*: tree traversal and border-node discovery are
-generators that yield batched node-fetch requests (:class:`Frontier` — one
-batch per tree level), and tree construction is a pure function.  The
-threaded client (:mod:`repro.core`) and the discrete-event simulator
-(:mod:`repro.sim`) drive the exact same code.
+walkers that decide which nodes to fetch and never fetch them, stepped by
+the client's cache-first descent (:mod:`repro.core`) or by the level-order
+generator :func:`walk_plan`, which yields batched node-fetch requests
+(:class:`Frontier` — one batch per tree level); tree construction is a pure
+function.
 """
 
 from .node import (
@@ -30,13 +31,13 @@ from .geometry import (
 from .read_plan import (
     ReadPlanResult,
     drive_plan,
-    multi_range_read_plan,
     read_plan,
+    walk_plan,
 )
 from .build import (
     BorderSpec,
+    BorderWalker,
     BuildResult,
-    border_plan,
     border_targets,
     build_nodes,
 )
@@ -59,11 +60,11 @@ __all__ = [
     "validate_node_range",
     "ReadPlanResult",
     "drive_plan",
-    "multi_range_read_plan",
     "read_plan",
+    "walk_plan",
     "BorderSpec",
+    "BorderWalker",
     "BuildResult",
-    "border_plan",
     "border_targets",
     "build_nodes",
     "MetadataProvider",

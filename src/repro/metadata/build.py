@@ -15,10 +15,12 @@ The three pieces are:
 
 * :func:`border_targets` — which border child ranges need a version, and
   which are dangling (no older pages underneath);
-* :func:`border_plan` — a generator resolving the needed versions: in-flight
-  ranges first, then a descent of the published tree (yields one
-  :class:`~repro.metadata.node.Frontier` of batched node fetches per tree
-  level, like :func:`repro.metadata.read_plan.read_plan`);
+* :class:`BorderWalker` — resolves the needed versions: in-flight ranges
+  first, then a descent of the published tree.  It is a walker, like
+  :class:`~repro.metadata.read_plan.FrontierWalker`: it decides which
+  nodes to fetch and never fetches them, so the engine's one cache-first
+  descent (``AsyncBlobStore._walk``) and the level-order generator
+  :func:`repro.metadata.read_plan.walk_plan` both drive it;
 * :func:`build_nodes` — a pure function materializing every new tree node
   bottom-up.
 """
@@ -26,12 +28,12 @@ The three pieces are:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Generator, Sequence
+from collections.abc import Sequence
 
 from ..errors import ConcurrencyError, InvalidRangeError, MetadataNotFoundError
 from ..util.ranges import intersects
 from .geometry import children_of, node_ranges_covering, span_for_pages
-from .node import Frontier, InnerNode, LeafNode, NodeRef, PageDescriptor, TreeNode
+from .node import InnerNode, LeafNode, NodeRef, PageDescriptor, TreeNode
 
 
 @dataclass
@@ -103,14 +105,12 @@ def border_targets(
     return needed, dangling
 
 
-def border_plan(
-    targets: Sequence[tuple[int, int]],
-    dangling: Sequence[tuple[int, int]],
-    published_version: int | None,
-    published_num_pages: int,
-    inflight: Sequence[tuple[int, int, int]],
-) -> Generator[NodeRef, TreeNode, BorderSpec]:
-    """Resolve the versions of all border child ranges.
+class BorderWalker:
+    """Resolve the versions of all border child ranges, as a walker over
+    the most recently *published* tree — the same interface
+    (``root_refs`` / ``expand`` / ``note_fetched`` / ``result``) as
+    :class:`~repro.metadata.read_plan.FrontierWalker`, so one driver runs
+    both descents.
 
     Parameters
     ----------
@@ -126,97 +126,99 @@ def border_plan(
         (paper, Section 4.2): their metadata may not be readable yet, but
         their version numbers and ranges are known.
 
-    The generator yields node fetches against the *published* tree only.
+    Dangling and in-flight targets are resolved on construction.  The walk
+    then descends the published tree only into nodes that *strictly*
+    contain a remaining target; a target equal to a child range is resolved
+    from the parent's pointer without fetching it.  The decision reads the
+    static target set, and border targets are disjoint, so expansion does
+    not depend on the order sibling nodes arrive in.
     """
-    spec = BorderSpec()
-    for child in dangling:
-        spec.versions[child] = None
 
-    unresolved: list[tuple[int, int]] = []
-    for child in targets:
-        child_offset, child_size = child
-        candidates = [
-            version
-            for version, upd_offset, upd_count in inflight
-            if intersects(upd_offset, upd_count, child_offset, child_size)
-        ]
-        if candidates:
-            spec.versions[child] = max(candidates)
-        else:
-            unresolved.append(child)
-
-    if not unresolved:
-        return spec
-    if published_version is None or published_num_pages <= 0:
-        raise ConcurrencyError(
-            "border subtrees need an older version but no snapshot is published "
-            f"and no in-flight update covers them: {unresolved!r}"
+    def __init__(
+        self,
+        targets: Sequence[tuple[int, int]],
+        dangling: Sequence[tuple[int, int]],
+        published_version: int | None,
+        published_num_pages: int,
+        inflight: Sequence[tuple[int, int, int]],
+    ):
+        spec = BorderSpec()
+        for child in dangling:
+            spec.versions[child] = None
+        unresolved: list[tuple[int, int]] = []
+        for child in targets:
+            child_offset, child_size = child
+            candidates = [
+                version
+                for version, upd_offset, upd_count in inflight
+                if intersects(upd_offset, upd_count, child_offset, child_size)
+            ]
+            if candidates:
+                spec.versions[child] = max(candidates)
+            else:
+                unresolved.append(child)
+        if unresolved and (published_version is None or published_num_pages <= 0):
+            raise ConcurrencyError(
+                "border subtrees need an older version but no snapshot is published "
+                f"and no in-flight update covers them: {unresolved!r}"
+            )
+        self._spec = spec
+        self._targets = frozenset(unresolved)
+        self._root = NodeRef(
+            published_version, 0, span_for_pages(published_num_pages)
         )
 
-    published_span = span_for_pages(published_num_pages)
-    remaining = set(unresolved)
-    # Descend the published tree level by level, only entering subtrees that
-    # still contain an unresolved target.  A target equal to a node's range
-    # is resolved by the version recorded in the parent pointer we followed,
-    # so only nodes with a strictly-smaller unresolved target need fetching —
-    # and all fetches of one level are batched into a single frontier.
-    level: list[NodeRef] = [NodeRef(published_version, 0, published_span)]
-    while level and remaining:
-        for ref in level:
-            current = (ref.offset, ref.size)
-            if current in remaining:
-                spec.versions[current] = ref.version
-                remaining.discard(current)
-        to_fetch = [
-            ref
-            for ref in level
-            if ref.size > 1
-            and any(
-                _strictly_inside(target, (ref.offset, ref.size))
-                for target in remaining
-            )
-        ]
-        if not to_fetch:
-            break
-        nodes = yield Frontier(tuple(to_fetch))
-        spec.round_trips += 1
-        spec.nodes_fetched += len(to_fetch)
-        next_level: list[NodeRef] = []
-        for ref, node in zip(to_fetch, nodes):
-            if not isinstance(node, InnerNode):
-                raise MetadataNotFoundError(
-                    f"expected an inner node at ({ref.offset}, {ref.size}) "
-                    "while resolving border nodes"
-                )
-            (left_offset, left_size), (right_offset, right_size) = children_of(
-                ref.offset, ref.size
-            )
-            if node.left_version is not None and any(
-                _inside(target, (left_offset, left_size)) for target in remaining
-            ):
-                next_level.append(NodeRef(node.left_version, left_offset, left_size))
-            if node.right_version is not None and any(
-                _inside(target, (right_offset, right_size)) for target in remaining
-            ):
-                next_level.append(NodeRef(node.right_version, right_offset, right_size))
-        level = next_level
+    def root_refs(self) -> list[NodeRef]:
+        """The published root, if a remaining target lies strictly inside."""
+        return self._follow(self._root) if self._targets else []
 
-    if remaining:
-        raise ConcurrencyError(
-            f"could not resolve border versions for subtrees: {sorted(remaining)!r}"
+    def _follow(self, ref: NodeRef) -> list[NodeRef]:
+        """Resolve ``ref`` if it IS a target; ``[ref]`` if it must be fetched
+        because a target lies strictly inside it; else nothing."""
+        current = (ref.offset, ref.size)
+        if current in self._targets:
+            self._spec.versions[current] = ref.version
+            return []
+        end = ref.offset + ref.size
+        for offset, size in self._targets:
+            if ref.offset <= offset and offset + size <= end:
+                return [ref]
+        return []
+
+    def note_fetched(self, count: int) -> None:
+        """Account *count* nodes that arrived from a resolved fetch."""
+        self._spec.nodes_fetched += count
+
+    def expand(self, ref: NodeRef, node: TreeNode) -> list[NodeRef]:
+        """Consume one fetched inner node: resolve the targets its children
+        are, return the children that still contain one."""
+        if not isinstance(node, InnerNode):
+            raise MetadataNotFoundError(
+                f"expected an inner node at ({ref.offset}, {ref.size}) "
+                "while resolving border nodes"
+            )
+        (left_offset, left_size), (right_offset, right_size) = children_of(
+            ref.offset, ref.size
         )
-    return spec
+        children: list[NodeRef] = []
+        if node.left_version is not None:
+            children += self._follow(NodeRef(node.left_version, left_offset, left_size))
+        if node.right_version is not None:
+            children += self._follow(
+                NodeRef(node.right_version, right_offset, right_size)
+            )
+        return children
 
-
-def _inside(target: tuple[int, int], container: tuple[int, int]) -> bool:
-    """True when *target* lies within *container* (possibly equal)."""
-    t_offset, t_size = target
-    c_offset, c_size = container
-    return c_offset <= t_offset and t_offset + t_size <= c_offset + c_size
-
-
-def _strictly_inside(target: tuple[int, int], container: tuple[int, int]) -> bool:
-    return _inside(target, container) and target != container
+    @property
+    def result(self) -> BorderSpec:
+        """The resolved spec, once the walk is over: the one place a target
+        the published tree did not reach raises :class:`ConcurrencyError`."""
+        missing = self._targets - self._spec.versions.keys()
+        if missing:
+            raise ConcurrencyError(
+                f"could not resolve border versions for subtrees: {sorted(missing)!r}"
+            )
+        return self._spec
 
 
 def build_nodes(
@@ -242,7 +244,7 @@ def build_nodes(
         One :class:`PageDescriptor` per written page; must cover the update
         range exactly.
     borders:
-        Resolved border versions (see :func:`border_plan`).
+        Resolved border versions (see :class:`BorderWalker`).
 
     Returns the new nodes bottom-up; the last entry is always the new root.
     """

@@ -16,33 +16,38 @@ round trip per tree level — O(log pages) trips — rather than one synchronous
 round trip per node.  ``ReadPlanResult.round_trips`` counts the frontiers so
 callers can report the metadata round-trip cost of a READ.
 
-:func:`multi_range_read_plan` generalizes the traversal to several disjoint
-page ranges in a *single* tree walk (used for the boundary pages of
-unaligned writes, which need old bytes from the first and last page of the
-update without traversing the metadata in between).
+The decisions live in *walkers* that never fetch anything: a
+:class:`FrontierWalker` covers several disjoint page ranges in a *single*
+tree walk (the boundary pages of an unaligned write need old bytes from its
+first and last page without traversing the metadata in between), and
+:class:`~repro.metadata.build.BorderWalker` resolves an update's border
+nodes.  :func:`walk_plan` is the level-order generator over either one.
 
 Drivers:
 
-* the client engine expands a :class:`FrontierWalker` directly in its one
-  cache-first descent (``AsyncBlobStore._resolve_ranges``: a level served
-  by the caches is stepped over without an await), and awaits
-  :func:`adrive_plan` only for the write side's border plan;
-* tools and reference models call :func:`drive_plan` with a synchronous
-  ``fetch_many`` — or a per-node ``fetch``, which also serves ad-hoc plans
-  that yield bare :class:`NodeRef` requests;
-* the discrete-event simulator advances the same generator, charging one
-  (parallel) network round trip per frontier.
+* the client engine steps a walker directly in its one cache-first descent
+  (``AsyncBlobStore._walk``: a level served by the caches is stepped over
+  without an await) — READ, the boundary reads of unaligned updates and
+  border resolution alike;
+* tools and reference models call :func:`drive_plan` on a generator with a
+  synchronous ``fetch_many``, or a per-node ``fetch``;
+* the discrete-event simulator's READ advances :func:`read_plan`, charging
+  one (parallel) network round trip per frontier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Callable, Generator, Sequence
+from typing import TYPE_CHECKING
 
 from ..errors import InvalidRangeError, MetadataNotFoundError
 from ..util.ranges import intersects
 from .geometry import children_of, is_leaf_range, validate_node_range
 from .node import Frontier, InnerNode, LeafNode, NodeRef, PageDescriptor, TreeNode
+
+if TYPE_CHECKING:
+    from .build import BorderSpec, BorderWalker
 
 
 @dataclass
@@ -79,35 +84,31 @@ def read_plan(
     into one :class:`Frontier`.  Dangling child pointers (``None``) are never
     followed: a read bounded by the snapshot size never needs them.
     """
-    return multi_range_read_plan(root_version, span, [(page_offset, page_count)])
+    return walk_plan(plan_walker(root_version, span, [(page_offset, page_count)]))
 
 
-def multi_range_read_plan(
-    root_version: int,
-    span: int,
-    ranges: Sequence[tuple[int, int]],
-) -> Generator[Frontier, Sequence[TreeNode], ReadPlanResult]:
-    """Plan one combined, level-order traversal covering several disjoint
-    page ranges.
-
-    Equivalent to running :func:`read_plan` once per range, but nodes shared
-    between the ranges' root-to-leaf paths are fetched once and every tree
-    level is still resolved in a single frontier, keeping the round-trip
-    count at O(tree depth) regardless of how many ranges are requested.
-    """
-    walker = plan_walker(root_version, span, ranges)
+def walk_plan(
+    walker: FrontierWalker | BorderWalker,
+) -> Generator[Frontier, Sequence[TreeNode], ReadPlanResult | BorderSpec]:
+    """Step ``walker`` level by level: yield each tree level as one
+    :class:`Frontier`, be sent its nodes, and return ``walker.result`` with
+    ``round_trips`` = the number of frontiers — O(tree depth) whatever the
+    number of ranges or targets."""
     frontier = walker.root_refs()
+    round_trips = 0
     while frontier:
         for ref in frontier:
             validate_node_range(ref.offset, ref.size)
         nodes = yield Frontier(tuple(frontier))
-        walker.result.round_trips += 1
+        round_trips += 1
         walker.note_fetched(len(frontier))
         next_frontier: list[NodeRef] = []
         for ref, node in zip(frontier, nodes):
             next_frontier.extend(walker.expand(ref, node))
         frontier = next_frontier
-    return walker.result
+    result = walker.result
+    result.round_trips = round_trips
+    return result
 
 
 class FrontierWalker:
@@ -117,7 +118,7 @@ class FrontierWalker:
     Holds the pure decision logic of Algorithm 3 — which children of a
     fetched node the requested ranges still want, leaf-descriptor
     collection, traversal accounting — WITHOUT any notion of when fetches
-    happen.  The generator (:func:`multi_range_read_plan`) expands one whole
+    happen.  The generator (:func:`walk_plan`) expands one whole
     level at a time; the driver in
     :class:`~repro.core.async_store.AsyncBlobStore` expands cache hits on
     the spot and, on a pipelined runtime, each bucket-group of nodes the
@@ -221,9 +222,8 @@ def plan_walker(
     root_version: int, span: int, ranges: Sequence[tuple[int, int]]
 ) -> FrontierWalker:
     """A validated :class:`FrontierWalker` for *ranges* — the one range check
-    behind :func:`read_plan`, :func:`multi_range_read_plan` and the
-    engine's descent: every non-empty range must lie inside the tree's
-    span."""
+    behind :func:`read_plan` and the engine's descent: every non-empty range
+    must lie inside the tree's span."""
     active = [(offset, count) for offset, count in ranges if count > 0]
     if active and span <= 0:
         raise InvalidRangeError("cannot read from an empty snapshot")
@@ -242,57 +242,23 @@ def drive_plan(
 ):
     """Run a sans-IO plan to completion with a synchronous fetch function.
 
-    Works for any generator following the "yield a request, receive a value,
-    return a result" protocol (both :func:`read_plan` and
-    :func:`repro.metadata.build.border_plan`).  Requests may be single
-    :class:`NodeRef` objects or :class:`Frontier` batches:
-
-    * a :class:`Frontier` is resolved with ``fetch_many(refs)`` when given —
-      one batched round trip per tree level — or by mapping ``fetch`` over
-      its refs otherwise;
-    * a bare :class:`NodeRef` is resolved with ``fetch`` (or a one-element
-      ``fetch_many`` call).
+    Works for any generator that yields :class:`Frontier` batches, is sent
+    the nodes aligned with each batch's refs, and returns a result
+    (:func:`read_plan`, :func:`walk_plan` over either walker).  A frontier
+    is resolved with ``fetch_many(refs)`` when given — one batched round
+    trip per tree level — or by mapping the per-node ``fetch`` over its
+    refs otherwise.
     """
     if fetch is None and fetch_many is None:
         raise TypeError("drive_plan needs a fetch or fetch_many function")
     try:
-        request = next(plan)
-        while True:
-            if isinstance(request, Frontier):
-                refs = list(request.refs)
-                if fetch_many is not None:
-                    value = list(fetch_many(refs))
-                else:
-                    value = [fetch(ref) for ref in refs]
-                if len(value) != len(refs):
-                    raise MetadataNotFoundError(
-                        f"frontier fetch returned {len(value)} nodes "
-                        f"for {len(refs)} refs"
-                    )
-            elif fetch is not None:
-                value = fetch(request)
-            else:
-                value = fetch_many([request])[0]
-            request = plan.send(value)
-    except StopIteration as stop:
-        return stop.value
-
-
-async def adrive_plan(plan: Generator, fetch_many):
-    """Awaitable :func:`drive_plan` over a batched async ``fetch_many``, for
-    plans that yield :class:`Frontier` batches (every in-tree plan does).
-
-    Resolves the plan strictly level by level (one awaited fetch per
-    frontier) — the traversal order, node set and round-trip accounting are
-    identical to the sync driver's.  The engine drives the write side's
-    border plan with it; its READ descent lives in the client (it needs the
-    caches and placement grouping), not here.
-    """
-    try:
         frontier = next(plan)
         while True:
             refs = list(frontier.refs)
-            nodes = list(await fetch_many(refs))
+            if fetch_many is not None:
+                nodes = list(fetch_many(refs))
+            else:
+                nodes = [fetch(ref) for ref in refs]
             if len(nodes) != len(refs):
                 raise MetadataNotFoundError(
                     f"frontier fetch returned {len(nodes)} nodes "

@@ -164,5 +164,6 @@ class UpdateTicket:
         return pages_for_size(self.published_size, self.page_size)
 
     def inflight_tuples(self) -> list[tuple[int, int, int]]:
-        """In-flight updates as plain tuples for :func:`border_plan`."""
+        """In-flight updates as plain tuples for
+        :class:`~repro.metadata.build.BorderWalker`."""
         return [update.as_tuple() for update in self.inflight]

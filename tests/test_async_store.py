@@ -34,6 +34,7 @@ from repro.aio import AsyncRuntime, SyncRuntime, run_sync
 from repro.cache import NodeCache, PageCache
 from repro.config import BlobSeerConfig
 from repro.errors import ProviderUnavailableError
+from repro.metadata.node import NodeKey
 
 from .conftest import TEST_PAGE_SIZE, make_payload
 
@@ -635,33 +636,64 @@ class TestSuspensionBudget:
 
 
 class TestFailedReadLeavesNothingBehind:
-    """A read that raises cancels and awaits every branch and speculative
-    fetch it started; the loop holds nothing of it afterwards."""
+    """A tree walk that raises — a read's, or the border walk of a write —
+    cancels and awaits every branch and speculative fetch it started; the
+    loop holds nothing of it afterwards."""
 
-    @pytest.mark.parametrize("speculate", [False, True], ids=["plain", "speculative"])
-    def test_no_task_outlives_a_failed_read(self, speculate):
+    @pytest.mark.parametrize("case", ["plain", "speculative", "border_write"])
+    def test_no_task_outlives_a_failed_read(self, case):
         cluster = Cluster(
             BlobSeerConfig(
                 page_size=1024, num_data_providers=4, num_metadata_providers=4,
-                speculative_prefetch=speculate,
+                speculative_prefetch=case == "speculative",
             ),
             node_cache=NodeCache(),
         )
+        scenario = self._border_write if case == "border_write" else self._read
+        assert asyncio.run(scenario(cluster)) == set()
 
-        async def scenario():
-            store = AsyncBlobStore(cluster)
-            blob_id = await store.create()
-            for seed in range(4):
-                payload = make_payload(64 * 1024, seed=seed)
-                version = await store.append(blob_id, payload)
-            await store.sync(blob_id, version)
-            cluster.node_cache.clear()
-            cluster.kill_metadata_bucket("meta-0001")
-            with pytest.raises(ProviderUnavailableError):
-                await store.read(blob_id, version, 0, 256 * 1024)
-            return asyncio.all_tasks() - {asyncio.current_task()}
+    @staticmethod
+    async def _read(cluster):
+        store = AsyncBlobStore(cluster)
+        blob_id = await store.create()
+        for seed in range(4):
+            payload = make_payload(64 * 1024, seed=seed)
+            version = await store.append(blob_id, payload)
+        await store.sync(blob_id, version)
+        cluster.node_cache.clear()
+        cluster.kill_metadata_bucket("meta-0001")
+        with pytest.raises(ProviderUnavailableError):
+            await store.read(blob_id, version, 0, 256 * 1024)
+        return asyncio.all_tasks() - {asyncio.current_task()}
 
-        assert asyncio.run(scenario()) == set()
+    @staticmethod
+    async def _border_write(cluster):
+        """A cold write of pages 3-6 ending mid-page: its boundary read walks
+        only the path to page 6, so the published (0, 4) node — on a dead
+        bucket — is fetched by the border walk alone.  The write's abort
+        must reach the version manager: once the bucket is back, the next
+        append publishes."""
+        store = AsyncBlobStore(cluster)
+        blob_id = await store.create()
+        version = await store.append(blob_id, make_payload(8 * 1024))
+        await store.sync(blob_id, version)
+
+        def bucket(offset, size):
+            key = NodeKey(blob_id, version, offset, size).to_string()
+            return cluster.dht.buckets_for(key)[0]
+
+        victim = bucket(0, 4)
+        boundary_path = [(0, 8), (4, 4), (6, 2), (6, 1)]
+        assert victim not in {bucket(*node) for node in boundary_path}
+        cluster.node_cache.clear()
+        cluster.kill_metadata_bucket(victim)
+        with pytest.raises(ProviderUnavailableError):
+            await store.write_ex(blob_id, make_payload(3 * 1024 + 100), 3 * 1024)
+        leftovers = asyncio.all_tasks() - {asyncio.current_task()}
+        cluster.revive_metadata_bucket(victim)
+        after = await store.append(blob_id, b"tail")
+        await asyncio.wait_for(store.sync(blob_id, after), timeout=10)
+        return leftovers
 
 
 SYNC_AND_LOOP = [

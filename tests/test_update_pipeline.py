@@ -7,7 +7,10 @@ APPEND kind runs the same code, under both runtimes.
 * regression tests for the reference-snapshot rule (DESIGN.md §6): an
   update that needs exact boundary bytes waits for its nearest NON-ABORTED
   predecessor, so an aborted predecessor neither zeroes an in-flight
-  append's bytes nor cascades its abort into the next strict writer.
+  append's bytes nor cascades its abort into the next strict writer;
+* the rule's stated edge: a non-strict unaligned WRITE completes its page
+  from the last *published* snapshot, so it may drop an in-flight earlier
+  writer's bytes in that page, and ``strict_unaligned`` keeps them.
 """
 
 from __future__ import annotations
@@ -30,16 +33,21 @@ RUNTIMES = pytest.mark.parametrize(
 
 #: kind -> (strict_unaligned, sizes of the appends that set the blob up,
 #: operation, offset, size, expected (vm_round_trips, data_round_trips,
-#: metadata_round_trips, pages_written)).  Cold store (no node/page cache),
-#: leases on, 8 providers, 64-byte pages; the numbers are what the commit
-#: before the merge returned under either runtime.
+#: metadata_round_trips, pages_written, border_nodes_fetched)).  Cold store
+#: (no node/page cache), leases on, 8 providers, 64-byte pages; the first
+#: four numbers are what the commit before the merge returned under either
+#: runtime, the last what the level-by-level border plan fetched before the
+#: border walk moved onto the engine's pipelined descent.  The cold store
+#: makes this the one table where that walk fetches from the DHT.
 UPDATE_KINDS = {
-    "aligned_write": (False, [4 * PAGE], "write", PAGE, 2 * PAGE, (2, 2, 3, 2)),
-    "unaligned_write": (False, [4 * PAGE], "write", 30, 100, (2, 5, 3, 3)),
-    "strict_write_at_v1": (True, [], "write", 0, 100, (3, 2, 1, 2)),
-    "strict_write_later": (True, [4 * PAGE], "write", 30, 100, (3, 5, 3, 3)),
-    "aligned_append": (False, [4 * PAGE], "append", None, 2 * PAGE, (2, 2, 1, 2)),
-    "unaligned_append": (False, [100], "append", None, 50, (3, 3, 2, 2)),
+    "aligned_write": (False, [4 * PAGE], "write", PAGE, 2 * PAGE, (2, 2, 3, 2, 3)),
+    "unaligned_write": (False, [4 * PAGE], "write", 30, 100, (2, 5, 3, 3, 2)),
+    "strict_write_at_v1": (True, [], "write", 0, 100, (3, 2, 1, 2, 0)),
+    "strict_write_later": (True, [4 * PAGE], "write", 30, 100, (3, 5, 3, 3, 2)),
+    "aligned_append": (
+        False, [4 * PAGE], "append", None, 2 * PAGE, (2, 2, 1, 2, 0)
+    ),
+    "unaligned_append": (False, [100], "append", None, 50, (3, 3, 2, 2, 1)),
 }
 
 
@@ -92,22 +100,29 @@ def test_update_kinds_keep_bytes_and_trip_counters(kind, event_loop):
         result.data_round_trips,
         result.metadata_round_trips,
         result.pages_written,
+        result.border_nodes_fetched,
     ) == expected
 
 
 def open_engine(cluster: Cluster, event_loop: bool, **knobs):
-    """``(engine, append)``: the async core on the requested runtime, plus a
-    coroutine function running one APPEND *concurrently* with the caller —
-    a task on the loop, or the blocking sync bridge on a worker thread."""
+    """``(engine, update)``: the async core on the requested runtime, plus a
+    coroutine function running one update (``update("append", blob_id,
+    data)`` or ``update("write", blob_id, data, offset)``) *concurrently*
+    with the caller — a task on the loop, or the blocking sync bridge on a
+    worker thread.  Returns the update's version."""
     if event_loop:
         engine = AsyncBlobStore(cluster, **knobs)
-        return engine, engine.append
+
+        async def update(method, *args):
+            return await getattr(engine, method)(*args)
+
+        return engine, update
     bridge = BlobStore(cluster, **knobs)
 
-    async def append(blob_id, data):
+    async def update(method, *args):
         versions = []
         worker = threading.Thread(
-            target=lambda: versions.append(bridge.append(blob_id, data)),
+            target=lambda: versions.append(getattr(bridge, method)(*args)),
             daemon=True,  # a failing test must not hang on a blocked SYNC
         )
         worker.start()
@@ -115,7 +130,7 @@ def open_engine(cluster: Cluster, event_loop: bool, **knobs):
             await asyncio.sleep(0.01)
         return versions[0]
 
-    return bridge._engine, append
+    return bridge._engine, update
 
 
 async def finish_by_hand(engine, record, ticket, data, reference_version):
@@ -140,7 +155,7 @@ def test_unaligned_append_after_an_abort_keeps_an_inflight_appends_bytes(
     async def scenario():
         cluster = make_cluster(page_size=16)
         vm = cluster.version_manager
-        engine, append = open_engine(cluster, event_loop)
+        engine, update = open_engine(cluster, event_loop)
         blob_id = await engine.create()
         v1 = await engine.append(blob_id, b"A" * 10)
         await engine.sync(blob_id, v1)
@@ -148,7 +163,7 @@ def test_unaligned_append_after_an_abort_keeps_an_inflight_appends_bytes(
         ticket2 = vm.register_update(blob_id, 3, is_append=True)  # in flight
         ticket3 = vm.register_update(blob_id, 2, is_append=True)
         vm.abort_update(blob_id, ticket3.version, "writer died")
-        appending = asyncio.ensure_future(append(blob_id, b"D" * 4))
+        appending = asyncio.ensure_future(update("append", blob_id, b"D" * 4))
         # Long enough for an append that does NOT wait for v2 to finish.
         await asyncio.sleep(0.2)
         await finish_by_hand(engine, record, ticket2, b"B" * 3, reference_version=1)
@@ -169,7 +184,7 @@ def test_strict_write_after_an_aborted_predecessor_publishes(event_loop):
     async def scenario():
         cluster = make_cluster(page_size=16)
         vm = cluster.version_manager
-        engine, _append = open_engine(cluster, event_loop, strict_unaligned=True)
+        engine, _update = open_engine(cluster, event_loop, strict_unaligned=True)
         blob_id = await engine.create()
         v1 = await engine.append(blob_id, b"a" * 20)
         await engine.sync(blob_id, v1)
@@ -182,3 +197,33 @@ def test_strict_write_after_an_aborted_predecessor_publishes(event_loop):
     v3, data = asyncio.run(scenario())
     assert v3 == 3
     assert data == b"a" * 5 + b"XYZ" + b"a" * 12
+
+
+@RUNTIMES
+@pytest.mark.parametrize("strict", [False, True], ids=["published", "strict"])
+def test_unaligned_write_into_an_inflight_writers_page(strict, event_loop):
+    """v2 (in flight) writes ``XX`` and v3 writes ``YY`` into the same
+    16-byte page.  Non-strict, v3 completes the page from v1, the last
+    *published* snapshot, and v2's bytes are lost as specified (DESIGN.md
+    §6); strict, v3 waits for v2 and keeps them."""
+
+    async def scenario():
+        cluster = make_cluster(page_size=16)
+        vm = cluster.version_manager
+        engine, update = open_engine(cluster, event_loop, strict_unaligned=strict)
+        blob_id = await engine.create()
+        v1 = await engine.append(blob_id, b"a" * 16)
+        await engine.sync(blob_id, v1)
+        record = vm.get_record(blob_id)
+        ticket2 = vm.register_update(blob_id, 2, offset=2)  # in flight
+        writing = asyncio.ensure_future(update("write", blob_id, b"YY", 10))
+        # Long enough for a write that does NOT wait for v2 to finish.
+        await asyncio.sleep(0.2)
+        await finish_by_hand(engine, record, ticket2, b"XX", reference_version=1)
+        v3 = await asyncio.wait_for(writing, timeout=10)
+        await engine.sync(blob_id, v3)
+        return v3, await engine.read(blob_id, v3, 0, 16)
+
+    v3, data = asyncio.run(scenario())
+    assert v3 == 3
+    assert data == (b"aaXXaaaaaaYYaaaa" if strict else b"aaaaaaaaaaYYaaaa")
