@@ -52,7 +52,6 @@ _HIGHER_IS_BETTER = (
     "page_cache_hit_rate",
     "warm_page_cache_hit_rate",
     "speculative_hit_rate",
-    "peer_cache_hit_rate",
 )
 
 #: Metrics where smaller is better (gate on growth): round-trip and

@@ -27,10 +27,8 @@ its text:
                 degraded reads, replica failovers), and how fast background
                 repair drains the under-replication backlog.
 * ABL-coldpath — the cold-read optimizations of DESIGN.md §9 one at a time
-                (speculative frontier prefetch, cache-aware replica routing,
-                cooperative peer caching): each piece alone must not regress
-                the cold baseline, and a hot-page scenario shows peer caches
-                diffusing a flash crowd off the page's home provider.
+                (speculative frontier prefetch, cache-aware replica routing):
+                each piece alone must not regress the cold baseline.
 """
 
 from __future__ import annotations
@@ -978,62 +976,46 @@ def run_ablation_churn(scale: str = "small") -> ExperimentResult:
 
 
 # ----------------------------------------------------------------- ABL-coldpath
-#: (providers, page_size, blob_bytes, chunk_bytes, readers, hot_readers) per
-#: scale: the toggle sweep reads ``readers`` disjoint chunks; the hot-page
-#: scenario sends ``hot_readers`` concurrent clients at one popular page.
+#: (providers, page_size, blob_bytes, chunk_bytes, readers) per scale: the
+#: toggle sweep reads ``readers`` disjoint chunks.
 _COLDPATH_PRESETS = {
-    "small": (24, 64 * KiB, 256 * MiB, 8 * MiB, 12, 12),
-    "default": (60, 64 * KiB, 1024 * MiB, 16 * MiB, 30, 24),
-    "paper": (173, 64 * KiB, 8 * 1024 * MiB, 64 * MiB, 100, 48),
+    "small": (24, 64 * KiB, 256 * MiB, 8 * MiB, 12),
+    "default": (60, 64 * KiB, 1024 * MiB, 16 * MiB, 30),
+    "paper": (173, 64 * KiB, 8 * 1024 * MiB, 64 * MiB, 100),
 }
 
-#: The one-at-a-time toggle sweep of the three cold-path pieces.
+#: The one-at-a-time toggle sweep of the two cold-path pieces.
 _COLDPATH_REGIMES = (
     ("baseline", {}),
     ("+prefetch", {"speculative_prefetch": True}),
     ("+routing", {"replica_routing": True}),
-    ("+peer", {"peer_caching": True}),
-    ("all-on", {
-        "speculative_prefetch": True,
-        "replica_routing": True,
-        "peer_caching": True,
-    }),
+    ("all-on", {"speculative_prefetch": True, "replica_routing": True}),
 )
 
 
 def run_ablation_coldpath(scale: str = "small") -> ExperimentResult:
-    """The three cold-read optimizations of DESIGN.md §9, one at a time.
+    """The two cold-read optimizations of DESIGN.md §9, one at a time.
 
-    Two workloads on replicated deployments (pages on 5 providers,
-    metadata buckets on 3 — the fig2b benchmark config):
-
-    * **disjoint-chunks** — the fig2b cold pass (``readers`` concurrent
-      clients, each a distinct chunk) per toggle regime: every piece alone
-      must be at least as fast as the all-off baseline, and all-on must
-      beat every single piece.  Peer caching legitimately reports a ~0 hit
-      rate here — disjoint readers share no pages — which is exactly why
-      it must also be a no-op in cost.
-    * **hot-page** — a flash crowd: one machine reads a page, then
-      ``hot_readers`` co-located clients on other machines hit the same
-      page at once.  Without peer caching they all queue on the page's
-      single home provider; with it the crowd is served by peer caches
-      (cheap software path, no marshalling), so the average client sees
-      higher bandwidth and the provider sees no requests at all.
+    The fig2b cold pass (``readers`` concurrent clients, each a distinct
+    chunk) on a replicated deployment (pages on 5 providers, metadata
+    buckets on 3 — the fig2b benchmark config), per toggle regime: every
+    piece alone must be at least as fast as the all-off baseline, and
+    all-on must beat every single piece.
     """
     check_scale(scale)
-    (providers, page_size, blob_bytes, chunk_bytes, readers,
-     hot_readers) = _COLDPATH_PRESETS[scale]
+    providers, page_size, blob_bytes, chunk_bytes, readers = (
+        _COLDPATH_PRESETS[scale]
+    )
     result = ExperimentResult(
         "ABL-coldpath",
-        "Cold-read path: speculative prefetch, replica routing and peer "
-        "caching, each piece alone vs all together",
+        "Cold-read path: speculative prefetch and replica routing, each "
+        "piece alone vs both together",
     )
 
     for regime, toggles in _COLDPATH_REGIMES:
         knobs = {
             "speculative_prefetch": False,
             "replica_routing": False,
-            "peer_caching": False,
             **toggles,
         }
         sample = run_read_concurrency_experiment(
@@ -1048,74 +1030,17 @@ def run_ablation_coldpath(scale: str = "small") -> ExperimentResult:
             **knobs,
         )[0]
         result.add(
-            workload="disjoint-chunks",
             regime=regime,
             readers=readers,
             avg_bandwidth_mbps=sample.avg_bandwidth_mbps,
             cold_meta_latency=sample.avg_meta_latency * 1e3,
             data_trips_per_read=sample.avg_data_round_trips,
             speculative_hit_rate=sample.speculative_hit_rate,
-            peer_cache_hit_rate=sample.peer_cache_hit_rate,
-        )
-
-    # The hot-page flash crowd: unreplicated pages (one home provider) so
-    # the contention the peers absorb is visible, everything else off.
-    for regime, peer_on in (("peer-off", False), ("peer-on", True)):
-        deployment = SimDeployment(
-            num_provider_nodes=providers,
-            page_size=page_size,
-            co_locate_clients=True,
-            speculative_prefetch=False,
-            replica_routing=False,
-            peer_caching=peer_on,
-        )
-        blob_id = deployment.create_blob()
-        version = deployment.populate_blob(blob_id, 16 * page_size)
-        # One machine fetches the page the normal way and write-through
-        # caches it; the crowd then hits the same page from other machines.
-        deployment.simulator.run_process(
-            SimClient(deployment, 0).read_process(blob_id, version, 0, page_size)
-        )
-        deployment.reset_timing()
-        simulator = deployment.simulator
-        crowd = [
-            simulator.process(
-                SimClient(deployment, index).read_process(
-                    blob_id, version, 0, page_size
-                )
-            )
-            for index in range(1, hot_readers + 1)
-        ]
-        simulator.run()
-        outcomes = [process.event.value for process in crowd]
-        result.add(
-            workload="hot-page",
-            regime=regime,
-            readers=hot_readers,
-            avg_bandwidth_mbps=sum(
-                outcome.bandwidth for outcome in outcomes
-            ) / len(outcomes) / MiB,
-            cold_meta_latency=sum(
-                outcome.meta_latency for outcome in outcomes
-            ) / len(outcomes) * 1e3,
-            data_trips_per_read=sum(
-                outcome.data_round_trips for outcome in outcomes
-            ) / len(outcomes),
-            speculative_hit_rate=0.0,
-            peer_cache_hit_rate=sum(
-                outcome.peer_cache_hits for outcome in outcomes
-            ) / sum(outcome.pages_fetched for outcome in outcomes),
         )
     result.note(
-        "disjoint-chunks: each piece alone must be >= baseline "
-        "avg_bandwidth_mbps (non-regression) and all-on the fastest; "
-        "cold_meta_latency is in milliseconds and roughly halves under "
-        "+prefetch (two tree levels per round trip)"
-    )
-    result.note(
-        "hot-page: with peer caching the crowd's reads are served by "
-        "co-located peer caches (peer_cache_hit_rate 1.0, "
-        "data_trips_per_read 0) instead of queueing on the page's single "
-        "home provider — cooperative caching diffuses flash crowds"
+        "each piece alone must be >= baseline avg_bandwidth_mbps "
+        "(non-regression) and all-on the fastest; cold_meta_latency is in "
+        "milliseconds and roughly halves under +prefetch (two tree levels "
+        "per round trip)"
     )
     return result

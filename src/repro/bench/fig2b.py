@@ -29,13 +29,12 @@ _PRESETS = {
 #: pages live on 5 providers and metadata buckets on 3, so cache-aware
 #: replica routing has replicas to choose from (a co-located one serves over
 #: the memory bus); speculative frontier prefetch overlaps the metadata
-#: descent's round trips; co-located readers probe each other's page caches.
+#: descent's round trips.
 _COLD_PATH = {
     "page_replication": 5,
     "metadata_replication": 3,
     "speculative_prefetch": True,
     "replica_routing": True,
-    "peer_caching": True,
 }
 
 
@@ -77,7 +76,6 @@ def run_fig2b(scale: str = "small") -> ExperimentResult:
             speculative_hits=sample.avg_speculative_hits,
             speculative_wasted=sample.avg_speculative_wasted,
             speculative_hit_rate=sample.speculative_hit_rate,
-            peer_cache_hit_rate=sample.peer_cache_hit_rate,
             warm_avg_bandwidth_mbps=sample.warm_avg_bandwidth_mbps,
             warm_meta_nodes_per_read=sample.warm_avg_metadata_nodes_fetched,
             warm_meta_trips_per_read=sample.warm_avg_metadata_round_trips,
@@ -114,11 +112,8 @@ def run_fig2b(scale: str = "small") -> ExperimentResult:
         "metadata descent in MILLISECONDS (speculative prefetch roughly "
         "halves it by overlapping two tree levels per round trip); "
         "speculative_hit_rate = consumed speculative fetches over all "
-        "speculative fetches; peer_cache_hit_rate is ~0 here because "
-        "disjoint-chunk readers never share pages — see ABL-coldpath for "
-        "the popular-chunk scenario where peers serve reads; benchmark "
-        "config: page_replication=5, metadata_replication=3, "
-        "speculative_prefetch on"
+        "speculative fetches; benchmark config: page_replication=5, "
+        "metadata_replication=3, speculative_prefetch on"
     )
     return result
 

@@ -7,10 +7,6 @@ Two thin instantiations of one shared sharded-LRU core
   frontier resolution (see :mod:`repro.cache.node_cache`);
 * :class:`PageCache` — immutable page payload ranges, consulted before any
   provider fetch (see :mod:`repro.cache.page_cache`).
-
-:class:`PeerCacheGroup` (:mod:`repro.cache.peer_group`) additionally lets
-co-located clients probe each OTHER's caches before paying a network round
-trip — safe with zero invalidation because everything cached is immutable.
 """
 
 from .node_cache import (
@@ -33,7 +29,6 @@ from .page_cache import (
     set_shared_page_cache,
     shared_page_cache,
 )
-from .peer_group import PeerCacheGroup, PeerCacheMember, PeerCacheStats
 from .sharded_lru import ShardedLRUCache
 
 __all__ = [
@@ -41,9 +36,6 @@ __all__ = [
     "CacheTally",
     "NodeCache",
     "PageCache",
-    "PeerCacheGroup",
-    "PeerCacheMember",
-    "PeerCacheStats",
     "ShardedLRUCache",
     "VirtualPagePayload",
     "complete_frontier",

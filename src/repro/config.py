@@ -48,7 +48,6 @@ DEFAULT_PAGE_CACHE_SHARDS = 8
 FEATURE_KNOBS: tuple[str, ...] = (
     "speculative_prefetch",
     "replica_routing",
-    "peer_caching",
     "tracing",
 )
 
@@ -166,17 +165,13 @@ class BlobSeerConfig:
         equality is only guaranteed with it off.
     replica_routing:
         When True (the default), replicated reads rank the replica set
-        before fetching instead of always starting at replica 0: locally
-        preferred replicas first, :class:`repro.fault.ProviderHealth`
-        suspects last (see :func:`repro.fault.rank_replicas`).  With no
-        locality signal and no suspects the ranking is a stable no-op, so
-        unreplicated deployments behave bit-identically.
-    peer_caching:
-        When True (the default), a store attached to a
-        :class:`repro.cache.PeerCacheGroup` probes co-located peers'
-        caches for immutable nodes and pages before paying a provider
-        round trip (``ReadStats.peer_cache_hits``).  Inert unless a peer
-        group is attached.
+        before fetching instead of always starting at replica 0: the DHT
+        and the data path move suspected buckets and
+        :class:`repro.fault.ProviderHealth` suspects last (see
+        :func:`repro.fault.rank_replicas`), and the simulator's read model
+        serves a replica on the reading machine over the memory bus.  With
+        no suspects the ranking is a stable no-op, so unreplicated
+        deployments behave bit-identically.
     tracing:
         When True, the cluster creates a :class:`repro.obs.Tracer` and
         registers its components as pull sources of the process-wide
@@ -212,7 +207,6 @@ class BlobSeerConfig:
     vm_lease_entries: int = DEFAULT_VM_LEASE_ENTRIES
     speculative_prefetch: bool = False
     replica_routing: bool = True
-    peer_caching: bool = True
     tracing: bool = False
 
     def __post_init__(self) -> None:
@@ -336,16 +330,6 @@ class SimConfig:
     #: a batch but cannot remove this per-page share of the work, which is
     #: what keeps larger pages faster (Figure 2(a)) even with batching.
     page_marshalling_time: float = 0.08e-3
-    #: Fixed framing overhead of one cooperative peer-cache batch probe
-    #: (DESIGN.md §9): a single short RPC to a co-located machine, far
-    #: below the data path's ``rpc_overhead`` because there is no
-    #: marshalling of payload descriptors, just cache keys.
-    peer_rpc_overhead: float = 0.02e-3
-    #: Per-item service time of a peer-cache hit at the serving peer (one
-    #: cache lookup + handing the immutable buffer to the NIC).  Payload
-    #: bytes still cross the network at ``nic_bandwidth``; this replaces
-    #: the provider's ``page_service_time + page_marshalling_time`` share.
-    peer_page_time: float = 0.01e-3
 
     def __post_init__(self) -> None:
         _require(self.nic_bandwidth > 0, "nic_bandwidth must be > 0")
@@ -363,9 +347,6 @@ class SimConfig:
         _require(self.page_service_time >= 0, "page_service_time must be >= 0")
         _require(self.page_marshalling_time >= 0,
                  "page_marshalling_time must be >= 0")
-        _require(self.peer_rpc_overhead >= 0,
-                 "peer_rpc_overhead must be >= 0")
-        _require(self.peer_page_time >= 0, "peer_page_time must be >= 0")
 
 
 #: Simulation profile matching the paper's measured testbed numbers.

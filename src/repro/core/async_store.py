@@ -63,8 +63,6 @@ from ..cache import (
     CacheTally,
     NodeCache,
     PageCache,
-    PeerCacheGroup,
-    PeerCacheMember,
     split_frontier,
 )
 from ..errors import InvalidRangeError, StoreClosedError, UpdateAbortedError
@@ -190,14 +188,6 @@ class ReadStats:
     #: miss-tolerant, never enter the node cache, and are drained before
     #: the read returns.  This is the ONLY counter speculation may change.
     speculative_wasted: int = 0
-    #: Metadata nodes plus page ranges served by a co-located peer's cache
-    #: (see :class:`repro.cache.PeerCacheGroup`) — consulted after the own
-    #: caches miss and before any DHT/provider round.  Peer-served items do
-    #: NOT count in ``metadata_nodes_fetched``/``tally`` fetch counters
-    #: (they never travelled from the service side), so a read fully served
-    #: by peers reports zero round trips on that leg.  Always 0 without an
-    #: attached peer group or with ``peer_caching`` off.
-    peer_cache_hits: int = 0
 
 
 @dataclass
@@ -251,13 +241,6 @@ class AsyncBlobStore:
         I/O.  Defaults to :class:`~repro.aio.AsyncRuntime` (event-loop
         mode: pipelined reads, overlapped writes, loop-parked SYNC).  The
         sync bridge injects a :class:`~repro.aio.SyncRuntime` instead.
-    peer_group:
-        Optional :class:`~repro.cache.PeerCacheGroup` of co-located
-        clients.  When given (and ``config.peer_caching`` is on) the store
-        joins with its node and page caches and probes the peers on every
-        own-cache miss before paying a DHT/provider round trip; peer hits
-        are counted in ``ReadStats.peer_cache_hits``.  Without a group the
-        read path is byte-for-byte the non-peer path.
 
     Use as an async context manager (``async with AsyncBlobStore(c) as s:``)
     or call :meth:`aclose` explicitly; a closed store raises
@@ -275,7 +258,6 @@ class AsyncBlobStore:
         lease_versions: bool = True,
         version_leases: LeaseCache | None = None,
         runtime: IORuntime | None = None,
-        peer_group: PeerCacheGroup | None = None,
     ):
         self._cluster = cluster
         self._vm = cluster.version_manager
@@ -308,25 +290,6 @@ class AsyncBlobStore:
             if lease_versions
             else None
         )
-        # Cooperative peer caching: join the group with THIS store's caches
-        # so probes can exclude them (own cache is always consulted first).
-        # ``peer_caching=False`` makes an attached group inert.
-        self._peers: PeerCacheMember | None = (
-            peer_group.join(node_cache=self._cache, page_cache=self._page_cache)
-            if peer_group is not None
-            and cluster.config.feature_enabled("peer_caching")
-            else None
-        )
-        # Observability (DESIGN.md §11): on a traced cluster, operations
-        # open root spans and publish their result structs as metrics; an
-        # attached peer group additionally becomes a registry pull source.
-        if cluster.metrics is not None and peer_group is not None:
-            cluster.metrics.register_source(
-                "repro.cache.peer",
-                peer_group,
-                lambda group: group.stats(),
-                {"cluster": cluster.cache_namespace},
-            )
 
     # ----------------------------------------------------------- observability
     def _trace_root(self, name: str, **attrs):
@@ -606,19 +569,18 @@ class AsyncBlobStore:
         tree_span = span_for_pages(pages_for_size(snapshot_size, page_size))
         tally = CacheTally()
         # Speculation needs the pipelined descent (one batch per level has
-        # nothing to overlap) and is opt-in; peer probing needs an
-        # attached group.  Both gates leave the default read path intact.
+        # nothing to overlap) and is opt-in; the gate leaves the default
+        # read path intact.
         spec = (
             _Speculation()
             if self._cluster.config.feature_enabled("speculative_prefetch")
             and self._runtime.pipelined
             else None
         )
-        peer_tally = CacheTally() if self._peers is not None else None
         with span("read.meta"):
             plan_result = await self._resolve_ranges(
                 record, version, tree_span, [(page_offset, page_count)], tally,
-                spec=spec, peer_tally=peer_tally,
+                spec=spec,
             )
 
         descriptors = plan_result.sorted_descriptors()
@@ -626,8 +588,7 @@ class AsyncBlobStore:
         fault_tally = FaultTally()
         with span("read.data", pages=len(descriptors)):
             (parts,), data_trips = await self._fetch_pages(
-                record, descriptors, [(offset, size)], page_tally,
-                fault_tally, peer_tally=peer_tally,
+                record, descriptors, [(offset, size)], page_tally, fault_tally
             )
         stats = ReadStats(
             version=version,
@@ -645,7 +606,6 @@ class AsyncBlobStore:
             degraded=fault_tally.degraded,
             speculative_hits=spec.hits if spec is not None else 0,
             speculative_wasted=spec.wasted if spec is not None else 0,
-            peer_cache_hits=peer_tally.hits if peer_tally is not None else 0,
         )
         return parts, stats
 
@@ -823,9 +783,9 @@ class AsyncBlobStore:
             for byte_offset, byte_size in byte_ranges
         ]
         span = span_for_pages(pages_for_size(snapshot_size, page_size))
-        # Write-path border reads: no speculation, no peer probes — border
-        # resolution is tiny (two boundary paths) and must stay identical
-        # across runtimes and toggles.
+        # Write-path border reads: no speculation — border resolution is
+        # tiny (two boundary paths) and must stay identical across runtimes
+        # and toggles.
         plan_result = await self._resolve_ranges(record, version, span, page_ranges)
         parts, data_trips = await self._fetch_pages(
             record, plan_result.sorted_descriptors(), byte_ranges, page_tally
@@ -1074,7 +1034,7 @@ class AsyncBlobStore:
             ticket.published_num_pages,
             ticket.inflight_tuples(),
         )
-        return await self._walk(record, walker, tally, None, None)
+        return await self._walk(record, walker, tally, None)
 
     # --------------------------------------------------------- metadata reads
     @staticmethod
@@ -1094,51 +1054,16 @@ class AsyncBlobStore:
         record: BlobRecord,
         refs: list[NodeRef],
         tally: CacheTally | None,
-        peer_tally: CacheTally | None = None,
     ) -> tuple[list, list[TreeNode | None], list[int]]:
         """What of one frontier still has to travel from the DHT:
         ``(cache_keys, nodes, miss_indices)``, branch lineage resolved.
-        ``nodes`` holds what the own cache — and then, with a peer group
-        attached, the co-located peers' caches — already served;
+        ``nodes`` holds what the node cache already served;
         ``miss_indices`` are the holes.  Every traversal splits a frontier
         here, which is what keeps the counters identical across runtimes."""
         key_of = self._cluster.node_cache_key
         cache_keys = [key_of(resolve_owner(record, ref.version), ref) for ref in refs]
         nodes, miss_indices = split_frontier(self._cache, cache_keys, tally)
-        if miss_indices and peer_tally is not None:
-            miss_indices = self._peer_fill_nodes(
-                cache_keys, miss_indices, nodes, peer_tally
-            )
         return cache_keys, nodes, miss_indices
-
-    def _peer_fill_nodes(
-        self,
-        cache_keys: list,
-        miss_indices: list[int],
-        nodes: list,
-        peer_tally: CacheTally,
-    ) -> list[int]:
-        """Probe the peer group for own-cache misses; fill ``nodes`` in
-        place and return the indices the peers missed too.
-
-        Peer hits are write-through-cached locally (the next read serves
-        them without even the peer hop) and counted ONLY in ``peer_tally``:
-        they never travelled from the DHT, so the fetch/trip tallies — and
-        ``metadata_nodes_fetched`` — exclude them by construction.
-        """
-        remaining: list[int] = []
-        served: list[tuple] = []
-        for index in miss_indices:
-            node = self._peers.probe_node(cache_keys[index])
-            if node is None:
-                remaining.append(index)
-                continue
-            nodes[index] = node
-            served.append((cache_keys[index], node))
-            peer_tally.hits += 1
-        if served and self._cache is not None:
-            self._cache.put_many(served)
-        return remaining
 
     async def _resolve_ranges(
         self,
@@ -1148,13 +1073,12 @@ class AsyncBlobStore:
         page_ranges: list[tuple[int, int]],
         tally: CacheTally | None = None,
         spec: _Speculation | None = None,
-        peer_tally: CacheTally | None = None,
     ) -> ReadPlanResult:
         """Walk snapshot ``version``'s tree down to the leaves of
         ``page_ranges``: the one metadata descent (:meth:`_walk`) behind
         READ and the boundary reads of unaligned updates, on every runtime."""
         return await self._walk(
-            record, plan_walker(version, span, page_ranges), tally, spec, peer_tally
+            record, plan_walker(version, span, page_ranges), tally, spec
         )
 
     async def _walk(
@@ -1163,17 +1087,16 @@ class AsyncBlobStore:
         walker: FrontierWalker | BorderWalker,
         tally: CacheTally | None,
         spec: _Speculation | None,
-        peer_tally: CacheTally | None,
     ) -> ReadPlanResult | BorderSpec:
         """Drive ``walker`` — a READ's or boundary read's
         :class:`~repro.metadata.read_plan.FrontierWalker`, or an update's
         :class:`~repro.metadata.build.BorderWalker` — to the end of its
         descent and return its ``result``, cache first (DESIGN.md §8): each
-        frontier is split against the node cache (then the peer group),
-        every hit is expanded on the spot and the walk steps down WITHOUT
-        awaiting anything — a descent the caches serve completes inside its
-        caller's turn of the loop.  Only a level with misses waits, and only
-        for the I/O it needs:
+        frontier is split against the node cache, every hit is expanded on
+        the spot and the walk steps down WITHOUT awaiting anything — a
+        descent the caches serve completes inside its caller's turn of the
+        loop.  Only a level with misses waits, and only for the I/O it
+        needs:
 
         * ``runtime.pipelined`` false: ONE ``get_nodes_async`` batch for
           the level, then expansion in frontier order — the sync bridge's
@@ -1265,7 +1188,7 @@ class AsyncBlobStore:
                 for ref in refs:
                     validate_node_range(ref.offset, ref.size)
                 cache_keys, nodes, miss_indices = self._split_frontier(
-                    record, refs, tally, peer_tally
+                    record, refs, tally
                 )
                 walker.note_fetched(len(refs))
                 if miss_indices:
@@ -1457,19 +1380,16 @@ class AsyncBlobStore:
         windows: list[tuple[int, int]],
         page_tally: CacheTally | None = None,
         fault_tally: FaultTally | None = None,
-        peer_tally: CacheTally | None = None,
     ) -> tuple[list[list[bytes]], int]:
         """The payloads of every ``(byte_offset, size)`` window — the
         blob's bytes ``[byte_offset, byte_offset + size)`` — from the pages
         of ``descriptors``, with one batched multi-fetch per provider
         covering ALL windows: ``(parts, batches)``, one list of in-order
         parts per window.  Ranges held by the shared page cache never enter
-        a provider batch — a fully cached read costs zero batches.  With a
-        peer group attached (``peer_tally`` given), ranges the own cache
-        missed then probe the co-located peers' page caches before any
-        provider wave.  Each request carries its page's replica tuple, so a
-        failed provider batch fails over to the next live replica (counted
-        in ``fault_tally``) instead of failing the read.
+        a provider batch — a fully cached read costs zero batches.  Each
+        request carries its page's replica tuple, so a failed provider
+        batch fails over to the next live replica (counted in
+        ``fault_tally``) instead of failing the read.
 
         Each request is the part of one page inside one window.  Parts are
         the immutable payloads the providers or caches handed back, not
@@ -1500,9 +1420,6 @@ class AsyncBlobStore:
                 )
                 failover.append(descriptor.provider_ids)
             slices.append((first, len(requests)))
-        peer_lookup = None
-        if peer_tally is not None and self._page_cache is not None:
-            peer_lookup = self._peers.probe_page
         payloads, batches = await self._pm.multi_fetch_into_async(
             requests,
             self._runtime,
@@ -1511,7 +1428,5 @@ class AsyncBlobStore:
             tally=page_tally,
             failover=failover,
             fault_tally=fault_tally,
-            peer_lookup=peer_lookup,
-            peer_tally=peer_tally,
         )
         return [payloads[first:last] for first, last in slices], batches

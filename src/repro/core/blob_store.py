@@ -147,7 +147,6 @@ class BlobStore:
         page_cache: PageCache | None = None,
         lease_versions: bool = True,
         version_leases: LeaseCache | None = None,
-        peer_group=None,
     ):
         self._engine = AsyncBlobStore(
             cluster,
@@ -159,7 +158,6 @@ class BlobStore:
             lease_versions=lease_versions,
             version_leases=version_leases,
             runtime=SYNC_RUNTIME,
-            peer_group=peer_group,
         )
         self._engine._display_name = type(self).__name__
 

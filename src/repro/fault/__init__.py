@@ -11,8 +11,8 @@ the fault-tolerance extensions the reproduction adds on the data leg
   steers page allocation away from providers that keep failing;
 * :class:`RepairService` — a background scan that re-replicates pages that
   lost copies to provider churn, reporting a :class:`RepairReport`;
-* :func:`rank_replicas` — the shared replica-routing score (locality
-  first, suspects last) used by the DHT and data read paths.
+* :func:`rank_replicas` — the shared replica ranking (suspects last)
+  used by the DHT and data read paths.
 """
 
 from .health import HealthStats, ProviderHealth

@@ -269,17 +269,15 @@ class ProviderManager:
         tally=None,
         failover: Sequence[tuple[str, ...]] | None = None,
         fault_tally: FaultTally | None = None,
-        peer_lookup=None,
-        peer_tally=None,
     ) -> tuple[list[bytes], int]:
         """Batched fetch of ``(provider_id, page_id, offset, length)``
         requests: returns ``(payloads, batches)``, the payloads aligned with
         ``requests`` plus the number of per-provider batches issued.
 
         Payloads are immutable objects handed back as they are: a
-        provider's :meth:`DataProvider.multi_fetch` result, a cached entry
-        or a peer's cached entry — never a copy.  The caller assembles its
-        result from them once.  (The name predates this shape, when callers
+        provider's :meth:`DataProvider.multi_fetch` result or a cached
+        entry — never a copy.  The caller assembles its result from them
+        once.  (The name predates this shape, when callers
         passed destination views to fill; it is kept because the wall-clock
         benchmark proxies this method by name and times its span as
         ``providers.fetch_us_per_page``.)
@@ -317,14 +315,6 @@ class ProviderManager:
         Without ``failover`` — or with single-replica tuples — one failed
         batch fails the call (after the other providers' batches
         completed), exactly the pre-replication behaviour.
-
-        ``peer_lookup`` (``peer_lookup(cache_key) -> bytes | None``, see
-        :class:`repro.cache.PeerCacheGroup`) is consulted for each request
-        the OWN cache missed, *before* any provider wave: a peer hit is
-        returned, write-through-cached locally and counted in
-        ``peer_tally`` — it never travels from a provider and never counts
-        in ``tally.fetched``.  Requires the cache path (``cache`` +
-        ``cache_key``) so the probe keys exist.
         """
         if not requests:
             return [], 0
@@ -343,29 +333,6 @@ class ProviderManager:
                 tally.hits += len(requests) - len(misses)
             if not misses:
                 return payloads, 0
-            if peer_lookup is not None:
-                # Cooperative peer caching (DESIGN.md §9): a co-located
-                # client's cache is one cheap hop away — probe it for each
-                # own-cache miss before paying a provider round.  Peer hits
-                # are returned, cached locally, and never enter a provider
-                # wave (so they count in ``peer_tally``, not in
-                # ``tally.fetched``).
-                kept: list[int] = []
-                with span("data.peer_probe", probes=len(misses)) as probe_span:
-                    for index in misses:
-                        value = peer_lookup(keys[index])
-                        if value is None:
-                            kept.append(index)
-                            continue
-                        payloads[index] = value
-                        cache.put(keys[index], value)
-                        if peer_tally is not None:
-                            peer_tally.hits += 1
-                    if probe_span is not None:
-                        probe_span.set(hits=len(misses) - len(kept))
-                misses = kept
-                if not misses:
-                    return payloads, 0
         # One entry per outstanding miss: [page_id, offset, length, replicas,
         # next-replica index, recorded primary, request index].  Requests
         # whose batch fails re-enter the next wave pointed at their next

@@ -78,11 +78,6 @@ class ReadOutcome:
     #: over-fetch: the wasted nodes burn NIC time but are NOT counted in
     #: ``metadata_nodes_fetched`` and never enter the metadata cache.
     speculative_wasted: int = 0
-    #: Page ranges served by a co-located PEER machine's page cache
-    #: (cooperative peer caching, DESIGN.md §9) — one cheap peer hop
-    #: instead of a provider round.  Disjoint from ``page_cache_hits``
-    #: (own machine) and not counted in ``data_round_trips``.
-    peer_cache_hits: int = 0
     #: Simulated seconds the read spent in its metadata descent — the
     #: cold-path latency that speculative prefetch attacks; ~0 on a warm
     #: (fully cached) traversal.
@@ -121,15 +116,6 @@ class ReadOutcome:
         """Consumed speculative fetches over all speculative fetches."""
         predicted = self.speculative_hits + self.speculative_wasted
         return self.speculative_hits / predicted if predicted else 0.0
-
-    @property
-    def peer_cache_hit_rate(self) -> float:
-        """Peer-served page ranges over all page ranges this read needed."""
-        return (
-            self.peer_cache_hits / self.pages_fetched
-            if self.pages_fetched
-            else 0.0
-        )
 
 
 class SimClient:
@@ -223,13 +209,11 @@ class SimClient:
         # Consult the machine's page cache BEFORE building provider
         # batches: a cached range is served locally in zero simulated time
         # (pages are immutable, so the copy can never be stale) and never
-        # enters a batch.  Own-cache misses then probe co-located PEER
-        # machines' page caches (one cheap hop, DESIGN.md §9) before the
-        # remainder travels with ONE batched multi-page request per chosen
-        # replica provider, all providers in parallel — the data-path
-        # counterpart of the batched metadata frontiers above — and is
-        # write-through-cached on the way back, so the repeated-read
-        # regime skips the providers entirely.
+        # enters a batch.  Misses travel with ONE batched multi-page
+        # request per chosen replica provider, all providers in parallel —
+        # the data-path counterpart of the batched metadata frontiers
+        # above — and are write-through-cached on the way back, so the
+        # repeated-read regime skips the providers entirely.
         data_start = sim.now
         requests = [
             (
@@ -254,22 +238,13 @@ class SimClient:
             # by memory_bandwidth instead of the NIC — orders of magnitude
             # faster, not infinitely fast.
             yield sim.timeout(hit_bytes / cfg.memory_bandwidth)
-        peer_cache_hits = 0
-        by_peer: dict = {}  # serving peer SimNode -> [lengths]
         local_lengths: list[int] = []  # replica on this machine: no NIC
         by_provider: dict[str, list[int]] = {}
         route = dep.config.feature_enabled("replica_routing")
-        probe_peers = dep.has_peer_caches(self.node)
-        for (descriptor, key), value in zip(requests, cached):
+        for (descriptor, _key), value in zip(requests, cached):
             if value is not None:
                 continue
             length = min(descriptor.length, page_size)
-            if probe_peers:
-                peer = dep.peer_page_source(key, self.node)
-                if peer is not None:
-                    by_peer.setdefault(peer, []).append(length)
-                    peer_cache_hits += 1
-                    continue
             replicas = descriptor.provider_ids
             if route and len(replicas) > 1:
                 # Cache-aware replica routing (DESIGN.md §9): a replica on
@@ -296,12 +271,6 @@ class SimClient:
             )
             for provider_id, lengths in by_provider.items()
         ]
-        fetches.extend(
-            sim.process(
-                net.peer_fetch(self.node, peer, sum(lengths), len(lengths))
-            )
-            for peer, lengths in by_peer.items()
-        )
         if local_lengths:
             fetches.append(
                 sim.process(
@@ -358,7 +327,6 @@ class SimClient:
                 pages=len(plan_result.descriptors),
                 providers=len(by_provider),
                 page_cache_hits=page_cache_hits,
-                peer_cache_hits=peer_cache_hits,
             )
 
         return ReadOutcome(
@@ -374,7 +342,6 @@ class SimClient:
             vm_round_trips=vm_trips,
             speculative_hits=spec_hits,
             speculative_wasted=spec_wasted,
-            peer_cache_hits=peer_cache_hits,
             meta_latency=meta_latency,
         )
 

@@ -48,10 +48,9 @@ class SimVersionOffice:
     publication: the writer streams the notice and moves on).
     """
 
-    def __init__(self, deployment: SimDeployment, execute, label: str):
+    def __init__(self, deployment: SimDeployment, execute):
         self._dep = deployment
         self._execute = execute
-        self._label = label
         self._pending: list[tuple[object, Event | None]] = []
         self._busy = False
         #: One-way notices that failed with a benign protocol error (e.g.
@@ -137,7 +136,6 @@ class SimDeployment:
         metadata_replication: int = 1,
         speculative_prefetch: bool = False,
         replica_routing: bool = True,
-        peer_caching: bool = True,
     ):
         self.sim_config = sim_config if sim_config is not None else SimConfig()
         self.co_deploy_metadata = co_deploy_metadata
@@ -155,7 +153,6 @@ class SimDeployment:
             metadata_replication=metadata_replication,
             speculative_prefetch=speculative_prefetch,
             replica_routing=replica_routing,
-            peer_caching=peer_caching,
         )
         self.cluster = Cluster(
             self.config, page_store_factory=lambda _pid: NullPageStore()
@@ -230,27 +227,12 @@ class SimDeployment:
                 for index in range(self.config.num_metadata_providers)
             ]
         self._client_nodes = {}
-        # Name -> node map for the current simulator epoch: machine caches
-        # are keyed by node NAME and outlive reset_timing, so the peer-cache
-        # probe needs a way back from a cache's machine name to the epoch's
-        # live SimNode.
-        self._nodes_by_name = {
-            node.name: node
-            for node in (
-                [self.vm_node, self.pmgr_node]
-                + self._provider_nodes
-                + self._metadata_nodes
-            )
-        }
         # The VM-side group-commit offices are bound to the simulator, so
         # they are rebuilt with it; their batches flow through the service's
         # multi-ops, so VMStats accumulate across timing resets.
-        self.ticket_office = SimVersionOffice(
-            self, self.version_manager.multi_register, "register"
-        )
-        self.publish_office = SimVersionOffice(
-            self, self.version_manager.multi_complete, "publish"
-        )
+        vm = self.version_manager
+        self.ticket_office = SimVersionOffice(self, vm.multi_register)
+        self.publish_office = SimVersionOffice(self, vm.multi_complete)
 
     def client_node(self, index: int) -> SimNode:
         """Node hosting client ``index`` (created on demand)."""
@@ -261,47 +243,7 @@ class SimDeployment:
             else:
                 node = SimNode(self.simulator, f"client-{index:04d}")
             self._client_nodes[index] = node
-            self._nodes_by_name[node.name] = node
         return node
-
-    def peer_page_source(self, cache_key, own_node: SimNode) -> SimNode | None:
-        """Machine whose page cache holds ``cache_key`` — the simulated
-        cooperative peer-cache probe (DESIGN.md §9).
-
-        Consults every OTHER machine's page cache (never ``own_node``'s —
-        the read path has already checked it), returning the serving
-        machine so the caller can charge a timed :meth:`Network.peer_fetch`
-        against its NIC.  When several machines hold the range, the
-        requester picks one deterministically by its own machine name, so
-        a popular range's load diffuses over the holder set instead of
-        hammering whichever machine cached it first.  Returns None when no
-        peer holds the range or the deployment config disables
-        ``peer_caching``.  Like the real
-        :class:`~repro.cache.PeerCacheGroup`, a hit legitimately refreshes
-        the serving caches' LRU recency and hit counters.
-        """
-        if not self.config.feature_enabled("peer_caching"):
-            return None
-        own = self._page_caches.get(own_node.name)
-        holders = []
-        for name, cache in self._page_caches.items():
-            if name == own_node.name or cache is own:
-                continue
-            if cache.get(cache_key) is not None:
-                node = self._nodes_by_name.get(name)
-                if node is not None:
-                    holders.append(node)
-        if not holders:
-            return None
-        # A stable per-requester choice (hash() is salted per process and
-        # would make runs irreproducible).
-        return holders[sum(own_node.name.encode()) % len(holders)]
-
-    def has_peer_caches(self, own_node: SimNode) -> bool:
-        """True when some OTHER machine has a page cache worth probing."""
-        if not self.config.feature_enabled("peer_caching"):
-            return False
-        return any(name != own_node.name for name in self._page_caches)
 
     def node_cache_for(self, node: SimNode) -> NodeCache:
         """The metadata node cache of the machine hosting ``node``.

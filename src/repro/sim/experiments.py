@@ -86,12 +86,6 @@ class ReadConcurrencySample:
     #: Consumed speculative fetches over ALL speculative fetches of the
     #: cold pass (aggregated over the readers, not a mean of ratios).
     speculative_hit_rate: float = 0.0
-    #: Page ranges served by a co-located peer machine's cache during the
-    #: cold pass, averaged per read, and their share of all page ranges
-    #: (aggregated over the readers).  ~0 for disjoint-chunk readers; the
-    #: ABL-coldpath popular-chunk scenario is where peers shine.
-    avg_peer_cache_hits: float = 0.0
-    peer_cache_hit_rate: float = 0.0
     #: Warm repeated-read pass (zeros unless ``measure_warm=True``).
     warm_avg_bandwidth_mbps: float = 0.0
     warm_avg_metadata_nodes_fetched: float = 0.0
@@ -178,7 +172,6 @@ def run_read_concurrency_experiment(
     metadata_replication: int = 1,
     speculative_prefetch: bool = False,
     replica_routing: bool = True,
-    peer_caching: bool = True,
 ) -> list[ReadConcurrencySample]:
     """Concurrent-reader throughput on disjoint chunks (Figure 2(b)).
 
@@ -196,7 +189,7 @@ def run_read_concurrency_experiment(
 
     The replication and cold-path knobs (``page_replication``,
     ``metadata_replication``, ``speculative_prefetch``,
-    ``replica_routing``, ``peer_caching``) pass straight through to the
+    ``replica_routing``) pass straight through to the
     :class:`SimDeployment`'s :class:`~repro.config.BlobSeerConfig`; the
     defaults reproduce the single-home, non-speculative model exactly.
     """
@@ -213,7 +206,6 @@ def run_read_concurrency_experiment(
         metadata_replication=metadata_replication,
         speculative_prefetch=speculative_prefetch,
         replica_routing=replica_routing,
-        peer_caching=peer_caching,
     )
     blob_id = deployment.create_blob()
     version = deployment.populate_blob(
@@ -296,13 +288,6 @@ def run_read_concurrency_experiment(
                         outcome.speculative_hits + outcome.speculative_wasted
                         for outcome in outcomes
                     ),
-                ),
-                avg_peer_cache_hits=mean(
-                    outcome.peer_cache_hits for outcome in outcomes
-                ),
-                peer_cache_hit_rate=_ratio(
-                    sum(outcome.peer_cache_hits for outcome in outcomes),
-                    sum(outcome.pages_fetched for outcome in outcomes),
                 ),
                 warm_avg_bandwidth_mbps=(
                     mean(outcome.bandwidth / MiB for outcome in warm)

@@ -204,39 +204,6 @@ class Network:
             item_service_time * count + nbytes / config.memory_bandwidth
         )
 
-    def peer_fetch(
-        self,
-        requester: SimNode,
-        server: SimNode,
-        nbytes: int,
-        count: int,
-    ) -> Generator[Event, object, None]:
-        """Fetch ``count`` immutable cached items totalling ``nbytes`` from
-        a co-located PEER's cache (cooperative peer caching, DESIGN.md §9).
-
-        Shaped like :meth:`multi_fetch` but with the peer-protocol costs:
-        one ``peer_rpc_overhead`` framing instead of the metadata RPC
-        framing, and ``peer_page_time`` per item — a cache lookup plus a
-        buffer handoff — instead of the provider's service and marshalling
-        share.  Payload bytes still cross both NICs at ``nic_bandwidth``;
-        the win over a provider round is purely the software path, plus
-        whatever queueing the (busy) providers would have added.
-        """
-        if count <= 0:
-            return
-        config = self._config
-        item_serialization = nbytes / count / config.nic_bandwidth
-        self.bytes_moved += nbytes
-        yield requester.tx.use(config.peer_rpc_overhead)
-        yield self._sim.timeout(config.latency)
-        deliveries = []
-        for index in range(count):
-            yield server.tx.use(config.peer_page_time + item_serialization)
-            deliveries.append(
-                self._sim.process(self._deliver(requester.rx, item_serialization))
-            )
-        yield self._sim.all_of([process.event for process in deliveries])
-
     def small_rpc(
         self,
         src: SimNode,

@@ -378,8 +378,7 @@ class TestAsyncSyncEquivalence:
         speculates — yet every outcome still matches field for field once
         the async side's ``speculative_*`` pair, its ONLY permitted
         divergence, is zeroed.  The other new counters (``failovers``,
-        ``degraded``, ``peer_cache_hits``) must agree at exactly zero on a
-        healthy, peer-less run."""
+        ``degraded``) must agree at exactly zero on a healthy run."""
 
         def cold_cluster():
             return Cluster.in_memory(
@@ -420,7 +419,6 @@ class TestAsyncSyncEquivalence:
             for stats in (async_stats, sync_stats):
                 assert stats.failovers == 0
                 assert stats.degraded == 0
-                assert stats.peer_cache_hits == 0
 
     def test_cold_read_counters_match_exactly(self):
         """Deterministic spot check (no hypothesis): a cold multi-level read

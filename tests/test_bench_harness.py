@@ -58,7 +58,6 @@ class TestFigureHarnesses:
         for row in result.rows:
             assert row["cold_meta_latency"] > 0.0
             assert 0.0 <= row["speculative_hit_rate"] <= 1.0
-            assert row["peer_cache_hit_rate"] == 0.0  # disjoint chunks
 
     def test_unknown_scale_rejected(self):
         with pytest.raises(ValueError):
@@ -67,46 +66,27 @@ class TestFigureHarnesses:
 
 class TestColdPathAblation:
     """ABL-coldpath pins the acceptance claims of the cold-path PR: each
-    piece individually non-regressing, the peer probe free when useless,
-    and the hot-page flash crowd genuinely served by peers."""
+    piece individually non-regressing, and each moving the counter it
+    targets."""
 
     @pytest.fixture(scope="class")
     def rows(self):
         result = run_ablation_coldpath("small")
-        return {
-            (row["workload"], row["regime"]): row for row in result.rows
-        }
+        return {row["regime"]: row for row in result.rows}
 
     def test_each_piece_is_individually_non_regressing(self, rows):
-        base = rows[("disjoint-chunks", "baseline")]
-        for regime in ("+prefetch", "+routing", "+peer", "all-on"):
-            row = rows[("disjoint-chunks", regime)]
-            assert row["avg_bandwidth_mbps"] >= base["avg_bandwidth_mbps"]
+        base = rows["baseline"]
+        for regime in ("+prefetch", "+routing", "all-on"):
+            assert rows[regime]["avg_bandwidth_mbps"] >= base["avg_bandwidth_mbps"]
 
     def test_prefetch_cuts_cold_metadata_latency(self, rows):
-        base = rows[("disjoint-chunks", "baseline")]
-        spec = rows[("disjoint-chunks", "+prefetch")]
+        base, spec = rows["baseline"], rows["+prefetch"]
         assert spec["cold_meta_latency"] < base["cold_meta_latency"]
         assert spec["speculative_hit_rate"] >= 0.9
 
     def test_routing_cuts_provider_trips(self, rows):
-        base = rows[("disjoint-chunks", "baseline")]
-        routed = rows[("disjoint-chunks", "+routing")]
+        base, routed = rows["baseline"], rows["+routing"]
         assert routed["data_trips_per_read"] < base["data_trips_per_read"]
-
-    def test_useless_peer_probing_is_free(self, rows):
-        # Disjoint readers never share pages: +peer must be BIT-identical
-        # to the baseline, proving the probe itself costs nothing.
-        base = rows[("disjoint-chunks", "baseline")]
-        peer = rows[("disjoint-chunks", "+peer")]
-        assert peer == {**base, "regime": "+peer"}
-
-    def test_hot_page_flash_crowd_is_served_by_peers(self, rows):
-        off = rows[("hot-page", "peer-off")]
-        on = rows[("hot-page", "peer-on")]
-        assert on["peer_cache_hit_rate"] == 1.0
-        assert on["data_trips_per_read"] == 0.0
-        assert on["avg_bandwidth_mbps"] > off["avg_bandwidth_mbps"]
 
 
 class TestCli:

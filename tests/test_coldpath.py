@@ -1,6 +1,6 @@
 """Tests of the cold-path latency treatment (DESIGN.md §9): speculative
-frontier prefetch, cache-aware replica routing, and cooperative peer
-caching — plus the counter-documentation contract those features extend.
+frontier prefetch and cache-aware replica routing — plus the
+counter-documentation contract those features extend.
 
 The headline properties:
 
@@ -9,9 +9,7 @@ The headline properties:
   ``speculative_*`` pair may differ (and ``speculative_wasted`` is the only
   counter allowed to measure the over-fetch);
 * routing is a stable no-op without suspects — an unreplicated or
-  signal-free deployment behaves bit-identically to the pre-routing system;
-* peer probes never inflate the fetch/trip tallies — a peer-served item was
-  never fetched from the service side.
+  signal-free deployment behaves bit-identically to the pre-routing system.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ import re
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import AsyncBlobStore, Cluster
-from repro.cache import NodeCache, PageCache, PeerCacheGroup
+from repro.cache import NodeCache, PageCache
 from repro.config import KiB, MiB
 from repro.core.async_store import ReadStats, WriteResult
 from repro.dht import DHT
@@ -32,7 +30,6 @@ from repro.fault import ProviderHealth
 from repro.fault.routing import rank_replicas
 from repro.providers import DataProvider, ProviderManager
 from repro.providers.provider_manager import FaultTally
-from repro.sim.deployment import SimDeployment
 from repro.sim.experiments import run_read_concurrency_experiment
 
 from .conftest import TEST_PAGE_SIZE, make_payload, run_inline
@@ -51,22 +48,6 @@ class TestRankReplicas:
         ranked = rank_replicas(("a", "b", "c", "d"), suspects={"a", "c"})
         assert ranked == ("b", "d", "a", "c")
 
-    def test_preferred_replicas_rank_first(self):
-        ranked = rank_replicas(("a", "b", "c"), prefer=lambda r: r == "c")
-        assert ranked == ("c", "a", "b")
-
-    def test_local_but_suspect_ranks_with_the_suspects(self):
-        # A flapping co-located node is a bad first choice.
-        ranked = rank_replicas(
-            ("a", "b", "c"), prefer=lambda r: r == "a", suspects={"a"}
-        )
-        assert ranked == ("b", "c", "a")
-
-    def test_all_signals_compose(self):
-        ranked = rank_replicas(
-            ("a", "b", "c", "d"), prefer=lambda r: r == "d", suspects={"b"}
-        )
-        assert ranked == ("d", "a", "c", "b")
 
 
 class TestCounterDocumentation:
@@ -195,109 +176,6 @@ class TestSpeculationIsInvisible:
         assert plain.speculative_hits == plain.speculative_wasted == 0
 
 
-class TestPeerCacheGroup:
-    def test_peer_hit_excludes_own_cache(self):
-        group = PeerCacheGroup()
-        mine, theirs = {"k": "stale-own"}, {"k": "peer-value"}
-        me = group.join(node_cache=mine, page_cache=None)
-        group.join(node_cache=theirs, page_cache=None)
-        # Own entries are never probed: the read path already checked them.
-        assert me.probe_node("k") == "peer-value"
-
-    def test_miss_returns_none_and_counts_probes(self):
-        group = PeerCacheGroup()
-        me = group.join(node_cache={}, page_cache={})
-        group.join(node_cache={}, page_cache={"p": b"bytes"})
-        assert me.probe_node("absent") is None
-        assert me.probe_page("p") == b"bytes"
-        stats = group.stats()
-        assert (stats.node_probes, stats.node_hits) == (1, 0)
-        assert (stats.page_probes, stats.page_hits) == (1, 1)
-        assert stats.hit_rate == 0.5
-
-    def test_shared_cache_object_is_skipped(self):
-        # Two members over ONE process-wide cache: a "peer hit" there would
-        # double-count what the own-cache lookup already missed.
-        shared = {"k": "v"}
-        group = PeerCacheGroup()
-        me = group.join(node_cache=shared, page_cache=None)
-        group.join(node_cache=shared, page_cache=None)
-        assert me.probe_node("k") is None
-
-    def test_leave_is_idempotent_and_stops_serving(self):
-        group = PeerCacheGroup()
-        me = group.join(node_cache={}, page_cache=None)
-        peer = group.join(node_cache={"k": "v"}, page_cache=None)
-        assert me.probe_node("k") == "v"
-        peer.leave()
-        peer.leave()
-        assert len(group) == 1
-        assert me.probe_node("k") is None
-
-    def test_store_attached_peers_serve_metadata_and_pages(self):
-        """End-to-end: a second co-located store reading the same range is
-        served by its peer's caches — counted in ``peer_cache_hits``, never
-        in ``metadata_nodes_fetched`` — and returns identical bytes."""
-        cluster = Cluster.in_memory(
-            num_data_providers=4,
-            num_metadata_providers=4,
-            page_size=TEST_PAGE_SIZE,
-        )
-        group = PeerCacheGroup()
-        payload = make_payload(8 * TEST_PAGE_SIZE, seed=21)
-
-        async def scenario():
-            # Each client brings ITS OWN caches (the cluster-shared default
-            # would make the two stores indistinguishable — and the group
-            # rightly skips identical cache objects).
-            async with AsyncBlobStore(
-                cluster,
-                peer_group=group,
-                node_cache=NodeCache(),
-                page_cache=PageCache(),
-            ) as warm:
-                blob_id = await warm.create()
-                version = await warm.write(blob_id, payload, 0)
-                await warm.sync(blob_id, version)
-                await warm.read(blob_id, version, 0, len(payload))
-                async with AsyncBlobStore(
-                    cluster,
-                    peer_group=group,
-                    node_cache=NodeCache(),
-                    page_cache=PageCache(),
-                ) as cold:
-                    return await cold.read_ex(blob_id, version, 0, len(payload))
-
-        data, stats = asyncio.run(scenario())
-        assert data == payload
-        assert stats.peer_cache_hits > 0
-        # Peer-served items never travelled from the DHT or a provider.
-        assert stats.metadata_nodes_fetched == 0
-        assert stats.data_round_trips == 0
-
-    def test_peer_caching_off_makes_an_attached_group_inert(self):
-        cluster = Cluster.in_memory(
-            num_data_providers=4,
-            num_metadata_providers=4,
-            page_size=TEST_PAGE_SIZE,
-            peer_caching=False,
-        )
-        group = PeerCacheGroup()
-        payload = make_payload(2 * TEST_PAGE_SIZE, seed=22)
-
-        async def scenario():
-            async with AsyncBlobStore(cluster, peer_group=group) as warm:
-                blob_id = await warm.create()
-                version = await warm.write(blob_id, payload, 0)
-                await warm.sync(blob_id, version)
-                async with AsyncBlobStore(cluster, peer_group=group) as cold:
-                    return await cold.read_ex(blob_id, version, 0, len(payload))
-
-        _data, stats = asyncio.run(scenario())
-        assert stats.peer_cache_hits == 0
-        assert len(group) == 0  # nobody joined
-
-
 class _RecordingProvider(DataProvider):
     """DataProvider that logs which batched fetches reached it."""
 
@@ -421,16 +299,15 @@ def _sim_sample(**overrides):
 
 
 class TestSimColdPath:
-    def test_unreplicated_routing_and_peers_are_bit_identical_no_ops(self):
-        """The perf-gate invariant: with nothing replicated and no shared
-        pages, turning routing and peer probing on must not move a single
-        counter or timing — the knobs only add signals, never costs."""
-        off = _sim_sample(replica_routing=False, peer_caching=False)
-        on = _sim_sample(replica_routing=True, peer_caching=True)
+    def test_unreplicated_routing_is_a_bit_identical_no_op(self):
+        """The perf-gate invariant: with nothing replicated, turning routing
+        on must not move a single counter or timing — the knob only adds a
+        signal, never a cost."""
+        off = _sim_sample(replica_routing=False)
+        on = _sim_sample(replica_routing=True)
         assert on.avg_bandwidth_mbps == off.avg_bandwidth_mbps
         assert on.avg_meta_latency == off.avg_meta_latency
         assert on.avg_data_round_trips == off.avg_data_round_trips
-        assert on.peer_cache_hit_rate == 0.0
 
     def test_speculation_moves_latency_but_not_counters(self):
         base = _sim_sample(speculative_prefetch=False)
@@ -449,38 +326,3 @@ class TestSimColdPath:
         on = _sim_sample(page_replication=4, replica_routing=True)
         assert on.avg_data_round_trips < off.avg_data_round_trips
         assert on.avg_bandwidth_mbps > off.avg_bandwidth_mbps
-
-    def test_peer_page_source_spreads_load_over_holders(self):
-        """When several machines hold a range, different requesters must
-        not all pick the same holder (the first-cacher would melt)."""
-        deployment = SimDeployment(
-            num_provider_nodes=6, co_locate_clients=True
-        )
-        cache_key = ("blob", 1, 0, deployment.config.page_size)
-        holders = [deployment.client_node(index) for index in range(4)]
-        from repro.cache.page_cache import VirtualPagePayload
-
-        for node in holders:
-            deployment.page_cache_for(node).put(
-                cache_key, VirtualPagePayload(deployment.config.page_size)
-            )
-        requesters = [deployment.client_node(index) for index in range(4, 6)]
-        chosen = {
-            deployment.peer_page_source(cache_key, node).name
-            for node in requesters
-        }
-        assert len(chosen) > 1  # load diffuses over the holder set
-        for node in requesters:  # and each requester's pick is stable
-            first = deployment.peer_page_source(cache_key, node)
-            assert deployment.peer_page_source(cache_key, node) is first
-
-    def test_peer_source_never_returns_the_requester(self):
-        deployment = SimDeployment(num_provider_nodes=4, co_locate_clients=True)
-        cache_key = ("blob", 1, 0, deployment.config.page_size)
-        me = deployment.client_node(0)
-        from repro.cache.page_cache import VirtualPagePayload
-
-        deployment.page_cache_for(me).put(
-            cache_key, VirtualPagePayload(deployment.config.page_size)
-        )
-        assert deployment.peer_page_source(cache_key, me) is None

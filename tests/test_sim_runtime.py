@@ -16,7 +16,7 @@ from dataclasses import replace
 
 from repro import AsyncBlobStore, BlobSeerConfig, Cluster
 from repro.aio import SYNC_RUNTIME, AsyncRuntime, run_sync
-from repro.cache import CacheTally, NodeCache, PageCache, PeerCacheGroup
+from repro.cache import CacheTally, NodeCache, PageCache
 from repro.config import KiB
 from repro.errors import ProviderUnavailableError, VersionNotPublishedError
 from repro.sim import SimClient, SimDeployment, SimRuntime
@@ -134,7 +134,7 @@ class TestCrossRuntimeReads:
 
     @staticmethod
     def _run_script(
-        runtime, run, speculate: bool, with_peer: bool, reader: str = "read_ex"
+        runtime, run, speculate: bool, reader: str = "read_ex"
     ) -> list[tuple]:
         cluster = Cluster(
             BlobSeerConfig(
@@ -144,11 +144,9 @@ class TestCrossRuntimeReads:
             node_cache=NodeCache(),
             page_cache=PageCache(),
         )
-        group = PeerCacheGroup() if with_peer else None
         nodes, pages = NodeCache(), PageCache()
         store = AsyncBlobStore(
-            cluster, node_cache=nodes, page_cache=pages, runtime=runtime,
-            peer_group=group,
+            cluster, node_cache=nodes, page_cache=pages, runtime=runtime
         )
         blob_id = run(store.create())
         for _ in range(3):
@@ -157,13 +155,6 @@ class TestCrossRuntimeReads:
         run(store.write(blob_id, b"x" * (5 * READ_PAGE), 7 * READ_PAGE))
         version = run(store.write(blob_id, b"y" * 300, 40 * READ_PAGE + 17))
         run(store.sync(blob_id, version))
-        if with_peer:
-            # A co-located peer that has read the middle third of the blob.
-            peer = AsyncBlobStore(
-                cluster, node_cache=NodeCache(), page_cache=PageCache(),
-                runtime=runtime, peer_group=group,
-            )
-            run(peer.read(blob_id, version, 32 * READ_PAGE, 32 * READ_PAGE))
         seen = []
         for regime, offset, size in _read_script():
             if regime != "warm":
@@ -195,13 +186,12 @@ class TestCrossRuntimeReads:
             )
         return seen
 
-    @pytest.mark.parametrize("with_peer", [False, True], ids=["alone", "peer"])
     @pytest.mark.parametrize("speculate", [False, True], ids=["plain", "speculative"])
-    def test_read_counters_equal_on_both_runtimes(self, speculate, with_peer):
-        on_sync = self._run_script(SYNC_RUNTIME, run_sync, speculate, with_peer)
-        on_loop = self._run_script(AsyncRuntime(), asyncio.run, speculate, with_peer)
+    def test_read_counters_equal_on_both_runtimes(self, speculate):
+        on_sync = self._run_script(SYNC_RUNTIME, run_sync, speculate)
+        on_loop = self._run_script(AsyncRuntime(), asyncio.run, speculate)
         assert len(on_sync) == len(on_loop) == len(_read_script()) + 2
-        misses = peer_hits = 0
+        misses = 0
         for (sync_data, sync_stats), (loop_data, loop_stats) in zip(on_sync, on_loop):
             assert loop_data == sync_data
             if isinstance(sync_stats, tuple):  # the two-range boundary read
@@ -209,27 +199,21 @@ class TestCrossRuntimeReads:
                 continue
             for name in READ_COUNTERS:
                 assert getattr(loop_stats, name) == getattr(sync_stats, name), name
-            assert loop_stats.peer_cache_hits == sync_stats.peer_cache_hits
             # Speculation may move nothing but its own two counters.
             assert sync_stats.speculative_hits == sync_stats.speculative_wasted == 0
             assert replace(
                 loop_stats, speculative_hits=0, speculative_wasted=0
             ) == sync_stats
             misses += sync_stats.metadata_round_trips
-            peer_hits += sync_stats.peer_cache_hits
         assert misses  # the script does leave the caches
-        assert bool(peer_hits) == with_peer
         if speculate:
             assert any(stats.speculative_hits for _data, stats in on_loop[:-2])
 
-    @pytest.mark.parametrize("with_peer", [False, True], ids=["alone", "peer"])
     @pytest.mark.parametrize("speculate", [False, True], ids=["plain", "speculative"])
-    def test_read_into_equals_read_ex_on_both_runtimes(self, speculate, with_peer):
+    def test_read_into_equals_read_ex_on_both_runtimes(self, speculate):
         for runtime, run in ((SYNC_RUNTIME, run_sync), (AsyncRuntime(), asyncio.run)):
-            joined = self._run_script(runtime, run, speculate, with_peer)
-            copied = self._run_script(
-                runtime, run, speculate, with_peer, reader="read_into"
-            )
+            joined = self._run_script(runtime, run, speculate)
+            copied = self._run_script(runtime, run, speculate, reader="read_into")
             assert copied == joined
 
 
