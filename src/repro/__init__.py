@@ -57,14 +57,17 @@ existing code:
   ``BlobSeerConfig(replication=...)`` — spell it ``metadata_replication=``
   (and ``page_replication=`` for the data path); ``CacheStats.as_tuple()``
   — read the named fields.  Batched component calls exist as ``*_async``
-  methods taking a runtime; only ``DHT.multi_get`` and
-  ``MetadataProvider.get_nodes`` keep a synchronous façade.
+  methods taking a runtime; only ``DHT.multi_get`` keeps a synchronous
+  façade (``MetadataProvider.get_nodes`` is gone: call ``get_nodes_async``
+  with :data:`~repro.aio.SYNC_RUNTIME` under ``run_sync``).
   The size-only ("virtual") store calls of the provider manager, data
   providers and page stores went with their one caller, the simulator's
   own APPEND: store ``bytes(size)`` — a ``NullPageStore`` keeps only the
   length anyway.  ``repro.sim.AppendOutcome`` is ``(result: WriteResult,
-  elapsed)`` now, and ``SimDeployment.provider_manager`` is spelled
-  ``deployment.cluster.provider_manager``.
+  elapsed)`` now, ``repro.sim.ReadOutcome`` is ``(stats: ReadStats,
+  elapsed, spans)``, and ``SimDeployment.provider_manager`` is spelled
+  ``deployment.cluster.provider_manager``.  ``LeaseCache.record`` /
+  ``published_size`` / ``recent`` are coroutines taking the runtime.
 
 Package layout:
 

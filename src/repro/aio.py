@@ -34,8 +34,8 @@ runtime it executes on, and a different strategy (the wall benchmark's
 counting runtime, the simulated clock of :mod:`repro.sim.runtime`) is a
 subclass or a sibling of these two classes — never a per-call hook.  So
 that a sibling can charge a cost model, ``run_batches`` receives a
-:class:`JobBatch` and the version manager's update calls go through
-``vm_call``.
+:class:`JobBatch`, every version-manager call goes through ``vm_call``, and
+bytes a client serves from its own caches go through ``local_copy``.
 """
 
 from __future__ import annotations
@@ -163,9 +163,14 @@ class SyncRuntime:
             time.sleep(seconds)  # noqa: ASYNC251
 
     async def vm_call(self, vm, op: str, *args, **kwargs):
-        """One of the version manager's update calls (``register_update``,
-        ``complete_update``, ``abort_update``), issued inline."""
+        """One version-manager call, issued inline: an update call
+        (``register_update``, ``complete_update``, ``abort_update``) or a
+        read-only lookup a lease could not serve (``get_record``,
+        ``check_read``, ``recent_lease``, ``get_recent``)."""
         return getattr(vm, op)(*args, **kwargs)
+
+    async def local_copy(self, nbytes: int) -> None:
+        """``nbytes`` served from the client's own memory: free here."""
 
     async def vm_sync(self, vm, blob_id: str, version: int, timeout=None) -> None:
         vm.sync(blob_id, version, timeout)
@@ -228,6 +233,9 @@ class AsyncRuntime:
     async def vm_call(self, vm, op: str, *args, **kwargs):
         # Inline too: the in-process version manager answers without I/O.
         return getattr(vm, op)(*args, **kwargs)
+
+    async def local_copy(self, nbytes: int) -> None:
+        """``nbytes`` served from the client's own memory: free here."""
 
     async def vm_sync(self, vm, blob_id: str, version: int, timeout=None) -> None:
         """SYNC without parking a thread on the VM's condition variable.

@@ -999,8 +999,9 @@ def run_ablation_coldpath(scale: str = "small") -> ExperimentResult:
     The fig2b cold pass (``readers`` concurrent clients, each a distinct
     chunk) on a replicated deployment (pages on 5 providers, metadata
     buckets on 3 — the fig2b benchmark config), per toggle regime: every
-    piece alone must be at least as fast as the all-off baseline, and
-    all-on must beat every single piece.
+    piece alone must be at least as fast as the all-off baseline.  On a
+    healthy deployment routing has no suspect to move, so its rows equal
+    the ones without it.
     """
     check_scale(scale)
     providers, page_size, blob_bytes, chunk_bytes, readers = (
@@ -1039,8 +1040,8 @@ def run_ablation_coldpath(scale: str = "small") -> ExperimentResult:
         )
     result.note(
         "each piece alone must be >= baseline avg_bandwidth_mbps "
-        "(non-regression) and all-on the fastest; cold_meta_latency is in "
-        "milliseconds and roughly halves under +prefetch (two tree levels "
-        "per round trip)"
+        "(non-regression); cold_meta_latency is in milliseconds and roughly "
+        "halves under +prefetch (two tree levels per round trip); +routing "
+        "only ranks suspects last, so with none it equals baseline"
     )
     return result

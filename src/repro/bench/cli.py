@@ -172,17 +172,17 @@ def _leg_table(rows: list[tuple[str, dict[str, float], dict[str, int]]]) -> str:
     return "\n".join(lines)
 
 
-def _trace_legs(tracer, unit_scale: float) -> tuple[dict[str, float], dict[str, int]]:
-    """Per-leg durations and span counts of the LAST trace in the buffer.
+def _trace_legs(spans, unit_scale: float) -> tuple[dict[str, float], dict[str, int]]:
+    """Per-leg durations and span counts of the LAST trace among ``spans``.
 
     Direct children of the root span are the legs; their durations are
     summed per name (a read with several metadata levels has several
     ``meta.fetch`` spans) and the root's own duration appears as
     ``total``.  ``unit_scale`` converts the tracer's clock units to ms.
     """
-    roots = [item for item in tracer.spans() if item.parent_id is None]
+    roots = [item for item in spans if item.parent_id is None]
     root = roots[-1]
-    members = [item for item in tracer.spans() if item.trace_id == root.trace_id]
+    members = [item for item in spans if item.trace_id == root.trace_id]
     durations = {"total": root.duration * unit_scale}
     counts: dict[str, int] = {}
     for item in members:
@@ -197,15 +197,13 @@ def _trace_legs(tracer, unit_scale: float) -> tuple[dict[str, float], dict[str, 
 def _print_trace_breakdown(scale: str) -> None:
     """Run one traced reader cold and warm and print the leg breakdown.
 
-    Two passes: wall clock against a real in-memory cluster (the spans
-    the async core emits through the ``contextvars`` helper), then
-    virtual clock against the simulated testbed (the retroactive spans
-    the sim client records from ``simulator.now``).
+    Two passes of the same engine and the same spans: wall clock against
+    a real in-memory cluster, then virtual clock against the simulated
+    testbed (each simulated read's own spans, timed by ``simulator.now``).
     """
     from ..config import KiB
     from ..core.blob_store import BlobStore
     from ..core.cluster import Cluster
-    from ..obs import Tracer
     from ..sim.client import SimClient
     from ..sim.deployment import SimDeployment
 
@@ -226,21 +224,19 @@ def _print_trace_breakdown(scale: str) -> None:
         for label in ("cold", "warm"):
             cluster.tracer.clear()
             store.read(blob_id, version, 0, nbytes)
-            rows.append((label, *_trace_legs(cluster.tracer, 1000.0)))
+            rows.append((label, *_trace_legs(cluster.tracer.spans(), 1000.0)))
     print(f"traced read breakdown, wall clock ({pages} pages, in-memory):")
     print(_leg_table(rows))
 
     deployment = SimDeployment(num_provider_nodes=8, page_size=page_size)
-    deployment.tracer = Tracer(clock=lambda: deployment.simulator.now)
     blob_id = deployment.create_blob()
     sim_version = deployment.populate_blob(blob_id, nbytes)
     rows = []
     for label in ("cold", "warm"):
-        deployment.tracer.clear()
-        deployment.simulator.run_process(
+        outcome = deployment.simulator.run_process(
             SimClient(deployment, 0).read_process(blob_id, sim_version, 0, nbytes)
         )
-        rows.append((label, *_trace_legs(deployment.tracer, 1000.0)))
+        rows.append((label, *_trace_legs(outcome.spans, 1000.0)))
     print(f"traced read breakdown, sim virtual clock ({pages} pages):")
     print(_leg_table(rows))
 

@@ -13,7 +13,6 @@ from .node_cache import (
     CacheStats,
     CacheTally,
     NodeCache,
-    complete_frontier,
     next_cache_namespace,
     node_weight,
     reset_shared_node_cache,
@@ -23,7 +22,6 @@ from .node_cache import (
 )
 from .page_cache import (
     PageCache,
-    VirtualPagePayload,
     page_weight,
     reset_shared_page_cache,
     set_shared_page_cache,
@@ -37,8 +35,6 @@ __all__ = [
     "NodeCache",
     "PageCache",
     "ShardedLRUCache",
-    "VirtualPagePayload",
-    "complete_frontier",
     "next_cache_namespace",
     "node_weight",
     "page_weight",

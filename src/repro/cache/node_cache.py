@@ -58,7 +58,6 @@ __all__ = [
     "CacheStats",
     "CacheTally",
     "NodeCache",
-    "complete_frontier",
     "next_cache_namespace",
     "node_weight",
     "reset_shared_node_cache",
@@ -134,31 +133,6 @@ def split_frontier(
     if tally is not None:
         tally.hits += len(cache_keys) - len(miss_indices)
     return values, miss_indices
-
-
-def complete_frontier(
-    cache: NodeCache | None,
-    cache_keys: Sequence[Hashable],
-    miss_indices: Sequence[int],
-    fetched: Sequence[object],
-    values: list[object | None],
-    tally: CacheTally | None = None,
-) -> None:
-    """Fold DHT-fetched nodes back into a :func:`split_frontier` result:
-    fill the miss slots of ``values``, write the nodes through to ``cache``,
-    and tally the fetch as one round trip."""
-    if cache is not None:
-        cache.put_many(
-            [
-                (cache_keys[index], node)
-                for index, node in zip(miss_indices, fetched)
-            ]
-        )
-    for index, node in zip(miss_indices, fetched):
-        values[index] = node
-    if tally is not None:
-        tally.fetched += len(miss_indices)
-        tally.trips += 1
 
 
 # -- the process-wide default instance ---------------------------------------

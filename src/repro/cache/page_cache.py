@@ -44,35 +44,11 @@ from .sharded_lru import ENTRY_OVERHEAD, ShardedLRUCache, key_weight
 
 __all__ = [
     "PageCache",
-    "VirtualPagePayload",
     "page_weight",
     "reset_shared_page_cache",
     "set_shared_page_cache",
     "shared_page_cache",
 ]
-
-
-class VirtualPagePayload:
-    """A size-only stand-in for cached page bytes.
-
-    The discrete-event simulator models *which* page ranges a machine holds
-    locally without materializing payloads (its page stores are
-    :class:`~repro.providers.page_store.NullPageStore` instances), so it
-    caches these instead of real ``bytes`` — ``len()`` reports the modelled
-    size, which keeps the byte-budget accounting as honest as the threaded
-    client's.
-    """
-
-    __slots__ = ("size",)
-
-    def __init__(self, size: int):
-        self.size = size
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"VirtualPagePayload({self.size})"
 
 
 def page_weight(key: Hashable, payload: object) -> int:

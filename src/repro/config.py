@@ -168,10 +168,10 @@ class BlobSeerConfig:
         before fetching instead of always starting at replica 0: the DHT
         and the data path move suspected buckets and
         :class:`repro.fault.ProviderHealth` suspects last (see
-        :func:`repro.fault.rank_replicas`), and the simulator's read model
-        serves a replica on the reading machine over the memory bus.  With
-        no suspects the ranking is a stable no-op, so unreplicated
-        deployments behave bit-identically.
+        :func:`repro.fault.rank_replicas`), on every runtime, the
+        simulated clock included.  There is no locality signal.  With no
+        suspects the ranking is a stable no-op, so healthy deployments
+        behave bit-identically.
     tracing:
         When True, the cluster creates a :class:`repro.obs.Tracer` and
         registers its components as pull sources of the process-wide

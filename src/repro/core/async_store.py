@@ -400,7 +400,7 @@ class AsyncBlobStore:
         if not data:
             raise InvalidRangeError(f"{kind.upper()} requires a non-empty buffer")
         with span("write.vm"):
-            record, vm_trips = self._get_record(blob_id)
+            record, vm_trips = await self._get_record(blob_id)
         page_size = record.page_size
         pending: _PendingStore | None = None
         if not (is_append or self._strict_unaligned) and is_aligned(
@@ -476,7 +476,7 @@ class AsyncBlobStore:
             else self._strict_unaligned
         )
         if not exact:
-            return self._recent(record.blob_id)
+            return await self._recent(record.blob_id)
         reference = ticket.version - 1
         vm_trips = 0
         while reference > 0:
@@ -553,8 +553,8 @@ class AsyncBlobStore:
         if offset < 0 or size < 0:
             raise InvalidRangeError(f"negative read offset/size ({offset}, {size})")
         with span("read.vm"):
-            record, vm_trips = self._get_record(blob_id)
-            snapshot_size, check_trips = self._published_size(blob_id, version)
+            record, vm_trips = await self._get_record(blob_id)
+            snapshot_size, check_trips = await self._published_size(blob_id, version)
         vm_trips += check_trips
         if offset + size > snapshot_size:
             raise InvalidRangeError(
@@ -625,7 +625,7 @@ class AsyncBlobStore:
         the version manager itself would return.
         """
         self._ensure_open()
-        version, _trips = self._recent(blob_id)
+        version, _trips = await self._recent(blob_id)
         return version
 
     async def get_size(self, blob_id: str, version: int) -> int:
@@ -635,7 +635,7 @@ class AsyncBlobStore:
         from the lease cache's fact map once known.
         """
         self._ensure_open()
-        size, _trips = self._published_size(blob_id, version)
+        size, _trips = await self._published_size(blob_id, version)
         return size
 
     async def sync(
@@ -657,27 +657,30 @@ class AsyncBlobStore:
         return self._vm.branch(blob_id, version).blob_id
 
     # ------------------------------------------------------------ version leases
-    def _get_record(self, blob_id: str) -> tuple[BlobRecord, int]:
+    # Every lookup a lease cannot serve is a ``runtime.vm_call``, so the
+    # simulated clock charges it; a lease hit never suspends.
+    async def _get_record(self, blob_id: str) -> tuple[BlobRecord, int]:
         """The blob's immutable record, via the lease cache's fact map:
         ``(record, vm_round_trips)``."""
         if self._lease is not None:
-            return self._lease.record(blob_id)
-        return self._vm.get_record(blob_id), 1
+            return await self._lease.record(blob_id, self._runtime)
+        return await self._runtime.vm_call(self._vm, "get_record", blob_id), 1
 
-    def _published_size(self, blob_id: str, version: int) -> tuple[int, int]:
+    async def _published_size(self, blob_id: str, version: int) -> tuple[int, int]:
         """Size of a published snapshot (raises
         :class:`~repro.errors.VersionNotPublishedError` otherwise):
         ``(size, vm_round_trips)``.  One combined ``check_read`` trip cold,
         zero once the immutable fact is cached."""
         if self._lease is not None:
-            return self._lease.published_size(blob_id, version)
-        return self._vm.check_read(blob_id, version), 1
+            return await self._lease.published_size(blob_id, version, self._runtime)
+        size = await self._runtime.vm_call(self._vm, "check_read", blob_id, version)
+        return size, 1
 
-    def _recent(self, blob_id: str) -> tuple[int, int]:
+    async def _recent(self, blob_id: str) -> tuple[int, int]:
         """Leased GET_RECENT: ``(version, vm_round_trips)``."""
         if self._lease is not None:
-            return self._lease.recent(blob_id)
-        return self._vm.get_recent(blob_id), 1
+            return await self._lease.recent(blob_id, self._runtime)
+        return await self._runtime.vm_call(self._vm, "get_recent", blob_id), 1
 
     # ---------------------------------------------------------------- internals
     async def _compose_page_payloads(
@@ -715,7 +718,7 @@ class AsyncBlobStore:
         # snapshot must be preserved.
         reference_size = vm_trips = 0
         if reference_version > 0:
-            reference_size, vm_trips = self._published_size(
+            reference_size, vm_trips = await self._published_size(
                 record.blob_id, reference_version
             )
 

@@ -9,7 +9,7 @@ class is a thin, typed façade over :class:`repro.dht.DHT`: it serializes
 
 from __future__ import annotations
 
-from ..aio import SYNC_RUNTIME, IORuntime, run_sync
+from ..aio import IORuntime
 from ..dht.dht import DHT
 from ..errors import MetadataNotFoundError
 from .node import InnerNode, LeafNode, NodeKey, TreeNode
@@ -68,10 +68,6 @@ class MetadataProvider:
         """Fetch one tree node; raises :class:`MetadataNotFoundError` if absent."""
         value = self._dht.get(key.to_string())
         return self._as_node(key, value)
-
-    def get_nodes(self, keys: list[NodeKey]) -> list[TreeNode]:
-        """Synchronous :meth:`get_nodes_async` (inline, no event loop)."""
-        return run_sync(self.get_nodes_async(keys, SYNC_RUNTIME))
 
     async def get_nodes_async(
         self, keys: list[NodeKey], runtime: IORuntime

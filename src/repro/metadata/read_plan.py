@@ -27,12 +27,10 @@ Drivers:
 
 * the client engine steps a walker directly in its one cache-first descent
   (``AsyncBlobStore._walk``: a level served by the caches is stepped over
-  without an await) — READ, the boundary reads of unaligned updates and
-  border resolution alike;
-* tools and reference models call :func:`drive_plan` on a generator with a
-  synchronous ``fetch_many``, or a per-node ``fetch``;
-* the discrete-event simulator's READ advances :func:`read_plan`, charging
-  one (parallel) network round trip per frontier.
+  without an await) — READ on every clock, the boundary reads of unaligned
+  updates, border resolution and ``tools/diff.py``'s manifest alike;
+* reference models call :func:`drive_plan` on a generator with a
+  synchronous ``fetch_many``, or a per-node ``fetch``.
 """
 
 from __future__ import annotations
@@ -69,6 +67,10 @@ class ReadPlanResult:
         return sorted(self.descriptors, key=lambda d: d.page_index)
 
 
+# ``read_plan`` and ``drive_plan`` have no caller under ``src/``: the engine
+# steps walkers itself.  They stay for the frozen wall benchmark's
+# ``metadata.read_plan_us`` micro-drive (``benchmarks/wall/wallbench/
+# runner.py``), ``benchmarks/test_core_operations.py`` and the planner tests.
 def read_plan(
     root_version: int,
     span: int,

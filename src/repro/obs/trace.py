@@ -19,11 +19,10 @@ module-level :func:`span` helper, which reads the current span from a
   the :func:`~repro.aio.run_sync` bridge.
 
 Timestamps come from the tracer's injectable ``clock``
-(``time.perf_counter`` by default); a simulated deployment passes
-``lambda: simulator.now`` so spans carry sim virtual-clock timestamps.
-The simulator's generator processes interleave outside any context, so
-the sim client records its per-leg spans retroactively with
-:meth:`Tracer.record` instead of the context-manager API.
+(``time.perf_counter`` by default); a simulated read opens its root on a
+tracer built with ``lambda: simulator.now``, so the engine's spans carry
+virtual-clock timestamps.  A simulator process runs in its own copy of the
+context, like an ``asyncio`` Task, so the spans parent the same way.
 
 Finished spans land in a bounded per-tracer buffer (oldest evicted);
 :meth:`Tracer.traces` groups them by trace id for inspection.
@@ -124,7 +123,7 @@ class Tracer:
         self._ids = itertools.count(1)
         self._spans: deque[Span] = deque(maxlen=max_spans)
 
-    # -- context-manager API (threaded/async paths) ------------------------
+    # -- context-manager API -----------------------------------------------
     @contextmanager
     def trace(self, name: str, **attrs) -> Iterator[Span]:
         """Open a ROOT span (a fresh trace id) and make it current."""
@@ -156,40 +155,6 @@ class Tracer:
             start=self.clock(),
             attrs=attrs,
         )
-
-    # -- retroactive API (simulator processes) -----------------------------
-    def record(
-        self,
-        name: str,
-        start: float,
-        end: float,
-        parent: Span | None = None,
-        trace_id: str | None = None,
-        **attrs,
-    ) -> Span:
-        """Record an already-timed span with explicit timestamps.
-
-        The simulator's generator processes interleave outside any
-        ``contextvars`` context, so the sim client captures virtual-clock
-        timestamps while its read runs and records the legs afterwards.
-        """
-        number = next(self._ids)
-        if parent is not None:
-            trace_id = parent.trace_id
-        elif trace_id is None:
-            trace_id = f"t{number:06d}"
-        recorded = Span(
-            self,
-            name,
-            trace_id=trace_id,
-            span_id=f"s{number:06d}",
-            parent_id=None if parent is None else parent.span_id,
-            start=start,
-            attrs=attrs,
-        )
-        recorded.end = end
-        self._spans.append(recorded)
-        return recorded
 
     # -- inspection --------------------------------------------------------
     def _finished(self, span: Span) -> None:

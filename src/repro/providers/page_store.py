@@ -12,7 +12,8 @@ Three backends are provided:
   larger than memory.
 * :class:`NullPageStore` — records page sizes and checksums only; used by the
   discrete-event simulator where payload bytes are irrelevant but the real
-  provider/metadata code paths still run.
+  provider/metadata code paths still run.  Its payloads are read-only views
+  of one shared zero buffer, so caching them costs no memory.
 """
 
 from __future__ import annotations
@@ -220,11 +221,29 @@ class FilePageStore(PageStore):
             return sum(info.size for info in self._info.values())
 
 
+#: The process-wide zero buffer behind every :class:`NullPageStore` payload;
+#: replaced by a longer one when a read asks for more.
+_zeros = memoryview(b"")
+
+
+def _zero_view(length: int) -> memoryview:
+    """A read-only view of ``length`` zero bytes (no copy, shared)."""
+    global _zeros
+    zeros = _zeros
+    if length > len(zeros):
+        zeros = _zeros = memoryview(bytes(length))
+    return zeros[:length]
+
+
 class NullPageStore(PageStore):
     """Stores page *sizes* only; payload reads return zero bytes.
 
     Used by the simulator and by capacity-planning benchmarks where the byte
-    content is irrelevant but page counts, sizes and placement matter.
+    content is irrelevant but page counts, sizes and placement matter.  A
+    payload is a read-only ``memoryview`` slice of one process-wide zero
+    buffer, which grows to the longest length ever asked for: the
+    simulated clients' page caches hold those views, weighted by length, so
+    their byte budgets stay honest while the memory is shared.
     """
 
     def __init__(self) -> None:
@@ -241,13 +260,15 @@ class NullPageStore(PageStore):
             self._sizes[page_id] = size
             self._bytes += size
 
-    def get(self, page_id: str, offset: int = 0, length: int | None = None) -> bytes:
+    def get(
+        self, page_id: str, offset: int = 0, length: int | None = None
+    ) -> memoryview:
         with self._lock:
             size = self._sizes.get(page_id)
         if size is None:
             raise PageNotFoundError(page_id)
         end = size if length is None else min(offset + length, size)
-        return bytes(max(end - offset, 0))
+        return _zero_view(max(end - offset, 0))
 
     def contains(self, page_id: str) -> bool:
         with self._lock:

@@ -294,7 +294,8 @@ class ProviderManager:
         published pages are immutable, so a cached range can never be
         stale — and misses are write-through-cached after the fetch (the
         fetched objects themselves).  An all-hit call costs ZERO provider
-        round trips.  The optional ``tally`` (a
+        round trips; the hits' bytes are handed to ``runtime.local_copy``
+        once, before any miss is dispatched.  The optional ``tally`` (a
         :class:`~repro.cache.CacheTally`) collects the call's hit/fetch/trip
         counts.
 
@@ -331,6 +332,11 @@ class ProviderManager:
             misses = [index for index, value in enumerate(payloads) if value is None]
             if tally is not None:
                 tally.hits += len(requests) - len(misses)
+            hit_bytes = sum(len(value) for value in payloads if value is not None)
+            if hit_bytes:
+                # Hits still cross the client's memory bus: free on a real
+                # runtime, ``nbytes / memory_bandwidth`` on the virtual clock.
+                await runtime.local_copy(hit_bytes)
             if not misses:
                 return payloads, 0
         # One entry per outstanding miss: [page_id, offset, length, replicas,

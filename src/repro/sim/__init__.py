@@ -6,12 +6,11 @@ measurements meaningless in-process, so the performance experiments are
 reproduced on a discrete-event simulator instead: per-node NIC pipes with
 FIFO serialization, one-way latency, and per-request software overheads.
 
-Crucially, the simulated clients drive the *real* BlobSeer code — the
-provider manager, the version manager, the DHT and the sans-IO segment-tree
-algorithms — so metadata traffic, tree depth and placement are exact; only
-byte payloads and timing are virtual.  Appends go further: they ARE the
-shipped client engine, executed on the virtual clock by
-:class:`~repro.sim.runtime.SimRuntime`.
+Crucially, the simulated clients ARE the shipped client engine, executed on
+the virtual clock by :class:`~repro.sim.runtime.SimRuntime` over the *real*
+provider manager, version manager, DHT and segment-tree code — so metadata
+traffic, tree depth and placement are exact; only byte payloads (zeros)
+and timing are virtual.
 """
 
 from .engine import AllOf, Event, Pipe, Process, Simulator

@@ -26,7 +26,6 @@ from ..config import BlobSeerConfig, SimConfig
 from ..core.blob_store import BlobStore
 from ..core.cluster import Cluster
 from ..errors import BlobSeerError, InvalidRangeError
-from ..metadata.node import NodeKey
 from ..providers.page_store import NullPageStore
 from ..vm import LeaseCache
 from .engine import Event, Simulator
@@ -174,10 +173,8 @@ class SimDeployment:
         #: One page payload cache per *machine* (same keying): cached page
         #: ranges are served locally during a simulated READ and skip the
         #: provider NIC pipes entirely, so warm repeated reads report zero
-        #: data round trips.  Payloads are size-only
-        #: :class:`~repro.cache.VirtualPagePayload` stand-ins (the sim's
-        #: page stores are Null), so the byte budgets stay honest without
-        #: materializing bytes.  None per machine when the config disables
+        #: data round trips.  Payloads are the null page stores' zero views,
+        #: weighted by length.  None per machine when the config disables
         #: page caching.
         self._page_caches: dict[str, PageCache] = {}
         #: One version-lease cache per *machine* (same keying): leased
@@ -185,15 +182,6 @@ class SimDeployment:
         #: reads skip the version-manager RPC entirely.  None per machine
         #: when the config disables leasing.
         self._version_leases: dict[str, LeaseCache] = {}
-        #: Optional :class:`repro.obs.Tracer` recording per-leg spans of
-        #: simulated reads in *virtual* clock time.  Assign one built with
-        #: ``Tracer(clock=lambda: deployment.simulator.now)`` (the bench
-        #: ``--trace`` mode does); sim processes interleave as generators
-        #: outside any call context, so :class:`SimClient` emits spans
-        #: retroactively via :meth:`~repro.obs.Tracer.record` rather than
-        #: through the context-local ``span()`` helper.  Survives
-        #: :meth:`reset_timing` — tracing is client state, not NIC state.
-        self.tracer = None
         # Untimed appends bypass every client cache, like a bulk loader
         # that is not one of the measured machines.
         self._untimed_store = BlobStore(
@@ -349,10 +337,6 @@ class SimDeployment:
         index = int(bucket_id.rsplit("-", 1)[1])
         return self._metadata_nodes[index % len(self._metadata_nodes)]
 
-    def metadata_node_for_key(self, key: NodeKey) -> SimNode:
-        bucket_id = self.cluster.dht.buckets_for(key.to_string())[0]
-        return self.node_for_bucket(bucket_id)
-
     # -- shortcuts to the real components ----------------------------------------
     @property
     def version_manager(self):
@@ -362,10 +346,6 @@ class SimDeployment:
         """Service-side version-manager counters (requests vs batches) —
         accumulated across timing resets; see :class:`repro.vm.VMStats`."""
         return self.cluster.version_manager.vm_stats()
-
-    @property
-    def metadata_provider(self):
-        return self.cluster.metadata_provider
 
     @property
     def page_size(self) -> int:

@@ -20,6 +20,7 @@ lines and has no dependencies.
 
 from __future__ import annotations
 
+import contextvars
 import heapq
 from collections.abc import Coroutine, Generator, Iterable
 
@@ -118,13 +119,18 @@ class Process:
     like any other event; when it raises, :attr:`event` fails and whoever
     joins it sees the exception.  (``done``/``result``/``cancel`` make a
     process the handle of :meth:`repro.sim.runtime.SimRuntime.start`.)
+
+    Like an ``asyncio.Task``, a process runs in its own copy of the
+    ``contextvars`` context taken at creation, so a span opened by its
+    creator parents the spans the process opens.
     """
 
-    __slots__ = ("_sim", "_generator", "event", "_waiting")
+    __slots__ = ("_sim", "_generator", "_context", "event", "_waiting")
 
     def __init__(self, sim: "Simulator", generator: Generator | Coroutine):
         self._sim = sim
         self._generator = generator
+        self._context = contextvars.copy_context()
         self.event = Event(sim)
         self._waiting: Event | None = None
         sim._schedule(0.0, self._resume, None)
@@ -133,9 +139,9 @@ class Process:
         waiting, self._waiting = self._waiting, None
         try:
             if waiting is not None and waiting.failed:
-                waited = self._generator.throw(value)
+                waited = self._context.run(self._generator.throw, value)
             else:
-                waited = self._generator.send(value)
+                waited = self._context.run(self._generator.send, value)
             if not isinstance(waited, Event):
                 raise SimulationError(
                     f"process yielded {waited!r}, which is not an Event"

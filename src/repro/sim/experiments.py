@@ -38,7 +38,7 @@ class AppendSample:
     #: ``WriteResult.vm_round_trips``: the group-committed ticket request and
     #: the one-way completion notice, plus the record and recency lookups
     #: the machine's version lease missed — 4 on a client's first append, 2
-    #: after.  Lease misses are not charged on the virtual clock.
+    #: after.  Each lease miss is one charged RPC to the VM node.
     vm_round_trips: int = 0
 
 
@@ -65,9 +65,9 @@ class ReadConcurrencySample:
     #: frontier of the tree traversal.
     avg_data_round_trips: float = 0.0
     avg_metadata_round_trips: float = 0.0
-    #: Version-manager round trips per READ (1 cold — the combined
-    #: publication check — and 0 once the machine's version lease holds
-    #: the snapshot's published size).
+    #: Version-manager round trips per READ (2 cold — the blob record and
+    #: the combined publication check, each a charged RPC — and 0 once the
+    #: machine's version lease holds both facts).
     avg_vm_round_trips: float = 0.0
     #: Metadata cache hit rate of the cold pass (~0 on a cold start).
     avg_cache_hit_rate: float = 0.0
@@ -245,7 +245,7 @@ def run_read_concurrency_experiment(
         warm = run_pass(readers) if measure_warm else []
         bandwidths = [outcome.bandwidth / MiB for outcome in outcomes]
         total_elapsed = max(outcome.elapsed for outcome in outcomes)
-        total_bytes = sum(outcome.bytes_read for outcome in outcomes)
+        total_bytes = sum(outcome.stats.bytes_read for outcome in outcomes)
         aggregate = total_bytes / total_elapsed / MiB
         samples.append(
             ReadConcurrencySample(
@@ -256,16 +256,16 @@ def run_read_concurrency_experiment(
                 min_bandwidth_mbps=min(bandwidths),
                 aggregate_bandwidth_mbps=aggregate,
                 avg_metadata_nodes_fetched=mean(
-                    outcome.metadata_nodes_fetched for outcome in outcomes
+                    outcome.stats.metadata_nodes_fetched for outcome in outcomes
                 ),
                 avg_data_round_trips=mean(
-                    outcome.data_round_trips for outcome in outcomes
+                    outcome.stats.data_round_trips for outcome in outcomes
                 ),
                 avg_metadata_round_trips=mean(
-                    outcome.metadata_round_trips for outcome in outcomes
+                    outcome.stats.metadata_round_trips for outcome in outcomes
                 ),
                 avg_vm_round_trips=mean(
-                    outcome.vm_round_trips for outcome in outcomes
+                    outcome.stats.vm_round_trips for outcome in outcomes
                 ),
                 avg_cache_hit_rate=mean(
                     outcome.cache_hit_rate for outcome in outcomes
@@ -277,15 +277,15 @@ def run_read_concurrency_experiment(
                     outcome.meta_latency for outcome in outcomes
                 ),
                 avg_speculative_hits=mean(
-                    outcome.speculative_hits for outcome in outcomes
+                    outcome.stats.speculative_hits for outcome in outcomes
                 ),
                 avg_speculative_wasted=mean(
-                    outcome.speculative_wasted for outcome in outcomes
+                    outcome.stats.speculative_wasted for outcome in outcomes
                 ),
                 speculative_hit_rate=_ratio(
-                    sum(outcome.speculative_hits for outcome in outcomes),
+                    sum(outcome.stats.speculative_hits for outcome in outcomes),
                     sum(
-                        outcome.speculative_hits + outcome.speculative_wasted
+                        outcome.stats.speculative_hits + outcome.stats.speculative_wasted
                         for outcome in outcomes
                     ),
                 ),
@@ -295,22 +295,22 @@ def run_read_concurrency_experiment(
                     else 0.0
                 ),
                 warm_avg_metadata_nodes_fetched=(
-                    mean(outcome.metadata_nodes_fetched for outcome in warm)
+                    mean(outcome.stats.metadata_nodes_fetched for outcome in warm)
                     if warm
                     else 0.0
                 ),
                 warm_avg_metadata_round_trips=(
-                    mean(outcome.metadata_round_trips for outcome in warm)
+                    mean(outcome.stats.metadata_round_trips for outcome in warm)
                     if warm
                     else 0.0
                 ),
                 warm_avg_data_round_trips=(
-                    mean(outcome.data_round_trips for outcome in warm)
+                    mean(outcome.stats.data_round_trips for outcome in warm)
                     if warm
                     else 0.0
                 ),
                 warm_avg_vm_round_trips=(
-                    mean(outcome.vm_round_trips for outcome in warm)
+                    mean(outcome.stats.vm_round_trips for outcome in warm)
                     if warm
                     else 0.0
                 ),

@@ -45,26 +45,6 @@ class Network:
         self.bytes_moved = 0
 
     # -- primitives ----------------------------------------------------------
-    def push(
-        self,
-        src: SimNode,
-        dst: SimNode,
-        nbytes: int,
-        service_time: float = 0.0,
-    ) -> Generator[Event, object, None]:
-        """Send ``nbytes`` from ``src`` to ``dst`` (e.g. storing a page).
-
-        Charges the per-request overhead and payload serialization on the
-        sender's ``tx``, the one-way latency, then payload serialization plus
-        ``service_time`` on the receiver's ``rx``.
-        """
-        config = self._config
-        serialization = nbytes / config.nic_bandwidth
-        self.bytes_moved += nbytes
-        yield src.tx.use(config.rpc_overhead + serialization)
-        yield self._sim.timeout(config.latency)
-        yield dst.rx.use(serialization + service_time)
-
     def fetch(
         self,
         requester: SimNode,
@@ -180,29 +160,6 @@ class Network:
         """One streamed batch item: one-way latency, then pipe occupancy."""
         yield self._sim.timeout(self._config.latency)
         yield pipe.use(duration)
-
-    def local_fetch(
-        self,
-        nbytes: int,
-        count: int,
-        item_service_time: float = 0.0,
-    ) -> Generator[Event, object, None]:
-        """Serve ``count`` items totalling ``nbytes`` from a provider (or
-        DHT bucket) hosted on the REQUESTER'S OWN machine.
-
-        The cache-aware replica routing of DESIGN.md §9 prefers a
-        co-located replica: the payload never touches a NIC — it crosses
-        the machine's memory bus at ``memory_bandwidth``, exactly like a
-        page-cache hit — and only the serving process's per-item service
-        time remains.  No NIC pipe is occupied, so local serving neither
-        queues behind nor delays remote flows.
-        """
-        if count <= 0:
-            return
-        config = self._config
-        yield self._sim.timeout(
-            item_service_time * count + nbytes / config.memory_bandwidth
-        )
 
     def small_rpc(
         self,

@@ -8,10 +8,12 @@ awaiting a simulator :class:`~repro.sim.engine.Event`, so a coroutine of
 it would park on the event loop, while the state changes (placement,
 version assignment, metadata weaving, publication) run through the same
 real components — the simulator holds no second copy of the protocol.
+Simulated APPENDs and READs are ``append_ex`` and ``read_ex`` on this
+runtime.
 
-DESIGN.md §8 tabulates what each seam call is charged.  Not charged: the
-lease misses (blob record, recency, published size), which
-:class:`~repro.vm.LeaseCache` answers off the seam.
+DESIGN.md §8 tabulates what each seam call is charged: batched I/O on the
+network model, every version-manager call (lease misses included) on the
+VM node, and bytes served from a client's own caches at memory speed.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ def drive(activity: Generator[Event, object, object]):
 
 #: ``vm_call`` op -> :class:`CompletionNotice` kind.
 _NOTICE_KINDS = {"complete_update": "complete", "abort_update": "abort"}
+
+#: The read-only ``vm_call`` ops: lookups a version lease could not serve.
+_LOOKUPS = frozenset({"get_record", "check_read", "recent_lease", "get_recent"})
 
 
 class SimRuntime:
@@ -101,11 +106,17 @@ class SimRuntime:
     async def retry_call(self, retry, attempt, on_failure=None):
         return await retry.arun(attempt, on_failure=on_failure, sleep=self.sleep)
 
-    # -- version-manager update calls --------------------------------------------
+    # -- version-manager calls ------------------------------------------------------
     async def vm_call(self, vm, op: str, *args, **kwargs):
-        """``vm`` is not called directly: the deployment's two offices front
-        the same version manager, so concurrent clients group-commit."""
+        """A read-only lookup is one ``small_rpc`` to the VM node, then the
+        call.  Update calls do not reach ``vm`` directly: the deployment's
+        two offices front the same version manager, so concurrent clients
+        group-commit."""
         dep = self._dep
+        if op in _LOOKUPS:
+            service_time = dep.sim_config.version_manager_service_time
+            await drive(dep.network.small_rpc(self._node, dep.vm_node, service_time))
+            return getattr(vm, op)(*args, **kwargs)
         latency = dep.sim_config.latency
         if op == "register_update":
             await drive(dep.network.small_request(self._node, dep.vm_node))
@@ -121,6 +132,10 @@ class SimRuntime:
         dep.publish_office.post_delayed(
             CompletionNotice(blob_id, version, _NOTICE_KINDS[op], *reason), latency
         )
+
+    async def local_copy(self, nbytes: int) -> None:
+        """Bytes served from this machine's caches cross its memory bus."""
+        await self.sleep(nbytes / self._dep.sim_config.memory_bandwidth)
 
     # -- structured concurrency ----------------------------------------------------
     def start(self, coro: Coroutine) -> Process:

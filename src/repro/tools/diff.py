@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..aio import SYNC_RUNTIME, run_sync
+from ..core.async_store import AsyncBlobStore
 from ..core.cluster import Cluster
 from ..errors import VersionNotPublishedError
 from ..metadata.geometry import pages_for_size, span_for_pages
 from ..metadata.node import InnerNode, LeafNode, NodeKey, PageDescriptor
-from ..metadata.read_plan import drive_plan, read_plan
 from ..version.records import resolve_owner
 
 
@@ -42,9 +43,10 @@ def version_manifest(
 ) -> list[PageDescriptor]:
     """Return the page descriptors of every page of one published snapshot.
 
-    This is the flat "page table" view of a snapshot, obtained by traversing
-    its segment tree; it is what the garbage collector and the diff tool
-    build on.
+    This is the flat "page table" view of a snapshot, obtained by the
+    engine's own metadata descent over every page, uncached so the tool
+    neither reads nor fills a client's caches; it is what the garbage
+    collector and the diff tool build on.
     """
     vm = cluster.version_manager
     if not vm.is_published(blob_id, version):
@@ -54,22 +56,18 @@ def version_manifest(
     num_pages = pages_for_size(size, record.page_size)
     if num_pages == 0:
         return []
-    span = span_for_pages(num_pages)
-
-    def fetch_many(refs):
-        return cluster.metadata_provider.get_nodes(
-            [
-                NodeKey(
-                    resolve_owner(record, ref.version),
-                    ref.version,
-                    ref.offset,
-                    ref.size,
-                )
-                for ref in refs
-            ]
+    store = AsyncBlobStore(
+        cluster,
+        cache_metadata=False,
+        cache_pages=False,
+        lease_versions=False,
+        runtime=SYNC_RUNTIME,
+    )
+    result = run_sync(
+        store._resolve_ranges(
+            record, version, span_for_pages(num_pages), [(0, num_pages)]
         )
-
-    result = drive_plan(read_plan(version, span, 0, num_pages), fetch_many=fetch_many)
+    )
     return result.sorted_descriptors()
 
 

@@ -35,6 +35,7 @@ from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass
 
+from ..aio import IORuntime
 from ..version.records import BlobRecord, RecencyLease
 
 
@@ -108,9 +109,12 @@ class LeaseCache:
         Time source (``time.monotonic`` by default; the simulator injects
         its virtual clock).
 
-    Every public lookup returns ``(value, round_trips)`` where
-    ``round_trips`` is 0 on a lease/fact hit and 1 when the version manager
-    had to be asked — the unit the ``vm_round_trips`` stats are counted in.
+    Every public lookup is a coroutine taking the caller's
+    :class:`~repro.aio.IORuntime` and returns ``(value, round_trips)``:
+    ``round_trips`` is 0 on a lease/fact hit, which completes without
+    suspending, and 1 when the version manager had to be asked — through
+    ``runtime.vm_call``, so a simulated client pays the RPC on its clock.
+    That is the unit the ``vm_round_trips`` stats are counted in.
     """
 
     def __init__(
@@ -134,12 +138,14 @@ class LeaseCache:
         service.subscribe_publications(self._on_publish)
 
     # ----------------------------------------------------------- recency lease
-    def recent(self, blob_id: str) -> tuple[int, int]:
+    async def recent(self, blob_id: str, runtime: IORuntime) -> tuple[int, int]:
         """Leased GET_RECENT: ``(version, vm_round_trips)``."""
-        lease, trips = self.recent_lease(blob_id)
+        lease, trips = await self.recent_lease(blob_id, runtime)
         return lease.version, trips
 
-    def recent_lease(self, blob_id: str) -> tuple[VersionLease, int]:
+    async def recent_lease(
+        self, blob_id: str, runtime: IORuntime
+    ) -> tuple[VersionLease, int]:
         """The blob's current lease, revalidating on miss/expiry."""
         now = self._clock()
         with self._lock:
@@ -149,7 +155,7 @@ class LeaseCache:
                 self._hits += 1
                 return lease, 0
             self._misses += 1
-        snapshot = self._service.recent_lease(blob_id)
+        snapshot = await runtime.vm_call(self._service, "recent_lease", blob_id)
         lease = self._install(snapshot)
         return lease, 1
 
@@ -198,7 +204,9 @@ class LeaseCache:
             )
 
     # -------------------------------------------------------- immutable facts
-    def published_size(self, blob_id: str, version: int) -> tuple[int, int]:
+    async def published_size(
+        self, blob_id: str, version: int, runtime: IORuntime
+    ) -> tuple[int, int]:
         """Size of a published snapshot: ``(size, vm_round_trips)``.
 
         Raises :class:`~repro.errors.VersionNotPublishedError` (from the
@@ -209,18 +217,20 @@ class LeaseCache:
         hit = self._fact(key)
         if hit is not None:
             return hit, 0
-        size = self._service.check_read(blob_id, version)
+        size = await runtime.vm_call(self._service, "check_read", blob_id, version)
         with self._lock:
             self._store_fact_locked(key, size)
         return size, 1
 
-    def record(self, blob_id: str) -> tuple[BlobRecord, int]:
+    async def record(
+        self, blob_id: str, runtime: IORuntime
+    ) -> tuple[BlobRecord, int]:
         """The blob's immutable record: ``(record, vm_round_trips)``."""
         key = ("record", blob_id)
         hit = self._fact(key)
         if hit is not None:
             return hit, 0
-        record = self._service.get_record(blob_id)
+        record = await runtime.vm_call(self._service, "get_record", blob_id)
         with self._lock:
             self._store_fact_locked(key, record)
         return record, 1

@@ -394,15 +394,15 @@ class TestSimulatedDataTrips:
         read = deployment.simulator.run_process(
             client.read_process(blob_id, outcome.result.version, 0, 2 * 1024 * 1024)
         )
-        assert read.pages_fetched == 32
-        assert read.data_round_trips == 8  # one multi-fetch per provider
+        assert read.stats.pages_fetched == 32
+        assert read.stats.data_round_trips == 8  # one multi-fetch per provider
         # The appender's write-through warmed its machine's cache, so the
         # traversal is free; a cold client pays batched frontier trips.
-        assert read.metadata_round_trips == 0
-        assert read.metadata_cache_hits > 0
+        assert read.stats.metadata_round_trips == 0
+        assert read.stats.metadata_cache_hits > 0
         deployment.clear_node_caches()
         cold = deployment.simulator.run_process(
             client.read_process(blob_id, outcome.result.version, 0, 2 * 1024 * 1024)
         )
-        assert cold.metadata_cache_hits == 0
-        assert 0 < cold.metadata_round_trips < cold.metadata_nodes_fetched
+        assert cold.stats.metadata_cache_hits == 0
+        assert 0 < cold.stats.metadata_round_trips < cold.stats.metadata_nodes_fetched

@@ -17,6 +17,7 @@ import math
 import pytest
 
 from repro import BlobStore, Cluster, NodeCache
+from repro.aio import SYNC_RUNTIME, run_sync
 from repro.dht.dht import DHT
 from repro.dht.storage import BucketStore
 from repro.errors import MetadataNotFoundError, ProviderUnavailableError
@@ -120,14 +121,17 @@ class TestFrontierEquivalence:
         record = cluster.version_manager.get_record(blob_id)
 
         def fetch_many(refs):
-            return cluster.metadata_provider.get_nodes(
-                [
-                    NodeKey(
-                        resolve_owner(record, ref.version),
-                        ref.version, ref.offset, ref.size,
-                    )
-                    for ref in refs
-                ]
+            return run_sync(
+                cluster.metadata_provider.get_nodes_async(
+                    [
+                        NodeKey(
+                            resolve_owner(record, ref.version),
+                            ref.version, ref.offset, ref.size,
+                        )
+                        for ref in refs
+                    ],
+                    SYNC_RUNTIME,
+                )
             )
 
         plan = walk_plan(plan_walker(version, 16, [(0, 1), (15, 1)]))

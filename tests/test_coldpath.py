@@ -318,11 +318,3 @@ class TestSimColdPath:
         assert spec.avg_meta_latency < base.avg_meta_latency
         assert spec.speculative_hit_rate > 0.9
         assert base.speculative_hit_rate == 0.0
-
-    def test_replica_routing_serves_local_replicas(self):
-        """With pages replicated and clients co-located, routing prefers the
-        co-located replica: fewer provider round trips, faster reads."""
-        off = _sim_sample(page_replication=4, replica_routing=False)
-        on = _sim_sample(page_replication=4, replica_routing=True)
-        assert on.avg_data_round_trips < off.avg_data_round_trips
-        assert on.avg_bandwidth_mbps > off.avg_bandwidth_mbps

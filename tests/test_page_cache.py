@@ -28,7 +28,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import BlobStore, CacheStats, Cluster, PageCache
-from repro.cache import VirtualPagePayload, page_weight, shared_page_cache
+from repro.cache import page_weight, shared_page_cache
 from repro.sim.client import SimClient
 from repro.sim.deployment import SimDeployment
 from repro.tools.gc import collect_garbage
@@ -96,13 +96,6 @@ class TestPageCacheStructure:
         tiny.put(("ns", "p3", 0, 8), b"3" * 8)  # evicts p1's range
         assert tiny.discard_page("ns", "p1") == 0
         assert tiny.discard_page("ns", "p2") == 1
-
-    def test_virtual_payloads_carry_size_only(self):
-        virtual = VirtualPagePayload(4096)
-        assert len(virtual) == 4096
-        cache = PageCache(max_entries=8, max_bytes=64 * 1024, shards=1)
-        cache.put(("ns", "p", 0, 4096), virtual)
-        assert cache.bytes_used() >= 4096
 
     def test_budget_enforced_under_concurrent_readers(self):
         payload = b"c" * 64
@@ -254,13 +247,13 @@ class TestSimulatedPageCache:
         cold = deployment.simulator.run_process(
             client.read_process(blob_id, version, 0, 4 * 1024 * 1024)
         )
-        assert cold.page_cache_hits == 0 and cold.data_round_trips == 8
+        assert cold.stats.page_cache_hits == 0 and cold.stats.data_round_trips == 8
         deployment.reset_timing()
         warm = deployment.simulator.run_process(
             SimClient(deployment, 0).read_process(blob_id, version, 0, 4 * 1024 * 1024)
         )
-        assert warm.data_round_trips == 0
-        assert warm.page_cache_hits == warm.pages_fetched
+        assert warm.stats.data_round_trips == 0
+        assert warm.stats.page_cache_hits == warm.stats.pages_fetched
         assert warm.page_cache_hit_rate == 1.0
         assert warm.elapsed < cold.elapsed  # memory bandwidth beats the NIC
         assert warm.elapsed > 0.0  # ...but serving bytes is not free
@@ -271,13 +264,14 @@ class TestSimulatedPageCache:
                 blob_id, version, 4 * 1024 * 1024, 4 * 1024 * 1024
             )
         )
-        assert other.page_cache_hits == 0
+        assert other.stats.page_cache_hits == 0
         deployment.clear_node_caches()
         deployment.reset_timing()
         recold = deployment.simulator.run_process(
             SimClient(deployment, 0).read_process(blob_id, version, 0, 4 * 1024 * 1024)
         )
-        assert recold.page_cache_hits == 0 and recold.data_round_trips == 8
+        assert recold.stats.page_cache_hits == 0
+        assert recold.stats.data_round_trips == 8
 
 
 # --------------------------------------------------------------- property test

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cache import page_weight
 from repro.errors import PageNotFoundError
 from repro.providers.page_store import (
     FilePageStore,
@@ -92,6 +93,18 @@ class TestNullPageStore:
         store.put("p1", bytes(100))
         assert store.get("p1") == bytes(100)
         assert store.get("p1", offset=90, length=20) == bytes(10)
+
+    def test_payloads_are_read_only_views_of_one_zero_buffer(self):
+        """The simulator's page caches hold these payloads: they weigh
+        their length in a cache but share one buffer in memory."""
+        store = NullPageStore()
+        store.put("p1", bytes(64))
+        store.put("p2", bytes(4096))
+        small, large, again = store.get("p1"), store.get("p2"), store.get("p1")
+        assert isinstance(large, memoryview) and large.readonly
+        assert len(small) == 64 and len(large) == 4096
+        assert again.obj is large.obj  # the buffer grew once, then is shared
+        assert page_weight(("ns", "p2", 0, 4096), large) >= 4096
 
     def test_missing_page(self):
         store = NullPageStore()

@@ -128,14 +128,11 @@ def _read_script() -> list[tuple[str, int, int]]:
     return script
 
 
-class TestCrossRuntimeReads:
-    """One READ on two shipped runtimes: the descent suspends differently
-    (one batch per level vs. per-bucket branches) and must count alike."""
+def _on_cluster(runtime, run):
+    """``make(speculate)`` for a shipped runtime over an in-memory cluster of
+    the read script's geometry: ``(cluster, runtime, run)``."""
 
-    @staticmethod
-    def _run_script(
-        runtime, run, speculate: bool, reader: str = "read_ex"
-    ) -> list[tuple]:
+    def make(speculate: bool):
         cluster = Cluster(
             BlobSeerConfig(
                 page_size=READ_PAGE, num_data_providers=4, num_metadata_providers=4,
@@ -144,6 +141,27 @@ class TestCrossRuntimeReads:
             node_cache=NodeCache(),
             page_cache=PageCache(),
         )
+        return cluster, runtime, run
+
+    return make
+
+
+def _on_sim(speculate: bool):
+    """The same geometry on a simulated testbed, driven on the virtual clock."""
+    dep = SimDeployment(
+        num_provider_nodes=4, page_size=READ_PAGE, speculative_prefetch=speculate
+    )
+    return dep.cluster, SimRuntime(dep, dep.client_node(0)), dep.simulator.run_process
+
+
+class TestCrossRuntimeReads:
+    """One READ on three runtimes: the descent suspends differently (one
+    batch per level vs. per-bucket branches, on the loop or on the virtual
+    clock) and must count alike."""
+
+    @staticmethod
+    def _run_script(make, speculate: bool, reader: str = "read_ex") -> list[tuple]:
+        cluster, runtime, run = make(speculate)
         nodes, pages = NodeCache(), PageCache()
         store = AsyncBlobStore(
             cluster, node_cache=nodes, page_cache=pages, runtime=runtime
@@ -171,7 +189,7 @@ class TestCrossRuntimeReads:
             seen.append((data, stats))
         # The two-range boundary read an unaligned write issues through
         # ``_read_byte_ranges``: cold, then warm.
-        record, _trips = store._get_record(blob_id)
+        record, _trips = run(store._get_record(blob_id))
         nodes.clear()
         for _ in range(2):
             tally = CacheTally()
@@ -188,8 +206,8 @@ class TestCrossRuntimeReads:
 
     @pytest.mark.parametrize("speculate", [False, True], ids=["plain", "speculative"])
     def test_read_counters_equal_on_both_runtimes(self, speculate):
-        on_sync = self._run_script(SYNC_RUNTIME, run_sync, speculate)
-        on_loop = self._run_script(AsyncRuntime(), asyncio.run, speculate)
+        on_sync = self._run_script(_on_cluster(SYNC_RUNTIME, run_sync), speculate)
+        on_loop = self._run_script(_on_cluster(AsyncRuntime(), asyncio.run), speculate)
         assert len(on_sync) == len(on_loop) == len(_read_script()) + 2
         misses = 0
         for (sync_data, sync_stats), (loop_data, loop_stats) in zip(on_sync, on_loop):
@@ -212,9 +230,23 @@ class TestCrossRuntimeReads:
     @pytest.mark.parametrize("speculate", [False, True], ids=["plain", "speculative"])
     def test_read_into_equals_read_ex_on_both_runtimes(self, speculate):
         for runtime, run in ((SYNC_RUNTIME, run_sync), (AsyncRuntime(), asyncio.run)):
-            joined = self._run_script(runtime, run, speculate)
-            copied = self._run_script(runtime, run, speculate, reader="read_into")
+            make = _on_cluster(runtime, run)
+            joined = self._run_script(make, speculate)
+            copied = self._run_script(make, speculate, reader="read_into")
             assert copied == joined
+
+    @pytest.mark.parametrize("speculate", [False, True], ids=["plain", "speculative"])
+    def test_sim_read_stats_equal_the_event_loops(self, speculate):
+        """The simulator's READ is the engine: every ``ReadStats`` field —
+        speculation's pair included — equals the event loop's.  The bytes
+        are not compared: the simulated page stores keep sizes only."""
+        on_loop = self._run_script(_on_cluster(AsyncRuntime(), asyncio.run), speculate)
+        on_sim = self._run_script(_on_sim, speculate)
+        assert len(on_sim) == len(on_loop)
+        for (_loop_data, loop_stats), (_sim_data, sim_stats) in zip(on_loop, on_sim):
+            assert sim_stats == loop_stats
+        if speculate:
+            assert any(stats.speculative_hits for _data, stats in on_sim[:-2])
 
 
 class TestVirtualClock:
@@ -231,10 +263,37 @@ class TestVirtualClock:
         assert dep.simulator.now >= outcome.elapsed
         assert dep.network.bytes_moved >= 8 * PAGE
 
+    def test_cold_read_pays_two_vm_rpcs_and_a_warm_read_only_memory(self):
+        """The read side of the seam's charges: a cold READ pays its blob
+        record and its publication check as two RPCs at the VM node; a warm
+        one is served by the machine's lease, node and page caches and
+        takes exactly its bytes over the memory bus."""
+        dep = _deployment()
+        blob_id = dep.create_blob()
+        version = dep.populate_blob(blob_id, 16 * PAGE)
+        size = 8 * PAGE
+        client = SimClient(dep, 0)
+        vm_rpcs = dep.vm_node.tx.requests
+        cold = dep.simulator.run_process(client.read_process(blob_id, version, 0, size))
+        assert cold.stats.vm_round_trips == 2
+        assert dep.vm_node.tx.requests - vm_rpcs == 2
+        vm_rpcs = dep.vm_node.tx.requests
+        warm = dep.simulator.run_process(client.read_process(blob_id, version, 0, size))
+        assert warm.stats.vm_round_trips == 0
+        assert dep.vm_node.tx.requests == vm_rpcs
+        assert warm.stats.page_cache_hits == warm.stats.pages_fetched == 8
+        assert warm.elapsed == size / dep.sim_config.memory_bandwidth
+
     def test_two_concurrent_writers_both_publish(self):
         dep = _deployment()
         blob_id = dep.create_blob()
         writers, appends = 2, 3
+        # Warm each machine's leases first: a lease miss is a charged RPC
+        # that queues at the VM node and would stagger the registrations.
+        for index in range(writers):
+            lease = dep.version_lease_for(dep.client_node(index))
+            run_sync(lease.record(blob_id, SYNC_RUNTIME))
+            run_sync(lease.recent(blob_id, SYNC_RUNTIME))
 
         def writer(index):
             client = SimClient(dep, index)

@@ -31,6 +31,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import BlobStore, Cluster
+from repro.aio import SYNC_RUNTIME, run_sync
 from repro.config import BlobSeerConfig
 from repro.errors import (
     ConcurrencyError,
@@ -330,8 +331,9 @@ class TestLeaseCache:
         service = make_service()
         lease = LeaseCache(service, ttl=60.0, max_entries=16)
         blob = service.create_blob().blob_id
-        assert lease.recent(blob) == (0, 1)  # cold: one VM round trip
-        assert lease.recent(blob) == (0, 0)  # leased: zero
+        # Cold: one VM round trip.
+        assert run_sync(lease.recent(blob, SYNC_RUNTIME)) == (0, 1)
+        assert run_sync(lease.recent(blob, SYNC_RUNTIME)) == (0, 0)  # leased: zero
         stats = lease.stats()
         assert stats.hits == 1 and stats.misses == 1
 
@@ -339,15 +341,16 @@ class TestLeaseCache:
         service = make_service()
         lease = LeaseCache(service, ttl=60.0, max_entries=16)
         blob = service.create_blob().blob_id
-        assert lease.recent(blob) == (0, 1)
+        assert run_sync(lease.recent(blob, SYNC_RUNTIME)) == (0, 1)
         ticket = service.register_update(blob, 3 * PAGE, is_append=True)
         service.complete_update(blob, ticket.version)
         # No round trip, yet the lease already observes the publication:
         # the publish notification renewed it synchronously.
-        assert lease.recent(blob) == (ticket.version, 0)
+        assert run_sync(lease.recent(blob, SYNC_RUNTIME)) == (ticket.version, 0)
         assert lease.stats().renewals >= 1
         # The notification also seeded the published-size fact.
-        assert lease.published_size(blob, ticket.version) == (3 * PAGE, 0)
+        size = run_sync(lease.published_size(blob, ticket.version, SYNC_RUNTIME))
+        assert size == (3 * PAGE, 0)
 
     def test_ttl_expiry_forces_revalidation(self):
         clock = [0.0]
@@ -356,27 +359,27 @@ class TestLeaseCache:
             service, ttl=1.0, max_entries=16, clock=lambda: clock[0]
         )
         blob = service.create_blob().blob_id
-        assert lease.recent(blob) == (0, 1)
+        assert run_sync(lease.recent(blob, SYNC_RUNTIME)) == (0, 1)
         clock[0] = 0.5
-        assert lease.recent(blob) == (0, 0)  # still fresh
+        assert run_sync(lease.recent(blob, SYNC_RUNTIME)) == (0, 0)  # still fresh
         clock[0] = 2.0
-        assert lease.recent(blob) == (0, 1)  # expired: revalidated
+        assert run_sync(lease.recent(blob, SYNC_RUNTIME)) == (0, 1)  # expired: revalidated
         # A backwards clock (the simulator resets virtual time) never
         # expires a lease.
         clock[0] = 0.0
-        assert lease.recent(blob) == (0, 0)
+        assert run_sync(lease.recent(blob, SYNC_RUNTIME)) == (0, 0)
 
     def test_entry_budget_evicts_lru(self):
         service = make_service()
         lease = LeaseCache(service, ttl=60.0, max_entries=2)
         blobs = [service.create_blob().blob_id for _ in range(4)]
         for blob in blobs:
-            lease.recent(blob)
+            run_sync(lease.recent(blob, SYNC_RUNTIME))
         stats = lease.stats()
         assert stats.leases <= 2
         assert stats.evictions > 0
         # The least recently used lease is gone: touching it costs a trip.
-        assert lease.recent(blobs[0]) == (0, 1)
+        assert run_sync(lease.recent(blobs[0], SYNC_RUNTIME)) == (0, 1)
 
     def test_published_size_negative_answers_are_not_cached(self):
         service = make_service()
@@ -384,10 +387,10 @@ class TestLeaseCache:
         blob = service.create_blob().blob_id
         ticket = service.register_update(blob, PAGE, is_append=True)
         with pytest.raises(VersionNotPublishedError):
-            lease.published_size(blob, ticket.version)
+            run_sync(lease.published_size(blob, ticket.version, SYNC_RUNTIME))
         service.complete_update(blob, ticket.version)
         # Published later: the earlier failure must not stick.
-        size, _trips = lease.published_size(blob, ticket.version)
+        size, _trips = run_sync(lease.published_size(blob, ticket.version, SYNC_RUNTIME))
         assert size == PAGE
 
     def test_multi_check_read_batches_publication_checks(self):
@@ -410,9 +413,9 @@ class TestLeaseCache:
         service = make_service()
         lease = LeaseCache(service, ttl=60.0, max_entries=16)
         blob = service.create_blob().blob_id
-        record, trips = lease.record(blob)
+        record, trips = run_sync(lease.record(blob, SYNC_RUNTIME))
         assert record.blob_id == blob and trips == 1
-        record2, trips2 = lease.record(blob)
+        record2, trips2 = run_sync(lease.record(blob, SYNC_RUNTIME))
         assert record2 is record and trips2 == 0
 
 
@@ -517,7 +520,7 @@ class TestSimulatedLeases:
             measure_warm=True,
         )
         for sample in samples:
-            assert sample.avg_vm_round_trips == 1.0  # cold: one check_read
+            assert sample.avg_vm_round_trips == 2.0  # cold: record + check_read
             assert sample.warm_avg_vm_round_trips == 0.0  # leased
             assert sample.warm_avg_bandwidth_mbps >= sample.avg_bandwidth_mbps
 
