@@ -65,7 +65,7 @@ def main() -> None:
     pages = warm.pages_fetched
     print(f"\nwarm read served {pages} page ranges from the page cache "
           f"({warm.page_cache_hits} hits, hit rate "
-          f"{warm.page_cache.hit_rate:.2f})")
+          f"{warm.page_cache_hits / pages:.2f})")
     stats = reader.page_cache_stats()
     print(f"page cache: {stats.entries} entries, {stats.bytes} estimated "
           f"bytes, {stats.evictions} evictions")

@@ -18,7 +18,6 @@ from .node_cache import (
     reset_shared_node_cache,
     set_shared_node_cache,
     shared_node_cache,
-    split_frontier,
 )
 from .page_cache import (
     PageCache,
@@ -44,5 +43,4 @@ __all__ = [
     "set_shared_page_cache",
     "shared_node_cache",
     "shared_page_cache",
-    "split_frontier",
 ]

@@ -27,15 +27,14 @@ module turns into an architectural layer instead of the ad-hoc per-client
 The sharding/budget/stats skeleton is the shared
 :class:`~repro.cache.sharded_lru.ShardedLRUCache` core (the page cache of
 :mod:`repro.cache.page_cache` is the other instantiation); this module adds
-only the node weight function, the frontier helpers and the process-wide
-default instance.
+only the node weight function and the process-wide default instance.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from collections.abc import Hashable, Sequence
+from collections.abc import Hashable
 
 from ..config import (
     DEFAULT_METADATA_CACHE_BYTES,
@@ -63,7 +62,6 @@ __all__ = [
     "reset_shared_node_cache",
     "set_shared_node_cache",
     "shared_node_cache",
-    "split_frontier",
 ]
 
 #: Estimated footprint of an inner node (two optional child versions).
@@ -112,27 +110,6 @@ class NodeCache(ShardedLRUCache):
             shards=shards,
             weight_of=node_weight,
         )
-
-
-def split_frontier(
-    cache: NodeCache | None,
-    cache_keys: Sequence[Hashable],
-    tally: CacheTally | None = None,
-) -> tuple[list[object | None], list[int]]:
-    """Serve one frontier of lookups from ``cache``.
-
-    Returns ``(values, miss_indices)``: ``values`` aligned with
-    ``cache_keys`` (None for misses), ``miss_indices`` the positions the
-    caller must fetch from the DHT.  Hits are tallied.  With ``cache=None``
-    everything is a miss — the caller's uncached path needs no branching.
-    """
-    if cache is None:
-        return [None] * len(cache_keys), list(range(len(cache_keys)))
-    values = cache.get_many(cache_keys)
-    miss_indices = [index for index, value in enumerate(values) if value is None]
-    if tally is not None:
-        tally.hits += len(cache_keys) - len(miss_indices)
-    return values, miss_indices
 
 
 # -- the process-wide default instance ---------------------------------------

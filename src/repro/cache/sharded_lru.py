@@ -41,12 +41,19 @@ MIN_SHARD_BYTES = 512
 
 
 def key_weight(key: Hashable) -> int:
-    """Deterministic byte-footprint estimate of one cache key."""
+    """Deterministic byte-footprint estimate of one cache key: a string's
+    length, or for a flat tuple (the caches' keys, see
+    :meth:`~repro.core.cluster.Cluster.node_cache_key`) the sum of its
+    strings' lengths plus 8 bytes per other part; 8 for anything else."""
     if isinstance(key, str):
         return len(key)
-    if isinstance(key, tuple):
-        return sum(key_weight(part) for part in key)
-    return 8
+    if not isinstance(key, tuple):
+        return 8
+    weight = 8 * len(key)
+    for part in key:
+        if isinstance(part, str):
+            weight += len(part) - 8
+    return weight
 
 
 @dataclass(frozen=True)
@@ -55,14 +62,11 @@ class CacheStats:
 
     ``hits``/``misses``/``evictions`` are lifetime counters of the cache the
     stats were read from; ``entries``/``bytes`` are its current occupancy.
-    When attached to a per-operation result (``ReadStats.cache``,
-    ``WriteResult.cache``), ``hits``/``misses`` are that operation's exact
-    deltas (counted by the operation itself) while ``entries``/``bytes``/
-    ``evictions`` snapshot the — possibly shared — cache right after the
-    operation.
+    A cache-wide pull (``cache_stats()``, the cluster's metrics sources):
+    one operation's hits and misses are counters on its own result struct.
     """
 
-    #: Lookups served from the cache (operation-exact on result structs).
+    #: Lookups served from the cache.
     hits: int = 0
     #: Lookups that fell through to the backend.
     misses: int = 0
@@ -141,17 +145,23 @@ class _Shard:
             {} if track_groups else None
         )
 
+    def probe(self, key: Hashable) -> object | None:
+        """The value of ``key`` (refreshing its recency) or None, counted
+        as a hit or a miss.  The caller holds :attr:`lock`."""
+        entry = self.entries.get(key)
+        if entry is None:
+            self.misses += 1
+            return None
+        self.entries.move_to_end(key)
+        self.hits += 1
+        return entry[0]
+
     def lookup(self, keys: Sequence[Hashable], out: list, indices: Sequence[int]) -> None:
         """Resolve ``keys`` into ``out`` at ``indices`` under one lock."""
+        probe = self.probe
         with self.lock:
             for key, index in zip(keys, indices):
-                entry = self.entries.get(key)
-                if entry is None:
-                    self.misses += 1
-                else:
-                    self.entries.move_to_end(key)
-                    self.hits += 1
-                    out[index] = entry[0]
+                out[index] = probe(key)
 
     def insert(
         self, items: Iterable[tuple[Hashable, object, int, Hashable | None]]
@@ -292,9 +302,9 @@ class ShardedLRUCache:
     # -- single-key operations ----------------------------------------------
     def get(self, key: Hashable) -> object | None:
         """Return the cached value for ``key`` (refreshing recency) or None."""
-        out: list[object | None] = [None]
-        self._shards[self._slot(key)].lookup([key], out, [0])
-        return out[0]
+        shard = self._shards[self._slot(key)]
+        with shard.lock:
+            return shard.probe(key)
 
     def put(self, key: Hashable, value: object) -> None:
         """Insert one value, evicting LRU entries past the shard budget."""
@@ -322,11 +332,12 @@ class ShardedLRUCache:
         cache-side half of the batched fetch protocol: the caller sends only
         the None slots over the network.
         """
-        out: list[object | None] = [None] * len(keys)
         if len(keys) == 1:
-            # One key touches one shard: nothing to group.
-            self._shards[self._slot(keys[0])].lookup(keys, out, (0,))
-            return out
+            # One key touches one shard: probe it directly.
+            shard = self._shards[self._slot(keys[0])]
+            with shard.lock:
+                return [shard.probe(keys[0])]
+        out: list[object | None] = [None] * len(keys)
         by_shard: dict[int, tuple[list[Hashable], list[int]]] = {}
         for index, key in enumerate(keys):
             slot = self._slot(key)

@@ -58,13 +58,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from ..aio import AsyncRuntime, Handle, IORuntime
-from ..cache import (
-    CacheStats,
-    CacheTally,
-    NodeCache,
-    PageCache,
-    split_frontier,
-)
+from ..cache import CacheStats, CacheTally, NodeCache, PageCache
 from ..errors import InvalidRangeError, StoreClosedError, UpdateAbortedError
 from ..metadata.build import BorderSpec, BorderWalker, border_targets, build_nodes
 from ..metadata.geometry import pages_for_size, span_for_pages, validate_node_range
@@ -76,6 +70,10 @@ from ..util.ranges import covering_page_range, is_aligned
 from ..version.records import BlobRecord, UpdateTicket, resolve_owner
 from ..vm import LeaseCache
 from .cluster import Cluster
+
+
+#: The root "span" of every untraced operation: one shared no-op context.
+_UNTRACED = nullcontext()
 
 
 @dataclass(frozen=True)
@@ -110,10 +108,6 @@ class WriteResult:
     #: Boundary page ranges served by the shared page cache (unaligned
     #: writes fetch boundary bytes; aligned writes never fetch pages).
     page_cache_hits: int = 0
-    #: This update's exact hit/miss counts plus an occupancy snapshot of
-    #: the (possibly shared) cache right after it; None when caching is
-    #: disabled.
-    cache: CacheStats | None = None
     #: Version-manager round trips this update issued: ticket registration,
     #: the completion notice, plus any record/recency/size lookups the
     #: shared lease cache could not serve.  The registration and completion
@@ -152,13 +146,6 @@ class ReadStats:
     #: Page ranges served by the shared page cache — a warm repeated read
     #: reports every page here and ``data_round_trips == 0``.
     page_cache_hits: int = 0
-    #: This read's exact hit/miss counts plus an occupancy snapshot of the
-    #: (possibly shared) cache right after it; None when caching is
-    #: disabled.
-    cache: CacheStats | None = None
-    #: The page cache's per-read deltas and occupancy snapshot; None when
-    #: page caching is disabled.
-    page_cache: CacheStats | None = None
     #: Version-manager round trips this read issued: 0 when the blob record
     #: and the snapshot's published size were served by the shared lease
     #: cache (the warm repeated-read regime), up to 2 cold (record +
@@ -293,11 +280,12 @@ class AsyncBlobStore:
 
     # ----------------------------------------------------------- observability
     def _trace_root(self, name: str, **attrs):
-        """A root-span context on a traced cluster, ``nullcontext`` (yielding
-        None) otherwise — the only per-operation cost of disabled tracing."""
+        """A root-span context on a traced cluster, the shared no-op
+        :data:`_UNTRACED` (yielding None) otherwise — the only
+        per-operation cost of disabled tracing."""
         tracer = self._cluster.tracer
         if tracer is None:
-            return nullcontext()
+            return _UNTRACED
         return tracer.trace(name, **attrs)
 
     def _publish_op_metrics(self, op: str, stats, root) -> None:
@@ -599,8 +587,6 @@ class AsyncBlobStore:
             data_round_trips=data_trips,
             metadata_cache_hits=tally.hits,
             page_cache_hits=page_tally.hits,
-            cache=self._operation_cache_stats(self._cache, tally),
-            page_cache=self._operation_cache_stats(self._page_cache, page_tally),
             vm_round_trips=vm_trips,
             failovers=fault_tally.failovers,
             degraded=fault_tally.degraded,
@@ -983,7 +969,6 @@ class AsyncBlobStore:
             data_round_trips=data_round_trips + store_trips,
             metadata_cache_hits=tally.hits,
             page_cache_hits=page_cache_hits,
-            cache=self._operation_cache_stats(self._cache, tally),
             vm_round_trips=vm_round_trips + 1,  # + the completion notice
         )
 
@@ -1052,22 +1037,6 @@ class AsyncBlobStore:
             for ref in refs
         ]
 
-    def _split_frontier(
-        self,
-        record: BlobRecord,
-        refs: list[NodeRef],
-        tally: CacheTally | None,
-    ) -> tuple[list, list[TreeNode | None], list[int]]:
-        """What of one frontier still has to travel from the DHT:
-        ``(cache_keys, nodes, miss_indices)``, branch lineage resolved.
-        ``nodes`` holds what the node cache already served;
-        ``miss_indices`` are the holes.  Every traversal splits a frontier
-        here, which is what keeps the counters identical across runtimes."""
-        key_of = self._cluster.node_cache_key
-        cache_keys = [key_of(resolve_owner(record, ref.version), ref) for ref in refs]
-        nodes, miss_indices = split_frontier(self._cache, cache_keys, tally)
-        return cache_keys, nodes, miss_indices
-
     async def _resolve_ranges(
         self,
         record: BlobRecord,
@@ -1130,6 +1099,8 @@ class AsyncBlobStore:
         its level's fetch, so only the ``speculative_*`` counters differ.
         """
         runtime = self._runtime
+        cache = self._cache
+        key_of = self._cluster.node_cache_key
         depth = 0
         miss_levels: set[int] = set()
 
@@ -1157,8 +1128,8 @@ class AsyncBlobStore:
         def admit(cache_keys: list, positions: list[int], fetched: list) -> None:
             """Nodes that travelled from the DHT have landed: cache them
             and tally them."""
-            if self._cache is not None:
-                self._cache.put_many(
+            if cache is not None:
+                cache.put_many(
                     [
                         (cache_keys[position], node)
                         for position, node in zip(positions, fetched)
@@ -1183,17 +1154,29 @@ class AsyncBlobStore:
                 await runtime.gather(*branches)
 
         async def descend(refs: list[NodeRef], level: int) -> None:
-            """Walk ``refs`` down to the leaves; suspends only on a miss."""
+            """Walk ``refs`` down to the leaves; suspends only on a miss.
+            A level costs one key per ref, one probe of the node cache and
+            one expansion of what it served."""
             nonlocal depth
             while refs:
                 if level >= depth:
                     depth = level + 1
+                cache_keys = []
                 for ref in refs:
                     validate_node_range(ref.offset, ref.size)
-                cache_keys, nodes, miss_indices = self._split_frontier(
-                    record, refs, tally
-                )
+                    cache_keys.append(
+                        key_of(resolve_owner(record, ref.version), ref)
+                    )
                 walker.note_fetched(len(refs))
+                if cache is None:
+                    nodes = [None] * len(refs)
+                else:
+                    nodes = cache.get_many(cache_keys)
+                miss_indices = [
+                    index for index, node in enumerate(nodes) if node is None
+                ]
+                if tally is not None:
+                    tally.hits += len(refs) - len(miss_indices)
                 if miss_indices:
                     miss_levels.add(level)
                     if runtime.pipelined:
@@ -1328,40 +1311,25 @@ class AsyncBlobStore:
                 [(key_of(key.blob_id, key), node) for key, node in items]
             )
 
-    @staticmethod
-    def _operation_cache_stats(cache, tally: CacheTally) -> CacheStats | None:
-        """Per-operation :class:`CacheStats` of the node or the page cache:
-        this operation's exact hit and miss counts (from its tally — correct
-        even when other clients share the cache) plus one occupancy snapshot
-        taken right after it; None when that cache is disabled."""
-        if cache is None:
-            return None
-        now = cache.stats()
-        return CacheStats(
-            hits=tally.hits,
-            misses=tally.fetched,
-            entries=now.entries,
-            bytes=now.bytes,
-            evictions=now.evictions,
-        )
-
     def cache_stats(self) -> CacheStats:
         """Lifetime counters and occupancy of the metadata node cache.
 
         The cache is shared — by default across every store of this
         cluster, and (with default budgets) across all clusters of the
-        process — so the numbers are cache-wide, not per-store.  Per-read
-        and per-write deltas live on ``ReadStats.cache`` /
-        ``WriteResult.cache``.  An uncached store reports all zeros.
+        process — so the numbers are cache-wide, not per-store: one sweep
+        over every shard, a pull for monitoring.  One operation's hits and
+        misses are counters on its result (``metadata_cache_hits``,
+        ``metadata_nodes_fetched``, ``border_nodes_fetched``).  An uncached
+        store reports all zeros.
         """
         return self._cache.stats() if self._cache is not None else CacheStats()
 
     def page_cache_stats(self) -> CacheStats:
         """Lifetime counters and occupancy of the page payload cache.
 
-        Shared like the metadata cache (see :meth:`cache_stats`); per-read
-        deltas live on ``ReadStats.page_cache``.  An uncached store reports
-        all zeros.
+        Shared like the metadata cache (see :meth:`cache_stats`); one
+        read's hits are ``ReadStats.page_cache_hits`` out of
+        ``pages_fetched``.  An uncached store reports all zeros.
         """
         return (
             self._page_cache.stats()

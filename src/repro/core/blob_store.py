@@ -248,18 +248,19 @@ class BlobStore:
 
         The cache is shared — by default across every store of this
         cluster, and (with default budgets) across all clusters of the
-        process — so the numbers are cache-wide, not per-store.  Per-read
-        and per-write deltas live on ``ReadStats.cache`` /
-        ``WriteResult.cache``.  An uncached store reports all zeros.
+        process — so the numbers are cache-wide, not per-store.  One
+        operation's hits and misses are counters on its result
+        (``metadata_cache_hits``, ``metadata_nodes_fetched``,
+        ``border_nodes_fetched``).  An uncached store reports all zeros.
         """
         return self._engine.cache_stats()
 
     def page_cache_stats(self) -> CacheStats:
         """Lifetime counters and occupancy of the page payload cache.
 
-        Shared like the metadata cache (see :meth:`cache_stats`); per-read
-        deltas live on ``ReadStats.page_cache``.  An uncached store reports
-        all zeros.
+        Shared like the metadata cache (see :meth:`cache_stats`); one
+        read's hits are ``ReadStats.page_cache_hits`` out of
+        ``pages_fetched``.  An uncached store reports all zeros.
         """
         return self._engine.page_cache_stats()
 

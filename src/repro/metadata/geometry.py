@@ -50,8 +50,18 @@ def children_of(offset: int, size: int) -> tuple[tuple[int, int], tuple[int, int
     validate_node_range(offset, size)
     if size == 1:
         raise InvalidRangeError("a leaf node has no children")
-    half = size // 2
-    return (offset, half), (offset + half, half)
+    left, right, half = split(offset, size)
+    return (left, half), (right, half)
+
+
+def split(offset: int, size: int) -> tuple[int, int, int]:
+    """The binary split of an inner node's range, unchecked: ``(offset,
+    right_offset, half)`` — the left child is ``(offset, half)``, the right
+    ``(right_offset, half)``.  For a range already validated (a walk checks
+    every ref once before it probes the cache); anything else goes through
+    :func:`children_of`."""
+    half = size >> 1
+    return offset, offset + half, half
 
 
 def parent_of(offset: int, size: int) -> tuple[int, int, str]:

@@ -11,6 +11,7 @@ All offsets and sizes in this module are expressed in **pages**, not bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 @dataclass(frozen=True, order=True)
@@ -37,12 +38,13 @@ class NodeKey:
         return cls(blob_id, int(version), int(offset), int(size))
 
 
-@dataclass(frozen=True)
-class NodeRef:
+class NodeRef(NamedTuple):
     """A (version, offset, size) reference to a node, without the blob id.
 
     The sans-IO plans yield ``NodeRef`` requests; the driver resolves the
     owning blob id (branch lineage) and turns them into :class:`NodeKey`.
+    Immutable, and a tuple so that a walk builds one per visited node
+    cheaply.
     """
 
     version: int

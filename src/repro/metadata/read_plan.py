@@ -40,8 +40,7 @@ from collections.abc import Callable, Generator, Sequence
 from typing import TYPE_CHECKING
 
 from ..errors import InvalidRangeError, MetadataNotFoundError
-from ..util.ranges import intersects
-from .geometry import children_of, is_leaf_range, validate_node_range
+from .geometry import is_leaf_range, split, validate_node_range
 from .node import Frontier, InnerNode, LeafNode, NodeRef, PageDescriptor, TreeNode
 
 if TYPE_CHECKING:
@@ -136,19 +135,30 @@ class FrontierWalker:
         self.result = ReadPlanResult()
         self._root_version = root_version
         self._span = span
-        self._ranges = list(ranges)
+        #: The requested ranges as half-open ``[start, end)`` page bounds.
+        self._bounds = [
+            (page_offset, page_offset + page_count)
+            for page_offset, page_count in ranges
+            if page_count > 0
+        ]
 
     def root_refs(self) -> list[NodeRef]:
         """The traversal's first frontier: the root, or nothing to do."""
-        if not self._ranges:
+        if not self._bounds:
             return []
         return [NodeRef(self._root_version, 0, self._span)]
 
-    def _wanted(self, offset: int, size: int) -> bool:
-        for page_offset, page_count in self._ranges:
-            if intersects(offset, size, page_offset, page_count):
-                return True
-        return False
+    def _wanted_halves(self, left: int, right: int, half: int) -> tuple[bool, bool]:
+        """Whether a requested range intersects the left child ``[left,
+        right)`` and the right child ``[right, right + half)`` of a split."""
+        end = right + half
+        want_left = want_right = False
+        for start, stop in self._bounds:
+            if start < right and left < stop:
+                want_left = True
+            if start < end and right < stop:
+                want_right = True
+        return want_left, want_right
 
     def note_fetched(self, count: int) -> None:
         """Account *count* nodes that arrived from a resolved fetch."""
@@ -156,18 +166,19 @@ class FrontierWalker:
 
     def expand(self, ref: NodeRef, node: TreeNode) -> list[NodeRef]:
         """Consume one fetched node: collect its descriptor (leaf) or
-        return the wanted, validated child refs (inner node)."""
+        return the wanted child refs (inner node).  ``ref`` was validated
+        before its fetch, so the split needs no second check."""
+        _version, offset, size = ref
         result = self.result
-        if is_leaf_range(ref.offset, ref.size):
+        if is_leaf_range(offset, size):
             if not isinstance(node, LeafNode):
                 raise MetadataNotFoundError(
-                    f"expected a leaf at ({ref.offset}, {ref.size}), "
-                    f"got {node!r}"
+                    f"expected a leaf at ({offset}, {size}), got {node!r}"
                 )
             result.leaves_visited += 1
             result.descriptors.append(
                 PageDescriptor(
-                    page_index=ref.offset,
+                    page_index=offset,
                     page_id=node.page_id,
                     provider_id=node.provider_id,
                     length=node.length,
@@ -177,20 +188,16 @@ class FrontierWalker:
             return []
         if not isinstance(node, InnerNode):
             raise MetadataNotFoundError(
-                f"expected an inner node at ({ref.offset}, {ref.size}), "
-                f"got {node!r}"
+                f"expected an inner node at ({offset}, {size}), got {node!r}"
             )
         result.inner_visited += 1
-        (left_offset, left_size), (right_offset, right_size) = children_of(
-            ref.offset, ref.size
-        )
+        left, right, half = split(offset, size)
+        want_left, want_right = self._wanted_halves(left, right, half)
         children: list[NodeRef] = []
-        if node.left_version is not None and self._wanted(left_offset, left_size):
-            children.append(NodeRef(node.left_version, left_offset, left_size))
-        if node.right_version is not None and self._wanted(
-            right_offset, right_size
-        ):
-            children.append(NodeRef(node.right_version, right_offset, right_size))
+        if want_left and node.left_version is not None:
+            children.append(NodeRef(node.left_version, left, half))
+        if want_right and node.right_version is not None:
+            children.append(NodeRef(node.right_version, right, half))
         return children
 
     def predicted_children(self, ref: NodeRef) -> list[NodeRef]:
@@ -207,16 +214,16 @@ class FrontierWalker:
         authoritative :meth:`expand` of the fetched parent always decides
         the real frontier.
         """
-        if is_leaf_range(ref.offset, ref.size):
+        version, offset, size = ref
+        if is_leaf_range(offset, size):
             return []
-        (left_offset, left_size), (right_offset, right_size) = children_of(
-            ref.offset, ref.size
-        )
+        left, right, half = split(offset, size)
+        want_left, want_right = self._wanted_halves(left, right, half)
         children: list[NodeRef] = []
-        if self._wanted(left_offset, left_size):
-            children.append(NodeRef(ref.version, left_offset, left_size))
-        if self._wanted(right_offset, right_size):
-            children.append(NodeRef(ref.version, right_offset, right_size))
+        if want_left:
+            children.append(NodeRef(version, left, half))
+        if want_right:
+            children.append(NodeRef(version, right, half))
         return children
 
 

@@ -34,7 +34,7 @@ import itertools
 import time
 from collections import deque
 from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from contextvars import ContextVar
 
 __all__ = ["Span", "Tracer", "current_span", "span"]
@@ -184,19 +184,27 @@ def current_span() -> Span | None:
     return _CURRENT.get()
 
 
-@contextmanager
-def span(name: str, **attrs) -> Iterator[Span | None]:
+#: What :func:`span` returns outside any trace: one shared, reusable no-op
+#: context manager that yields None.
+_NO_SPAN = nullcontext()
+
+
+def span(name: str, **attrs) -> AbstractContextManager[Span | None]:
     """Open a child of the current span; a no-op outside any trace.
 
     This is the only hook components need: no tracer reference, no config
-    check.  The disabled path costs one ``ContextVar`` read and never
-    touches timing, counters or control flow, which is what keeps the
-    bit-identity guarantee trivial.
+    check.  The disabled path costs one ``ContextVar`` read and returns the
+    shared :data:`_NO_SPAN`; it never touches timing, counters or control
+    flow, which is what keeps the bit-identity guarantee trivial.
     """
     parent = _CURRENT.get()
     if parent is None:
-        yield None
-        return
+        return _NO_SPAN
+    return _child_span(parent, name, attrs)
+
+
+@contextmanager
+def _child_span(parent: Span, name: str, attrs: dict) -> Iterator[Span]:
     child = parent.tracer.child(parent, name, attrs)
     token = _CURRENT.set(child)
     try:

@@ -338,7 +338,8 @@ class TestAsyncSyncEquivalence:
         Each store gets its own cluster and its own dedicated caches (the
         process-shared defaults would leak occupancy between the twins);
         in-cluster state is otherwise deterministic, so every counter —
-        trips, cache hits, occupancy snapshots — must match field for field.
+        trips, cache hits — must match field for field, and so must the
+        caches' lifetime counters and occupancy at the end.
         """
         sync_cluster = small_cluster()
         sync_store = BlobStore(
@@ -360,10 +361,13 @@ class TestAsyncSyncEquivalence:
                 node_cache=NodeCache(),
                 page_cache=PageCache(),
             ) as store:
-                return await _drive_history(store, operations)
+                outcomes = await _drive_history(store, operations)
+                return outcomes, store.cache_stats(), store.page_cache_stats()
 
-        async_outcomes = asyncio.run(run_async())
+        async_outcomes, node_stats, page_stats = asyncio.run(run_async())
         assert async_outcomes == sync_outcomes
+        assert node_stats == sync_store.cache_stats()
+        assert page_stats == sync_store.page_cache_stats()
 
     @settings(
         max_examples=15,

@@ -258,7 +258,9 @@ class TestCacheAccountingAcrossBatches:
         assert second.metadata_nodes_fetched == 0
         assert second.metadata_round_trips == 0
         assert second.metadata_cache_hits == first.metadata_nodes_fetched
-        assert second.cache.hit_rate == 1.0
+        assert second.metadata_cache_hits / (
+            second.metadata_cache_hits + second.metadata_nodes_fetched
+        ) == 1.0
         assert stats.hits == first.metadata_nodes_fetched
         assert cluster.dht.stats().gets == gets_before
 
