@@ -1,4 +1,4 @@
-"""Version leases and the group-commit version-manager service.
+"""Version leases and the version manager's batch counters.
 
 Run with::
 
@@ -6,12 +6,13 @@ Run with::
 
 The version manager is the one serialization point of BlobSeer's design:
 every update needs a ticket from it and every read used to check
-publication with it.  This example shows the PR 4 service machinery that
-takes it off the hot path:
+publication with it.  This example shows how reads get off it and what
+the writers cost it:
 
 * lease configuration through ``BlobSeerConfig.vm_lease_*``;
 * ``ReadStats.vm_round_trips`` dropping to zero for warm repeated reads;
-* the group-commit counters (``VMStats``) under concurrent writers.
+* the version manager's own counters (``VMStats``): in-process every
+  batch holds one request, and only a pre-assembled batch saves rounds.
 """
 
 from __future__ import annotations
@@ -63,10 +64,10 @@ def main() -> None:
     print(f"leased get_recent: {store.get_recent(blob_id)} "
           f"(vm says {cluster.version_manager.get_recent(blob_id)})")
 
-    # Concurrent appenders share the cluster's ticket window: their
-    # register_update calls coalesce into multi_register batches whenever
-    # they overlap (in-process registrations are so fast that overlap is
-    # rare; a networked VM round makes the batches large — see ABL-vm).
+    # Concurrent appenders call the version manager directly.  An
+    # in-process round takes microseconds, so each register_update is a
+    # multi_register batch of one; only the simulated VM node, whose rounds
+    # cost service time, queues requests into larger batches (see ABL-vm).
     def appender(index: int) -> None:
         for _ in range(4):
             store.append(blob_id, bytes([index]) * 4 * KiB)
@@ -77,8 +78,8 @@ def main() -> None:
     for thread in threads:
         thread.join()
 
-    # A batch can also be handed to the service pre-assembled — one lock
-    # round issues four tickets in submission order.
+    # A batch can be handed over pre-assembled — one lock round issues
+    # four tickets in submission order.
     tickets = cluster.version_manager.multi_register(
         [
             RegisterRequest(blob_id=blob_id, size=4 * KiB, is_append=True)

@@ -68,6 +68,9 @@ existing code:
   elapsed, spans)``, and ``SimDeployment.provider_manager`` is spelled
   ``deployment.cluster.provider_manager``.  ``LeaseCache.record`` /
   ``published_size`` / ``recent`` are coroutines taking the runtime.
+  The version-manager service wrapper and its threaded group-commit
+  window are gone: ``cluster.version_manager`` is the ``VersionManager``
+  itself (with ``vm_stats()``), and ``Cluster`` takes no version manager.
 
 Package layout:
 
@@ -82,8 +85,7 @@ Package layout:
 * :mod:`repro.metadata` — the distributed segment tree (the paper's core
   contribution).
 * :mod:`repro.version` — version manager (total order, publication, SYNC).
-* :mod:`repro.vm` — the version-manager *service* layer: group-commit
-  ticketing, pipelined publication and client version leases.
+* :mod:`repro.vm` — client version leases.
 * :mod:`repro.providers` — data providers and the provider manager.
 * :mod:`repro.fault` — data-path fault tolerance: retry with backoff,
   provider failure detection, background replication repair (DESIGN.md).
@@ -126,7 +128,8 @@ from .fault import (
     RepairStats,
     RetryPolicy,
 )
-from .vm import LeaseCache, VersionManagerService, VMStats
+from .version import VMStats
+from .vm import LeaseCache
 from .errors import (
     BlobSeerError,
     ConfigurationError,
@@ -163,7 +166,6 @@ __all__ = [
     "RepairStats",
     "RetryPolicy",
     "LeaseCache",
-    "VersionManagerService",
     "VMStats",
     "SimConfig",
     "GRID5000_PROFILE",

@@ -16,9 +16,9 @@ its text:
                 hashing) and the resulting load spread over DHT buckets.
 * ABL-cache   — the shared metadata node cache: warm-read hit rates, DHT
                 traffic saved, and LRU entry/byte budget enforcement.
-* ABL-vm      — the version-manager service: per-read VM round trips with
-                and without client leases, and the group-commit window's
-                requests-vs-batches amortization under concurrent writers.
+* ABL-vm      — the version manager: per-read VM round trips with and
+                without client leases, and requests vs batches at the
+                simulated VM node under concurrent appenders.
 * ABL-pagecache — the shared page payload cache: provider traffic saved on
                 warm repeated reads, hit rates, and byte-budget enforcement
                 under eviction pressure.
@@ -34,7 +34,6 @@ its text:
 from __future__ import annotations
 
 import random
-import threading
 import time
 
 from ..baselines.centralized import (
@@ -42,6 +41,7 @@ from ..baselines.centralized import (
     run_centralized_read_experiment,
 )
 from ..baselines.fullcopy import FullCopyVersionedStore
+from ..aio import SYNC_RUNTIME, run_sync
 from ..cache import NodeCache, PageCache
 from ..config import BlobSeerConfig, KiB, MiB
 from ..core.blob_store import BlobStore
@@ -56,7 +56,6 @@ from ..sim.experiments import (
     run_mixed_workload_experiment,
     run_read_concurrency_experiment,
 )
-from ..version.version_manager import VersionManager
 from ..vm import LeaseCache
 from .runner import ExperimentResult, check_scale
 
@@ -699,92 +698,73 @@ def run_ablation_page_cache(scale: str = "small") -> ExperimentResult:
 # ----------------------------------------------------------------------- ABL-vm
 #: (page_size, pages, reads_per_pass, writers, appends_per_writer) per scale.
 _VM_PRESETS = {
-    "small": (4 * KiB, 128, 16, 8, 6),
+    "small": (4 * KiB, 128, 16, 16, 6),
     "default": (16 * KiB, 512, 32, 16, 8),
     "paper": (64 * KiB, 2048, 64, 32, 12),
 }
 
-
-class _NetworkedVersionManager(VersionManager):
-    """A version manager whose every lock round costs a serialized delay.
-
-    In-process, a ``multi_register`` takes microseconds and concurrent
-    writers rarely pile up behind the window's leader.  A networked
-    deployment pays an RPC (latency + serialized service time) per lock
-    round — exactly the cost group commit amortizes — so the ablation
-    models it with a small sleep per batch, identical for both regimes.
-    """
-
-    def __init__(self, config: BlobSeerConfig, round_delay: float):
-        super().__init__(config)
-        self._round_delay = round_delay
-
-    def multi_register(self, requests):
-        time.sleep(self._round_delay)
-        return super().multi_register(requests)
-
-    def multi_complete(self, notices):
-        time.sleep(self._round_delay)
-        return super().multi_complete(notices)
+#: The write half's columns, absent ("-") on the read rows and vice versa.
+_VM_WRITE_COLUMNS = (
+    "writers", "register_requests", "register_batches", "register_max_batch",
+    "publish_requests", "publish_batches", "publish_max_batch",
+    "makespan_virtual_ms", "final_version",
+)
+_VM_READ_COLUMNS = (
+    "cold_vm_trips", "warm_vm_trips", "reads_per_pass", "lease_hit_rate",
+)
 
 
 def run_ablation_vm(scale: str = "small") -> ExperimentResult:
-    """The version-manager service: leases on the read path, group commit on
-    the write path.
+    """The version manager: leases on the read path, batching on the write
+    path.
 
-    Two regimes run the same threaded workload against fresh clusters whose
-    version manager charges a 0.3 ms serialized delay per lock round (the
-    networked-VM model — see :class:`_NetworkedVersionManager`):
-
-    * ``unleased`` — every READ pays its version-manager round trips
-      (record lookup + combined publication check); group commit still
-      batches the writers (it is part of the service now);
-    * ``leased``   — the shared :class:`~repro.vm.LeaseCache` additionally
-      serves records, published sizes and GET_RECENT, so the warm read
-      pass reports ``vm_round_trips == 0``.
-
-    Each regime reports the read-side trips per pass, the write-side
-    group-commit counters (``register_requests`` vs ``register_batches``)
-    from a burst of concurrent appender threads, and the burst's makespan.
+    * Read half, on an in-process cluster: the same reads with and without
+      the shared :class:`~repro.vm.LeaseCache`.  ``unleased`` pays its VM
+      round trips (record lookup + combined publication check) on every
+      READ; ``leased`` serves records, published sizes and GET_RECENT from
+      the cache, so its warm pass reports ``vm_round_trips == 0``.
+    * Write half, on the simulated clock: a burst of one-page appenders
+      (:class:`~repro.sim.client.SimClient`, leases warm) on one blob.  The
+      simulated VM node charges service time per round, so registrations
+      and completion notices that arrive during a round are applied as one
+      batch; the row reports requests vs batches and the makespan in
+      virtual time.  In-process there is nothing to batch: a round takes
+      microseconds and every batch holds one request.
     """
     check_scale(scale)
     page_size, pages, reads_per_pass, writers, appends_each = _VM_PRESETS[scale]
     result = ExperimentResult(
         "ABL-vm",
-        "Version-manager service: leased vs unleased reads, group-commit "
-        "amortization under concurrent appenders",
+        "Version manager: leased vs unleased reads, batched registrations "
+        "and publications under concurrent simulated appenders",
     )
     for regime in ("unleased", "leased"):
-        config = BlobSeerConfig(
-            page_size=page_size, num_data_providers=8, num_metadata_providers=8
-        )
         cluster = Cluster(
-            config,
-            version_manager=_NetworkedVersionManager(config, round_delay=0.3e-3),
+            BlobSeerConfig(
+                page_size=page_size, num_data_providers=8, num_metadata_providers=8
+            )
         )
-        leases = (
-            LeaseCache(cluster.version_manager, ttl=300.0)
-            if regime == "leased"
-            else None
-        )
-        store = BlobStore(
-            cluster,
-            cache_metadata=False,
-            lease_versions=regime == "leased",
-            version_leases=leases,
-        )
-        blob_id = store.create()
+        writer = BlobStore(cluster, cache_metadata=False, lease_versions=False)
+        blob_id = writer.create()
         append_bytes = max(1, pages // 8) * page_size
         version = 0
         appended = 0
         while appended < pages * page_size:
-            version = store.append(blob_id, b"v" * append_bytes)
+            version = writer.append(blob_id, b"v" * append_bytes)
             appended += append_bytes
-        store.sync(blob_id, version)
-        if leases is not None:
-            # The populate phase warmed the lease cache (writer
-            # notifications); drop it so the first pass is honestly cold.
-            leases.clear()
+        writer.sync(blob_id, version)
+        # The reader's lease cache is made after the writes, so its first
+        # pass is honestly cold and its hit rate covers the reads only.
+        store = BlobStore(
+            cluster,
+            cache_metadata=False,
+            lease_versions=regime == "leased",
+            version_leases=(
+                LeaseCache(cluster.version_manager, ttl=300.0)
+                if regime == "leased"
+                else None
+            ),
+        )
 
         window_bytes = pages * page_size // reads_per_pass
         trips_per_pass = []
@@ -796,51 +776,58 @@ def run_ablation_vm(scale: str = "small") -> ExperimentResult:
                 )
                 trips += stats.vm_round_trips
             trips_per_pass.append(trips)
-
-        # Write side: a burst of concurrent appenders through the shared
-        # ticket window / publish queue.
-        before = cluster.version_manager.vm_stats()
-        barrier = threading.Barrier(writers)
-
-        def appender(_index):
-            barrier.wait()
-            for _ in range(appends_each):
-                store.append(blob_id, b"w" * page_size)
-
-        threads = [
-            threading.Thread(target=appender, args=(index,))
-            for index in range(writers)
-        ]
-        started = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        makespan = time.perf_counter() - started
-        stats = cluster.version_manager.vm_stats()
         lease_stats = store.lease_stats()
         result.add(
             regime=regime,
             cold_vm_trips=trips_per_pass[0],
             warm_vm_trips=trips_per_pass[1],
             reads_per_pass=reads_per_pass,
-            register_requests=stats.register_requests - before.register_requests,
-            register_batches=stats.register_batches - before.register_batches,
-            register_max_batch=stats.register_max_batch,
-            lock_rounds_saved=stats.lock_rounds_saved,
-            burst_makespan_s=makespan,
             lease_hit_rate=lease_stats.hit_rate if lease_stats else 0.0,
-            final_version=store.get_recent(blob_id),
+            **dict.fromkeys(_VM_WRITE_COLUMNS),
         )
+
+    deployment = SimDeployment(num_provider_nodes=8, page_size=page_size)
+    blob_id = deployment.create_blob()
+    clients = [SimClient(deployment, index) for index in range(writers)]
+    for client in clients:
+        # Warm leases: the record and GET_RECENT are known before the
+        # burst, and publish notifications keep them current during it.
+        lease = deployment.version_lease_for(client.node)
+        run_sync(lease.record(blob_id, SYNC_RUNTIME))
+        run_sync(lease.recent(blob_id, SYNC_RUNTIME))
+
+    def appender(client: SimClient):
+        for _ in range(appends_each):
+            yield from client.append_process(blob_id, page_size)
+
+    simulator = deployment.simulator
+    for client in clients:
+        simulator.process(appender(client))
+    simulator.run()
+    # A fresh deployment: its VM counted nothing but the burst's updates.
+    stats = deployment.vm_stats()
+    result.add(
+        regime="sim_burst",
+        **dict.fromkeys(_VM_READ_COLUMNS),
+        writers=writers,
+        register_requests=stats.register_requests,
+        register_batches=stats.register_batches,
+        register_max_batch=stats.register_max_batch,
+        publish_requests=stats.publish_requests,
+        publish_batches=stats.publish_batches,
+        publish_max_batch=stats.publish_max_batch,
+        makespan_virtual_ms=simulator.now * 1000.0,
+        final_version=deployment.version_manager.get_recent(blob_id),
+    )
     result.note(
         "leased warm pass must report 0 VM trips (the lease cache serves "
         "records, sizes and GET_RECENT); unleased reads pay 2 per read"
     )
     result.note(
-        "register_batches < register_requests: concurrent appenders pile up "
-        "behind the ticket window's leader while the (0.3 ms) networked VM "
-        "round is in flight, and the next drain takes them all in one batch; "
-        "final_version shows every append was still published"
+        "sim_burst: register_batches < register_requests, because the "
+        "simulated VM node applies the requests that arrive during a round "
+        "as its next batch; final_version = writers x appends shows every "
+        "append was published"
     )
     return result
 

@@ -122,8 +122,10 @@ class BlobSeerConfig:
         ring).
     update_timeout:
         Seconds after which the version manager may abort an in-flight update
-        that never completed, so publication of later versions is not stalled
-        forever.  ``None`` disables the timeout (paper behaviour).
+        that never completed.  ``None`` (the default, paper behaviour)
+        disables it.  The reap is not a timer: it runs only inside the
+        blob's next registration, so a blob whose stuck writer has no later
+        writer stays wedged (DESIGN.md §6).
     verify_checksums:
         When True, page payloads are checksummed on write and verified on
         read.

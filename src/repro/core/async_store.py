@@ -110,9 +110,7 @@ class WriteResult:
     page_cache_hits: int = 0
     #: Version-manager round trips this update issued: ticket registration,
     #: the completion notice, plus any record/recency/size lookups the
-    #: shared lease cache could not serve.  The registration and completion
-    #: trips additionally coalesce with concurrent writers' in the
-    #: cluster's ticket window / publish queue (see ``VMStats``).
+    #: shared lease cache could not serve.
     vm_round_trips: int = 0
 
 
@@ -372,9 +370,10 @@ class AsyncBlobStore:
         notifies the version manager; the kinds differ only in what must be
         known before the pages can be composed:
 
-        * an aligned non-strict WRITE needs nothing, so its page stores
-          START before the version is assigned — exactly Algorithm 2's
-          order (and complete before it under the sync runtime);
+        * an aligned WRITE needs nothing, so its page stores START before
+          the version is assigned — exactly Algorithm 2's order (and
+          complete before it under the sync runtime) — in a strict store
+          too, since it reads no old bytes;
         * every other kind registers first (an APPEND learns its offset
           from the ticket), resolves the snapshot that supplies the bytes
           of partly covered boundary pages (:meth:`_reference_snapshot`),
@@ -391,9 +390,7 @@ class AsyncBlobStore:
             record, vm_trips = await self._get_record(blob_id)
         page_size = record.page_size
         pending: _PendingStore | None = None
-        if not (is_append or self._strict_unaligned) and is_aligned(
-            offset, len(data), page_size
-        ):
+        if not is_append and is_aligned(offset, len(data), page_size):
             first_page = offset // page_size
             pending = self._start_page_stores(
                 [
@@ -412,7 +409,7 @@ class AsyncBlobStore:
                 await self._reap(pending.handle)
                 self._discard_pages(pending.planned)
             raise
-        vm_trips += 1  # the (group-committed) ticket registration
+        vm_trips += 1  # the ticket registration
         boundary_trips = page_cache_hits = 0
         try:
             if pending is None:
@@ -448,8 +445,9 @@ class AsyncBlobStore:
 
         The default is the most recently *published* snapshot — no waiting,
         the paper's lock-free spirit.  Two kinds need exact read-modify-write
-        of their boundary pages: every WRITE of a ``strict_unaligned`` store,
-        and any APPEND that starts inside the previous snapshot's tail page.
+        of their boundary pages: every unaligned WRITE of a
+        ``strict_unaligned`` store, and any APPEND that starts inside the
+        previous snapshot's tail page (an aligned WRITE never gets here).
         Those wait (SYNC) for their nearest **non-aborted** predecessor
         instead, so the bytes are exactly what the update is ordered after.
         An aborted predecessor is a hole whose bytes never become readable,

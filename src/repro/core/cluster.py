@@ -33,7 +33,7 @@ from ..providers.page_store import InMemoryPageStore, PageStore
 from ..providers.provider_manager import ProviderManager
 from ..util.ids import IdGenerator
 from ..version.version_manager import VersionManager
-from ..vm import LeaseCache, VersionManagerService
+from ..vm import LeaseCache
 
 
 class Cluster:
@@ -46,7 +46,6 @@ class Cluster:
         seed: int | None = None,
         node_cache: NodeCache | None = None,
         page_cache: PageCache | None = None,
-        version_manager: VersionManager | None = None,
     ):
         self.config = config if config is not None else BlobSeerConfig()
         self._ids = IdGenerator("bs")
@@ -130,20 +129,12 @@ class Cluster:
         self.metadata_provider = MetadataProvider(
             self.dht, encode_values=self.config.encode_metadata
         )
-        # The version manager is wrapped in its service front-end: the
-        # group-commit ticket window and publish queue live there, so every
-        # client of this cluster shares one coalescing point — exactly like
-        # the shared node cache.  ``version_manager`` quacks like the core
-        # VersionManager (all queries forward), so existing callers and the
-        # tools keep working.
-        self.version_manager = VersionManagerService(
-            version_manager
-            if version_manager is not None
-            else VersionManager(self.config, id_generator=self._ids)
-        )
+        # Every client of this cluster calls the one version manager
+        # directly; it counts its own traffic (``vm_stats()``).
+        self.version_manager = VersionManager(self.config, id_generator=self._ids)
         # One shared lease cache per cluster (None when leasing is disabled):
         # co-located clients renew one another's GET_RECENT leases, and the
-        # service's publish notifications keep them coherent.
+        # version manager's publish notifications keep them coherent.
         self.version_leases: LeaseCache | None = (
             LeaseCache(
                 self.version_manager,

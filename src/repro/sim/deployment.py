@@ -33,14 +33,16 @@ from .network import Network, SimNode
 
 
 class SimVersionOffice:
-    """Group-commit window at the simulated version-manager node.
+    """Group-commit queue at the simulated version-manager node.
 
     Requests that arrive while a batch is being served pile up and are
     drained together: the VM endpoint's ``version_manager_service_time`` is
     charged ONCE per batch (plus a tiny per-request serialization share),
-    and the whole batch goes through the service's ``multi_register`` /
-    ``multi_complete`` — so the service-side :class:`~repro.vm.VMStats`
-    count the simulator's batches exactly like the threaded window's.
+    and the whole batch goes through the version manager's
+    ``multi_register`` / ``multi_complete``, which count it in
+    :class:`~repro.version.version_manager.VMStats`.  This is the only
+    place requests are batched: an in-process VM round costs microseconds,
+    so in-process callers call the version manager directly.
 
     ``submit`` is the awaited path (ticket requests need their answer);
     ``post`` is the fire-and-forget path (completion notices — pipelined
@@ -216,8 +218,8 @@ class SimDeployment:
             ]
         self._client_nodes = {}
         # The VM-side group-commit offices are bound to the simulator, so
-        # they are rebuilt with it; their batches flow through the service's
-        # multi-ops, so VMStats accumulate across timing resets.
+        # they are rebuilt with it; their batches go to the version
+        # manager's multi-ops, so VMStats accumulate across timing resets.
         vm = self.version_manager
         self.ticket_office = SimVersionOffice(self, vm.multi_register)
         self.publish_office = SimVersionOffice(self, vm.multi_complete)
@@ -343,8 +345,9 @@ class SimDeployment:
         return self.cluster.version_manager
 
     def vm_stats(self):
-        """Service-side version-manager counters (requests vs batches) —
-        accumulated across timing resets; see :class:`repro.vm.VMStats`."""
+        """The version manager's counters (requests vs batches) —
+        accumulated across timing resets; see
+        :class:`repro.version.version_manager.VMStats`."""
         return self.cluster.version_manager.vm_stats()
 
     @property

@@ -16,7 +16,7 @@ from .records import (
     UpdateTicket,
     resolve_owner,
 )
-from .version_manager import PublishListener, VersionManager
+from .version_manager import PublishListener, VersionManager, VMStats
 
 __all__ = [
     "BlobRecord",
@@ -28,4 +28,5 @@ __all__ = [
     "UpdateTicket",
     "resolve_owner",
     "VersionManager",
+    "VMStats",
 ]

@@ -47,10 +47,11 @@ def resolve_owner(record: BlobRecord, version: int) -> str:
 class RegisterRequest:
     """One WRITE/APPEND registration travelling in a ``multi_register`` batch.
 
-    The wire form of the version-manager request of Section 4.2: the group
-    commit window (:class:`repro.vm.batching.TicketWindow`) coalesces many
-    concurrent requests into one batch, and the version manager answers each
-    with an :class:`UpdateTicket` (or a per-request error).
+    The wire form of the version-manager request of Section 4.2.  In-process
+    each ``register_update`` is a batch of one; the simulated VM node
+    (:class:`repro.sim.deployment.SimVersionOffice`) batches the requests
+    that arrive during a round.  The version manager answers each with an
+    :class:`UpdateTicket` (or a per-request error).
     """
 
     blob_id: str

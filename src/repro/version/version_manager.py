@@ -12,18 +12,23 @@ Responsibilities (Sections 3.1, 4.2 and 4.3 of the paper):
   earlier snapshot are complete;
 * implement SYNC ("read your writes"), GET_RECENT, GET_SIZE and BRANCH.
 
-Extension beyond the paper: updates can be aborted explicitly or reaped
-after a configurable timeout so that one crashed writer cannot stall
-publication forever (the paper defers fault tolerance to future work).
+Extension beyond the paper: an update can be aborted explicitly, and with
+``BlobSeerConfig.update_timeout`` set (it is ``None`` by default) an update
+in flight longer than that is reaped.  The reap is not a timer: it runs only
+inside the blob's next registration, so a blob whose stuck writer has no
+later writer stays wedged.
 
-Batched service semantics (PR 4, see :mod:`repro.vm`): the per-call methods
-are retained, but the heavy lifting now lives in :meth:`multi_register` and
-:meth:`multi_complete`, which apply a whole batch of registrations or
-completion/abort notices with ONE condition acquisition per blob touched —
-the server-side half of the group-commit protocol.  Publication events are
-fanned out to subscribers (client lease caches) *after* the blob lock is
-released, so leased ``GET_RECENT`` answers are invalidated/renewed the
-moment a snapshot becomes visible.
+Clients call this object directly (it is ``Cluster.version_manager``).
+:meth:`multi_register` and :meth:`multi_complete` apply a whole batch of
+registrations or completion/abort notices with ONE condition acquisition
+per blob touched; the per-call methods are one-request batches.  In-process
+every batch holds one request; the simulator's VM node
+(:class:`~repro.sim.deployment.SimVersionOffice`) queues the requests that
+arrive while it serves a batch and hands them over as the next one.  The VM
+counts its own traffic in :class:`VMStats`.  Publication events are fanned
+out to subscribers (client lease caches) *after* the blob lock is released,
+so leased ``GET_RECENT`` answers are invalidated/renewed the moment a
+snapshot becomes visible.
 """
 
 from __future__ import annotations
@@ -57,6 +62,50 @@ from .records import (
 #: fresh :class:`RecencyLease` after every publication advance, outside of
 #: any version-manager lock.
 PublishListener = Callable[[RecencyLease], None]
+
+
+@dataclass(frozen=True)
+class VMStats:
+    """Lifetime counters of one :class:`VersionManager`'s traffic.
+
+    ``register_requests`` vs ``register_batches`` (and the ``publish_*``
+    pair) show how many requests each serialized VM round served: one per
+    round in-process, more on the simulated VM node, which batches.  The
+    query counters cover the read-side calls the client leases exist to
+    avoid.
+    """
+
+    #: Ticket registrations requested by clients.
+    register_requests: int = 0
+    #: ``multi_register`` batches applied.
+    register_batches: int = 0
+    #: Largest registration batch applied so far.
+    register_max_batch: int = 0
+    #: Completion/abort notices requested by clients.
+    publish_requests: int = 0
+    #: ``multi_complete`` batches applied.
+    publish_batches: int = 0
+    #: Largest completion batch applied so far.
+    publish_max_batch: int = 0
+    #: GET_RECENT queries answered (``get_recent`` and ``recent_lease``).
+    recent_calls: int = 0
+    #: Combined IS_PUBLISHED+GET_SIZE read preconditions answered.
+    check_read_calls: int = 0
+    #: ``check_read`` calls plus ``multi_check_read`` batches.
+    check_read_batches: int = 0
+    #: GET_SIZE queries answered.
+    size_calls: int = 0
+    #: Blob-record fetches answered.
+    record_calls: int = 0
+    #: Blocking SYNC waits served.
+    sync_calls: int = 0
+
+    @property
+    def lock_rounds_saved(self) -> int:
+        """Serialized VM rounds that batching removed."""
+        return (self.register_requests - self.register_batches) + (
+            self.publish_requests - self.publish_batches
+        )
 
 
 @dataclass
@@ -97,6 +146,34 @@ class VersionManager:
         self._blobs: dict[str, _BlobState] = {}
         self._lock = threading.Lock()
         self._publish_listeners: list[PublishListener] = []
+        self._stats_lock = threading.Lock()
+        self._stats: dict[str, int] = dict.fromkeys(VMStats.__dataclass_fields__, 0)
+
+    # ------------------------------------------------------------------ stats
+    def _count(self, name: str) -> None:
+        with self._stats_lock:
+            self._stats[name] += 1
+
+    def _count_batch(self, kind: str, size: int) -> None:
+        """One applied ``multi_register`` (``kind`` "register") or
+        ``multi_complete`` ("publish") batch of ``size`` requests."""
+        stats = self._stats
+        with self._stats_lock:
+            stats[f"{kind}_requests"] += size
+            stats[f"{kind}_batches"] += 1
+            if size > stats[f"{kind}_max_batch"]:
+                stats[f"{kind}_max_batch"] = size
+
+    def _count_checks(self, queries: int) -> None:
+        """One ``check_read`` round answering ``queries`` preconditions."""
+        with self._stats_lock:
+            self._stats["check_read_calls"] += queries
+            self._stats["check_read_batches"] += 1
+
+    def vm_stats(self) -> VMStats:
+        """A snapshot of the lifetime :class:`VMStats` counters."""
+        with self._stats_lock:
+            return VMStats(**self._stats)
 
     # ---------------------------------------------------------- notifications
     def subscribe_publications(self, listener: PublishListener) -> None:
@@ -178,6 +255,7 @@ class VersionManager:
         return record
 
     def get_record(self, blob_id: str) -> BlobRecord:
+        self._count("record_calls")
         return self._state(blob_id).record
 
     def blob_ids(self) -> list[str]:
@@ -228,6 +306,8 @@ class VersionManager:
         exception that single registration raised — one bad offset cannot
         poison the rest of the batch.
         """
+        if requests:
+            self._count_batch("register", len(requests))
         results: list[UpdateTicket | BaseException] = [None] * len(requests)
         by_blob: dict[str, list[int]] = {}
         for index, request in enumerate(requests):
@@ -353,6 +433,8 @@ class VersionManager:
         which is what makes N queued completions cost O(batches) instead of
         O(N) lock rounds.
         """
+        if notices:
+            self._count_batch("publish", len(notices))
         results: list[None | BaseException] = [None] * len(notices)
         by_blob: dict[str, list[int]] = {}
         for index, notice in enumerate(notices):
@@ -466,6 +548,7 @@ class VersionManager:
         Guaranteed to be at least as large as any version published before
         the call (the paper's monotonicity guarantee).
         """
+        self._count("recent_calls")
         state = self._state(blob_id)
         with state.condition:
             return self._recent_locked(state)
@@ -477,6 +560,7 @@ class VersionManager:
 
     def get_size(self, blob_id: str, version: int) -> int:
         """GET_SIZE: size in bytes of a published snapshot."""
+        self._count("size_calls")
         state = self._state(blob_id)
         with state.condition:
             if not self._is_published_locked(state, version):
@@ -492,6 +576,7 @@ class VersionManager:
         so clients may cache the answer forever (the fact half of
         :class:`repro.vm.lease.LeaseCache`).
         """
+        self._count_checks(1)
         state = self._state(blob_id)
         with state.condition:
             if not self._is_published_locked(state, version):
@@ -509,6 +594,7 @@ class VersionManager:
         clients that validate many snapshots at once (a scanner opening
         every version of a dataset, a GC pass sizing its keep set).
         """
+        self._count_checks(len(queries))
         results: list[int | BaseException] = [None] * len(queries)
         by_blob: dict[str, list[int]] = {}
         for index, (blob_id, _version) in enumerate(queries):
@@ -536,6 +622,7 @@ class VersionManager:
         lease with epoch ``e`` knows its cached answer is current as long as
         no publish notification with a larger epoch has arrived.
         """
+        self._count("recent_calls")
         state = self._state(blob_id)
         with state.condition:
             return self._lease_locked(state)
@@ -547,6 +634,7 @@ class VersionManager:
         :class:`VersionNotPublishedError` on timeout or if the version was
         never assigned.
         """
+        self._count("sync_calls")
         state = self._state(blob_id)
         deadline = None if timeout is None else time.monotonic() + timeout
         with state.condition:

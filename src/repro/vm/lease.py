@@ -93,12 +93,10 @@ class LeaseCache:
     Parameters
     ----------
     service:
-        The version-manager front-end to fall back to on a miss and to
-        subscribe to for publish notifications.  Anything exposing
-        ``recent_lease``, ``check_read``, ``get_record`` and
-        ``subscribe_publications`` works (both the raw
-        :class:`~repro.version.version_manager.VersionManager` and the
-        :class:`~repro.vm.service.VersionManagerService`).
+        The version manager to fall back to on a miss and to subscribe to
+        for publish notifications: ``cluster.version_manager``, or anything
+        exposing ``recent_lease``, ``check_read``, ``get_record`` and
+        ``subscribe_publications`` (the wall benchmark's timing proxy).
     ttl:
         Maximum age of a recency lease before a hit must revalidate.  The
         push notifications keep leases current in-process; the TTL is the

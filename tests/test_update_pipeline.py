@@ -38,10 +38,15 @@ RUNTIMES = pytest.mark.parametrize(
 #: four numbers are what the commit before the merge returned under either
 #: runtime, the last what the level-by-level border plan fetched before the
 #: border walk moved onto the engine's pipelined descent.  The cold store
-#: makes this the one table where that walk fetches from the DHT.
+#: makes this the one table where that walk fetches from the DHT.  A strict
+#: store's aligned WRITE reads no old bytes, so it costs what a non-strict
+#: one does: no SYNC on its predecessor.
 UPDATE_KINDS = {
     "aligned_write": (False, [4 * PAGE], "write", PAGE, 2 * PAGE, (2, 2, 3, 2, 3)),
     "unaligned_write": (False, [4 * PAGE], "write", 30, 100, (2, 5, 3, 3, 2)),
+    "strict_aligned_write": (
+        True, [4 * PAGE], "write", PAGE, 2 * PAGE, (2, 2, 3, 2, 3)
+    ),
     "strict_write_at_v1": (True, [], "write", 0, 100, (3, 2, 1, 2, 0)),
     "strict_write_later": (True, [4 * PAGE], "write", 30, 100, (3, 5, 3, 3, 2)),
     "aligned_append": (
@@ -227,3 +232,27 @@ def test_unaligned_write_into_an_inflight_writers_page(strict, event_loop):
     v3, data = asyncio.run(scenario())
     assert v3 == 3
     assert data == (b"aaXXaaaaaaYYaaaa" if strict else b"aaaaaaaaaaYYaaaa")
+
+
+def test_strict_aligned_write_does_not_wait_for_an_inflight_predecessor():
+    """An aligned WRITE reads no old bytes, so a strict store's aligned
+    WRITE neither SYNCs on v2 (registered by hand, never completed) nor
+    gives up its early page stores: it returns at once."""
+
+    async def scenario():
+        cluster = make_cluster(page_size=16)
+        vm = cluster.version_manager
+        engine = AsyncBlobStore(cluster, strict_unaligned=True)
+        blob_id = await engine.create()
+        v1 = await engine.append(blob_id, b"a" * 32)
+        await engine.sync(blob_id, v1)
+        vm.register_update(blob_id, 4, offset=2)  # v2, in flight for good
+        result = await asyncio.wait_for(
+            engine.write_ex(blob_id, b"X" * 16, 16), 1.0
+        )
+        return result, vm.get_recent(blob_id)
+
+    result, recent = asyncio.run(scenario())
+    assert result.version == 3
+    assert result.vm_round_trips == 2  # register + complete, no SYNC
+    assert recent == 1  # v3 waits behind v2 to publish, not to write

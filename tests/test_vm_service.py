@@ -1,4 +1,5 @@
-"""Tests for the version-manager service subsystem (:mod:`repro.vm`).
+"""Tests for the version manager's batch interface, its own counters and
+the client version leases (:mod:`repro.vm`).
 
 Four concerns:
 
@@ -6,11 +7,10 @@ Four concerns:
   whole batch under one lock round per blob, preserve per-blob ticket
   order, isolate per-request errors, and keep ticket numbering
   gapless-after-reap when an abort lands mid-batch;
-* the group-commit machinery — concurrent submissions through the
-  :class:`~repro.vm.TicketWindow` / :class:`~repro.vm.PublishQueue`
-  coalesce into measurably fewer lock rounds than requests
-  (``VMStats.register_batches < register_requests``) while remaining
-  semantically identical to sequential calls;
+* threaded callers of a bare :class:`VersionManager` — tickets stay
+  gap-free and in per-blob order, errors stay per request, and
+  :class:`VMStats` counts each call as one batch with no call counted
+  twice (the simulated VM node is where batches grow; ABL-vm);
 * the client leases — GET_RECENT and published sizes are served from the
   :class:`~repro.vm.LeaseCache` with zero version-manager round trips once
   warm, publish notifications renew leases synchronously, the TTL and the
@@ -25,7 +25,6 @@ Four concerns:
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -41,17 +40,16 @@ from repro.errors import (
 )
 from repro.sim.experiments import run_read_concurrency_experiment
 from repro.version.records import CompletionNotice, RegisterRequest
-from repro.version.version_manager import VersionManager
-from repro.vm import LeaseCache, PublishQueue, TicketWindow, VersionManagerService
+from repro.version.version_manager import VersionManager, VMStats
+from repro.vm import LeaseCache
 
 from .conftest import TEST_PAGE_SIZE, make_payload
 
 PAGE = TEST_PAGE_SIZE
 
 
-def make_service(**config_overrides) -> VersionManagerService:
-    config = BlobSeerConfig(page_size=PAGE, **config_overrides)
-    return VersionManagerService(VersionManager(config))
+def make_service(**config_overrides) -> VersionManager:
+    return VersionManager(BlobSeerConfig(page_size=PAGE, **config_overrides))
 
 
 def run_threads(count, target):
@@ -168,72 +166,11 @@ class TestMultiComplete:
         assert vm.get_recent(blob) == ticket.version
 
 
-# ------------------------------------------------------------- group commit
-class _GatedVersionManager(VersionManager):
-    """A VersionManager whose first multi_register blocks until released —
-    forcing concurrent submitters to pile up behind the window's leader so
-    the second drain round provably batches them."""
-
-    def __init__(self, config):
-        super().__init__(config)
-        self.gate = threading.Event()
-        self.first_batch_entered = threading.Event()
-        self._first = True
-
-    def multi_register(self, requests):
-        if self._first:
-            self._first = False
-            self.first_batch_entered.set()
-            assert self.gate.wait(timeout=10)
-        return super().multi_register(requests)
-
-
+# ------------------------------------------------------ threaded callers
 class TestGroupCommitWindow:
-    def test_concurrent_registers_coalesce_into_fewer_batches(self):
-        core = _GatedVersionManager(BlobSeerConfig(page_size=PAGE))
-        service = VersionManagerService(core)
-        blob = service.create_blob().blob_id
-        writers = 8
-        versions: list[int] = []
-        lock = threading.Lock()
-        started = threading.Barrier(writers + 1)
-
-        def writer(_index):
-            started.wait()
-            ticket = service.register_update(blob, PAGE, is_append=True)
-            with lock:
-                versions.append(ticket.version)
-
-        threads = [
-            threading.Thread(target=writer, args=(i,)) for i in range(writers)
-        ]
-        for thread in threads:
-            thread.start()
-        started.wait()
-        # Let the leader enter its (gated) first batch, give the followers
-        # time to enqueue behind it, then open the gate: the leader's next
-        # drain round picks them all up in ONE multi_register.
-        assert core.first_batch_entered.wait(timeout=10)
-        deadline = time.monotonic() + 5
-        while True:
-            stats = service.ticket_window_stats()
-            if stats.requests + stats.pending >= writers:
-                break
-            if time.monotonic() > deadline:  # pragma: no cover - debug aid
-                break
-            time.sleep(0.005)
-        core.gate.set()
-        for thread in threads:
-            thread.join()
-
-        stats = service.vm_stats()
-        assert sorted(versions) == list(range(1, writers + 1))
-        assert stats.register_requests == writers
-        # Measurably fewer ticket-issuance lock rounds than writers: the
-        # gated first batch plus one (or a few) group-committed rounds.
-        assert stats.register_batches < writers
-        assert stats.register_max_batch > 1
-        assert stats.lock_rounds_saved > 0
+    """Threads calling one bare VersionManager: no window, no queue — each
+    call is a batch of one, and the per-blob order and per-request errors
+    the batch primitives promise hold under contention."""
 
     def test_window_preserves_per_blob_order_and_raises_per_request(self):
         service = make_service()
@@ -250,8 +187,10 @@ class TestGroupCommitWindow:
         assert len(window_error) == 4
         # The failed registrations consumed no versions.
         assert service.register_update(blob, PAGE, is_append=True).version == 1
+        stats = service.vm_stats()
+        assert (stats.register_requests, stats.register_batches) == (5, 5)
 
-    def test_publish_queue_coalesces_completions(self):
+    def test_threaded_completions_are_each_one_batch(self):
         service = make_service()
         blob = service.create_blob().blob_id
         writers = 6
@@ -266,20 +205,25 @@ class TestGroupCommitWindow:
         run_threads(writers, completer)
         stats = service.vm_stats()
         assert service.get_recent(blob) == writers
-        assert stats.publish_requests == writers
-        # Coalescing is opportunistic under real concurrency; it must never
-        # exceed one lock round per notification.
-        assert stats.publish_batches <= writers
+        assert stats.publish_requests == stats.publish_batches == writers
+        assert stats.publish_max_batch == 1
+        assert stats.lock_rounds_saved == 0
 
     def test_window_and_queue_survive_a_stress_mix(self):
         service = make_service()
         blob = service.create_blob().blob_id
         per_thread = 20
         threads = 6
+        order_errors: list[str] = []
+        last_seen = [0] * threads
 
         def worker(index):
             for i in range(per_thread):
                 ticket = service.register_update(blob, PAGE, is_append=True)
+                # One thread's tickets come out strictly increasing.
+                if ticket.version <= last_seen[index]:
+                    order_errors.append(f"{index}: {ticket.version}")
+                last_seen[index] = ticket.version
                 if (ticket.version + index) % 7 == 0:
                     service.abort_update(blob, ticket.version, "chaos")
                 else:
@@ -287,42 +231,89 @@ class TestGroupCommitWindow:
 
         run_threads(threads, worker)
         total = per_thread * threads
+        assert order_errors == []
         # Every version assigned exactly once, gap-free, all resolved.
         assert service.inflight_count(blob) == 0
         recent = service.get_recent(blob)
         assert recent <= total
         assert service.register_update(blob, PAGE, is_append=True).version == total + 1
+        stats = service.vm_stats()
+        assert stats.register_requests == stats.register_batches == total + 1
+        assert stats.publish_requests == stats.publish_batches == total
+        assert stats.recent_calls == 1
 
 
-class TestBatchingPrimitives:
-    def test_ticket_window_submit_batch_counts_one_round(self):
-        service = make_service()
-        blob = service.create_blob().blob_id
-        results = service.multi_register(
+class TestVMStats:
+    """The version manager counts its own calls: every batch once, every
+    query once, and no internal self-call twice."""
+
+    def test_a_pre_assembled_batch_counts_one_round(self):
+        vm = make_service()
+        blob = vm.create_blob().blob_id
+        results = vm.multi_register(
             [
                 RegisterRequest(blob_id=blob, size=PAGE, is_append=True)
                 for _ in range(5)
             ]
         )
         assert [t.version for t in results] == [1, 2, 3, 4, 5]
-        stats = service.ticket_window_stats()
-        assert (stats.requests, stats.batches, stats.max_batch) == (5, 1, 5)
-        assert stats.mean_batch == 5.0
+        vm.multi_complete(
+            [CompletionNotice(blob_id=blob, version=v) for v in (1, 2)]
+        )
+        vm.multi_register([])  # an empty batch is no round
+        stats = vm.vm_stats()
+        assert (
+            stats.register_requests,
+            stats.register_batches,
+            stats.register_max_batch,
+        ) == (5, 1, 5)
+        assert (
+            stats.publish_requests,
+            stats.publish_batches,
+            stats.publish_max_batch,
+        ) == (2, 1, 2)
+        assert stats.lock_rounds_saved == 5
 
-    def test_executor_level_failure_reaches_every_waiter(self):
-        def explode(_batch):
-            raise RuntimeError("backend down")
+    def test_each_query_counts_once(self):
+        vm = make_service()
+        blob = vm.create_blob().blob_id
+        ticket = vm.register_update(blob, PAGE, is_append=True)
+        vm.complete_update(blob, ticket.version)
+        vm.get_record(blob)
+        vm.get_recent(blob)
+        vm.recent_lease(blob)
+        vm.get_size(blob, 1)
+        vm.check_read(blob, 1)
+        vm.multi_check_read([(blob, 0), (blob, 1)])
+        vm.sync(blob, 1)
+        # Neither counted by the VM nor by any of the calls above.
+        vm.is_published(blob, 1)
+        vm.poll_sync(blob, 1)
+        vm.inflight_count(blob)
+        vm.branch(blob, 1)
+        assert vm.vm_stats() == VMStats(
+            register_requests=1,
+            register_batches=1,
+            register_max_batch=1,
+            publish_requests=1,
+            publish_batches=1,
+            publish_max_batch=1,
+            recent_calls=2,
+            check_read_calls=3,
+            check_read_batches=2,
+            size_calls=1,
+            record_calls=1,
+            sync_calls=1,
+        )
 
-        window = TicketWindow(explode)
-        with pytest.raises(RuntimeError, match="backend down"):
-            window.register(RegisterRequest(blob_id="b", size=1, is_append=True))
-
-    def test_publish_queue_notify_raises_per_notice(self):
-        service = make_service()
-        blob = service.create_blob().blob_id
-        queue = PublishQueue(service.multi_complete)
-        with pytest.raises(ConcurrencyError):
-            queue.notify(CompletionNotice(blob_id=blob, version=3))
+    def test_cluster_hands_out_the_version_manager_itself(self, cluster):
+        assert type(cluster.version_manager) is VersionManager
+        store = BlobStore(cluster, cache_metadata=False, lease_versions=False)
+        blob_id = store.create()
+        store.sync(blob_id, store.append(blob_id, make_payload(PAGE)))
+        stats = cluster.version_manager.vm_stats()
+        assert (stats.register_requests, stats.register_batches) == (1, 1)
+        assert (stats.publish_requests, stats.publish_batches) == (1, 1)
 
 
 # ------------------------------------------------------------------- leases
