@@ -62,8 +62,10 @@ existing code:
   with :data:`~repro.aio.SYNC_RUNTIME` under ``run_sync``).
   The size-only ("virtual") store calls of the provider manager, data
   providers and page stores went with their one caller, the simulator's
-  own APPEND: store ``bytes(size)`` — a ``NullPageStore`` keeps only the
-  length anyway.  ``repro.sim.AppendOutcome`` is ``(result: WriteResult,
+  own APPEND: store ``SimDeployment.append_payload(blob_id, size)``, a
+  read-only view of shared zeros (a ``NullPageStore`` keeps only the
+  length).  A custom ``PageStore.put`` takes ``checksummed`` and may get
+  a read-only view.  ``repro.sim.AppendOutcome`` is ``(result: WriteResult,
   elapsed)`` now, ``repro.sim.ReadOutcome`` is ``(stats: ReadStats,
   elapsed, spans)``, and ``SimDeployment.provider_manager`` is spelled
   ``deployment.cluster.provider_manager``.  ``LeaseCache.record`` /

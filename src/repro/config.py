@@ -128,7 +128,8 @@ class BlobSeerConfig:
         writer stays wedged (DESIGN.md §6).
     verify_checksums:
         When True, page payloads are checksummed on write and verified on
-        read.
+        full-page reads.  When False (the default) no checksum is computed
+        at all.
     encode_metadata:
         When True, metadata tree nodes are serialized to their wire format
         (see :mod:`repro.metadata.serialization`) before being stored in the

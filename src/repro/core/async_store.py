@@ -76,6 +76,24 @@ from .cluster import Cluster
 _UNTRACED = nullcontext()
 
 
+def _immutable(data) -> bytes | memoryview:
+    """An update's buffer as bytes no caller can change: an exact ``bytes``
+    (or a contiguous view over one) as it is, any other buffer copied once."""
+    if type(data) is bytes:
+        return data
+    if isinstance(data, memoryview) and type(data.obj) is bytes and data.c_contiguous:
+        return data.cast("B")
+    return bytes(data)
+
+
+def _window(data: bytes | memoryview, start: int, stop: int) -> bytes | memoryview:
+    """Bytes ``[start, stop)`` of an immutable update buffer without a copy:
+    the buffer itself when that is all of it, else a view of it."""
+    if start == 0 and stop == len(data):
+        return data
+    return memoryview(data)[start:stop]
+
+
 @dataclass(frozen=True)
 class WriteResult:
     """Detailed outcome of a WRITE/APPEND (``*_ex`` variants)."""
@@ -380,7 +398,7 @@ class AsyncBlobStore:
           composes the page payloads, then stores them.
         """
         self._ensure_open()
-        data = bytes(data)
+        data = _immutable(data)
         kind = "append" if is_append else "write"
         if not is_append and offset < 0:
             raise InvalidRangeError(f"negative write offset: {offset}")
@@ -394,8 +412,8 @@ class AsyncBlobStore:
             first_page = offset // page_size
             pending = self._start_page_stores(
                 [
-                    (first_page + index, data[index * page_size:(index + 1) * page_size])
-                    for index in range(len(data) // page_size)
+                    (first_page + index, _window(data, start, start + page_size))
+                    for index, start in enumerate(range(0, len(data), page_size))
                 ]
             )
         try:
@@ -686,11 +704,12 @@ class AsyncBlobStore:
         the boundary bytes of both ranges come back in one provider-grouped
         batch of page fetches.
 
-        Returns ``(page_index, payload)`` pairs covering the ticket's page
-        range exactly, plus the number of batched data round trips the
-        boundary fetches cost, plus the version-manager round trips the
-        reference snapshot's size lookup cost (zero when the shared lease
-        cache served it).
+        Only a boundary page that keeps old bytes is copied; every other
+        page is a view of ``data``.  Returns ``(page_index, payload)``
+        pairs covering the ticket's page range exactly, plus the number of
+        batched data round trips the boundary fetches cost, plus the
+        version-manager round trips the reference snapshot's size lookup
+        cost (zero when the shared lease cache served it).
         """
         page_size = record.page_size
         offset = ticket.byte_offset
@@ -729,6 +748,7 @@ class AsyncBlobStore:
             page_end = page_start + page_size
             write_start = max(offset, page_start)
             write_stop = min(write_end, page_end)
+            payload = _window(data, write_start - offset, write_stop - offset)
             prefix = b""
             suffix = b""
             if write_start > page_start:
@@ -740,11 +760,8 @@ class AsyncBlobStore:
                 # Preserve old bytes between the end of the write and the end
                 # of the previous snapshot (capped at the page boundary).
                 suffix = by_range[suffix_range]
-            payload = (
-                prefix
-                + data[write_start - offset:write_stop - offset]
-                + suffix
-            )
+            if prefix or suffix:
+                payload = b"".join((prefix, payload, suffix))
             payloads.append((page_index, payload))
         return payloads, boundary_trips, vm_trips
 

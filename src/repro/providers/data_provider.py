@@ -89,7 +89,7 @@ class DataProvider:
         self._check_alive()
         with self._lock:
             self._put_requests += 1
-        self._store.put(page_id, data)
+        self._store.put(page_id, data, checksummed=self._verify)
 
     def fetch_page(
         self, page_id: str, offset: int = 0, length: int | None = None
@@ -110,7 +110,7 @@ class DataProvider:
         data = self._store.get(page_id, offset, length)
         if self._verify and offset == 0:
             info = self._store.page_info(page_id)
-            if len(data) == info.size:
+            if len(data) == info.size and info.checksum is not None:
                 verify_checksum(data, info.checksum, what=f"page {page_id}")
         return data
 
@@ -130,13 +130,13 @@ class DataProvider:
             self._put_requests += len(items)
             self._batch_put_requests += 1
         for page_id, data in items:
-            self._store.put(page_id, data)
+            self._store.put(page_id, data, checksummed=self._verify)
 
     def multi_fetch(self, requests: list[tuple[str, int, int]]) -> list[bytes]:
         """Batched read: the payload of each ``(page_id, offset, length)``
         request, aligned with ``requests``.
 
-        Payloads are the store's immutable ``bytes`` (a full page of an
+        Payloads are the store's immutable payloads (a full page of an
         in-memory store is the stored object itself), so the caller can
         cache and assemble them without another copy.  One liveness check
         and one counter-lock acquisition cover the whole batch; every page

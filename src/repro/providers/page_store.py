@@ -2,15 +2,20 @@
 
 A data provider delegates the actual byte storage to a :class:`PageStore`.
 A page is immutable once stored, so :meth:`PageStore.get` hands back an
-immutable ``bytes`` payload that callers may keep — the read path caches it
-and assembles results from it without copying it first.
+immutable payload that callers may keep — the read path caches it and
+assembles results from it without copying it first.
+
+A payload is kept as handed in: ``bytes``, or a read-only ``memoryview``
+slice of the writer's immutable buffer, which keeps that whole buffer alive
+until the last page cut from it is deleted.  A checksum is computed only
+when asked for (``put(..., checksummed=True)``, by a verifying provider).
 Three backends are provided:
 
-* :class:`InMemoryPageStore` — a dict of byte strings; the default for tests
+* :class:`InMemoryPageStore` — a dict of payloads; the default for tests
   and examples.  A full-page ``get`` returns the stored object itself.
 * :class:`FilePageStore` — one file per page under a directory, for blobs
   larger than memory.
-* :class:`NullPageStore` — records page sizes and checksums only; used by the
+* :class:`NullPageStore` — records page sizes only; used by the
   discrete-event simulator where payload bytes are irrelevant but the real
   provider/metadata code paths still run.  Its payloads are read-only views
   of one shared zero buffer, so caching them costs no memory.
@@ -33,24 +38,27 @@ class StoredPage:
 
     page_id: str
     size: int
-    checksum: str
+    #: ``None`` when the page was stored without being checksummed.
+    checksum: str | None
 
 
 class PageStore(ABC):
     """Abstract page storage: maps page ids to immutable byte payloads."""
 
     @abstractmethod
-    def put(self, page_id: str, data: bytes) -> None:
-        """Store the payload of a page.  Page ids are never reused."""
+    def put(self, page_id: str, data: bytes, checksummed: bool = False) -> None:
+        """Store the immutable payload of a page, without copying it (page
+        ids are never reused); record its checksum only if ``checksummed``."""
 
     @abstractmethod
     def get(self, page_id: str, offset: int = 0, length: int | None = None) -> bytes:
         """Return ``length`` bytes of a page starting at ``offset``.
 
         ``length=None`` means "until the end of the page".  Raises
-        :class:`PageNotFoundError` for unknown ids.  The result is the one
-        copy a READ makes of the page: it is ``bytes``, so callers may
-        cache it and assemble from it without copying it again.
+        :class:`PageNotFoundError` for unknown ids.  The result is
+        immutable — the stored payload itself for a full page, else the one
+        copy a READ makes of the page — so callers may cache it and
+        assemble from it without copying it again.
         """
 
     @abstractmethod
@@ -79,17 +87,16 @@ class PageStore(ABC):
 
 
 class InMemoryPageStore(PageStore):
-    """Pages held in a dictionary of byte strings (thread-safe)."""
+    """Pages held in a dictionary of immutable payloads (thread-safe)."""
 
     def __init__(self) -> None:
-        self._pages: dict[str, bytes] = {}
+        self._pages: dict[str, bytes | memoryview] = {}
         self._info: dict[str, StoredPage] = {}
         self._bytes = 0
         self._lock = threading.Lock()
 
-    def put(self, page_id: str, data: bytes) -> None:
-        data = bytes(data)
-        record = StoredPage(page_id, len(data), checksum(data))
+    def put(self, page_id: str, data: bytes, checksummed: bool = False) -> None:
+        record = StoredPage(page_id, len(data), checksum(data) if checksummed else None)
         with self._lock:
             previous = self._pages.get(page_id)
             if previous is not None:
@@ -104,8 +111,9 @@ class InMemoryPageStore(PageStore):
         if data is None:
             raise PageNotFoundError(page_id)
         end = len(data) if length is None else offset + length
-        # A full-page slice of ``bytes`` is the stored object itself.
-        return data[offset:end]
+        if offset == 0 and end >= len(data):
+            return data
+        return bytes(data[offset:end])  # one copy, also of a view's sub-range
 
     def contains(self, page_id: str) -> bool:
         with self._lock:
@@ -166,13 +174,13 @@ class FilePageStore(PageStore):
         safe = page_id.replace(os.sep, "_").replace("/", "_")
         return os.path.join(self._directory, safe)
 
-    def put(self, page_id: str, data: bytes) -> None:
-        data = bytes(data)
+    def put(self, page_id: str, data: bytes, checksummed: bool = False) -> None:
         path = self._path(page_id)
         with open(path, "wb") as handle:
             handle.write(data)
+        record = StoredPage(page_id, len(data), checksum(data) if checksummed else None)
         with self._lock:
-            self._info[page_id] = StoredPage(page_id, len(data), checksum(data))
+            self._info[page_id] = record
 
     def get(self, page_id: str, offset: int = 0, length: int | None = None) -> bytes:
         path = self._path(page_id)
@@ -251,7 +259,7 @@ class NullPageStore(PageStore):
         self._bytes = 0
         self._lock = threading.Lock()
 
-    def put(self, page_id: str, data: bytes) -> None:
+    def put(self, page_id: str, data: bytes, checksummed: bool = False) -> None:
         size = len(data)
         with self._lock:
             previous = self._sizes.get(page_id)
@@ -287,7 +295,7 @@ class NullPageStore(PageStore):
             size = self._sizes.get(page_id)
         if size is None:
             raise PageNotFoundError(page_id)
-        return StoredPage(page_id, size, "crc32:00000000")
+        return StoredPage(page_id, size, None)
 
     def page_ids(self) -> list[str]:
         with self._lock:

@@ -26,7 +26,7 @@ from ..config import BlobSeerConfig, SimConfig
 from ..core.blob_store import BlobStore
 from ..core.cluster import Cluster
 from ..errors import BlobSeerError, InvalidRangeError
-from ..providers.page_store import NullPageStore
+from ..providers.page_store import NullPageStore, _zero_view
 from ..vm import LeaseCache
 from .engine import Event, Simulator
 from .network import Network, SimNode
@@ -381,16 +381,16 @@ class SimDeployment:
             remaining -= chunk
         return version
 
-    def append_payload(self, blob_id: str, nbytes: int) -> bytes:
-        """The payload of a simulated append of ``nbytes``: zeros, since the
-        page stores keep sizes only.  Simulated appends — timed and untimed
-        — must be a positive multiple of the blob's page size."""
+    def append_payload(self, blob_id: str, nbytes: int) -> memoryview:
+        """The payload of a simulated append of ``nbytes``: a read-only view
+        of the shared zeros, stored uncopied (page stores keep sizes only).
+        Simulated appends must be a positive multiple of the page size."""
         page_size = self.version_manager.get_record(blob_id).page_size
         if nbytes <= 0 or nbytes % page_size != 0:
             raise InvalidRangeError(
                 "simulated appends must be a positive multiple of the page size"
             )
-        return bytes(nbytes)
+        return _zero_view(nbytes)
 
     def untimed_append(self, blob_id: str, nbytes: int) -> int:
         """One page-aligned virtual append executed instantaneously: the

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -133,7 +134,16 @@ class LeaseCache:
         self._misses = 0
         self._renewals = 0
         self._evictions = 0
-        service.subscribe_publications(self._on_publish)
+        # Subscribed weakly: a dropped cache is collected and unsubscribed.
+        on_publish = weakref.WeakMethod(self._on_publish)
+
+        def listener(snapshot: RecencyLease) -> None:
+            cache_method = on_publish()
+            if cache_method is not None:
+                cache_method(snapshot)
+
+        service.subscribe_publications(listener)
+        weakref.finalize(self, service.unsubscribe_publications, listener)
 
     # ----------------------------------------------------------- recency lease
     async def recent(self, blob_id: str, runtime: IORuntime) -> tuple[int, int]:

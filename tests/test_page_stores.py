@@ -43,12 +43,14 @@ class TestPayloadStores:
 
     def test_accounting(self, real_store):
         real_store.put("p1", b"aaaa")
-        real_store.put("p2", b"bbbbbb")
+        real_store.put("p2", b"bbbbbb", checksummed=True)
         assert real_store.page_count() == 2
         assert real_store.bytes_used() == 10
         info = real_store.page_info("p2")
         assert info.size == 6
+        # A store asked to checksum records one; otherwise none is computed.
         assert info.checksum.startswith("crc32:")
+        assert real_store.page_info("p1").checksum is None
 
     def test_overwrite_updates_accounting(self, real_store):
         real_store.put("p1", b"aaaa")
