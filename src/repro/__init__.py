@@ -58,8 +58,9 @@ existing code:
   (and ``page_replication=`` for the data path); ``CacheStats.as_tuple()``
   — read the named fields.  Batched component calls exist as ``*_async``
   methods taking a runtime; only ``DHT.multi_get`` keeps a synchronous
-  façade (``MetadataProvider.get_nodes`` is gone: call ``get_nodes_async``
-  with :data:`~repro.aio.SYNC_RUNTIME` under ``run_sync``).
+  façade (``MetadataProvider.get_nodes`` and ``get_node`` are gone: call
+  ``get_nodes_async`` with :data:`~repro.aio.SYNC_RUNTIME` under
+  ``run_sync``).
   The size-only ("virtual") store calls of the provider manager, data
   providers and page stores went with their one caller, the simulator's
   own APPEND: store ``SimDeployment.append_payload(blob_id, size)``, a

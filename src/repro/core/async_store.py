@@ -57,13 +57,19 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
-from ..aio import AsyncRuntime, Handle, IORuntime
+from ..aio import SYNC_RUNTIME, AsyncRuntime, Handle, IORuntime, run_sync
 from ..cache import CacheStats, CacheTally, NodeCache, PageCache
 from ..errors import InvalidRangeError, StoreClosedError, UpdateAbortedError
 from ..metadata.build import BorderSpec, BorderWalker, border_targets, build_nodes
 from ..metadata.geometry import pages_for_size, span_for_pages, validate_node_range
 from ..metadata.node import LeafNode, NodeKey, NodeRef, PageDescriptor, TreeNode
-from ..metadata.read_plan import FrontierWalker, ReadPlanResult, plan_walker
+from ..metadata.read_plan import (
+    FrontierWalker,
+    Reachable,
+    ReachWalker,
+    ReadPlanResult,
+    plan_walker,
+)
 from ..obs.trace import span
 from ..providers.provider_manager import FaultTally
 from ..util.ranges import covering_page_range, is_aligned
@@ -1071,13 +1077,14 @@ class AsyncBlobStore:
     async def _walk(
         self,
         record: BlobRecord,
-        walker: FrontierWalker | BorderWalker,
+        walker: FrontierWalker | BorderWalker | ReachWalker,
         tally: CacheTally | None,
         spec: _Speculation | None,
-    ) -> ReadPlanResult | BorderSpec:
+    ) -> ReadPlanResult | BorderSpec | Reachable:
         """Drive ``walker`` — a READ's or boundary read's
-        :class:`~repro.metadata.read_plan.FrontierWalker`, or an update's
-        :class:`~repro.metadata.build.BorderWalker` — to the end of its
+        :class:`~repro.metadata.read_plan.FrontierWalker`, an update's
+        :class:`~repro.metadata.build.BorderWalker` or a tool's
+        :class:`~repro.metadata.read_plan.ReachWalker` — to the end of its
         descent and return its ``result``, cache first (DESIGN.md §8): each
         frontier is split against the node cache, every hit is expanded on
         the spot and the walk steps down WITHOUT awaiting anything — a
@@ -1116,6 +1123,7 @@ class AsyncBlobStore:
         runtime = self._runtime
         cache = self._cache
         key_of = self._cluster.node_cache_key
+        missing_ok = walker.missing_ok  # a tool walk skips collected nodes
         depth = 0
         miss_levels: set[int] = set()
 
@@ -1199,7 +1207,9 @@ class AsyncBlobStore:
                         return
                     keys = self._node_keys(record, [refs[i] for i in miss_indices])
                     with span("meta.fetch", level=level, nodes=len(keys)):
-                        fetched = await self._meta.get_nodes_async(keys, runtime)
+                        fetched = await self._meta.get_nodes_async(
+                            keys, runtime, missing_ok
+                        )
                     admit(cache_keys, miss_indices, fetched)
                     for index, node in zip(miss_indices, fetched):
                         nodes[index] = node
@@ -1264,7 +1274,7 @@ class AsyncBlobStore:
             level: int,
         ) -> None:
             with span("meta.fetch", level=level, nodes=len(keys)):
-                fetched = await self._meta.get_nodes_async(keys, runtime)
+                fetched = await self._meta.get_nodes_async(keys, runtime, missing_ok)
             admit(cache_keys, positions, fetched)
             children = expand([refs[position] for position in positions], fetched)
             await descend(children, level + 1)
@@ -1416,3 +1426,17 @@ class AsyncBlobStore:
             fault_tally=fault_tally,
         )
         return [payloads[first:last] for first, last in slices], batches
+
+
+def walk_uncached(cluster: Cluster, record: BlobRecord, walker):
+    """The tools' tree walks: :meth:`AsyncBlobStore._walk` of ``walker`` on
+    an uncached, unleased ``SYNC_RUNTIME`` store — one DHT batch per tree
+    level, no client cache read or filled."""
+    store = AsyncBlobStore(
+        cluster,
+        cache_metadata=False,
+        cache_pages=False,
+        lease_versions=False,
+        runtime=SYNC_RUNTIME,
+    )
+    return run_sync(store._walk(record, walker, None, None))

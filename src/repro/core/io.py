@@ -96,9 +96,11 @@ class AppendWriter(io.RawIOBase):
     """A buffered, append-only file object producing blob snapshots.
 
     Data written through the adapter is buffered locally and flushed as
-    APPEND operations of at least ``flush_threshold`` bytes (one final,
+    APPEND operations of exactly ``flush_threshold`` bytes (one final,
     possibly smaller APPEND happens on close/flush).  Each flush produces one
-    snapshot version; the versions are recorded in :attr:`versions`.
+    snapshot version; the versions are recorded in :attr:`versions`.  A
+    written byte is copied once, into the buffer, and a flushed chunk
+    reaches :meth:`BlobStore.append` as that buffer's immutable ``bytes``.
     """
 
     def __init__(self, store: BlobStore, blob_id: str, flush_threshold: int = 1 << 20):
@@ -108,7 +110,7 @@ class AppendWriter(io.RawIOBase):
         self._store = store
         self._blob_id = blob_id
         self._threshold = flush_threshold
-        self._buffer = bytearray()
+        self._buffer = io.BytesIO()
         self._bytes_written = 0
         self.versions: list[int] = []
 
@@ -123,18 +125,23 @@ class AppendWriter(io.RawIOBase):
     def write(self, data) -> int:
         if self.closed:
             raise ValueError("write on a closed AppendWriter")
-        payload = bytes(data)
-        self._buffer.extend(payload)
-        self._bytes_written += len(payload)
-        while len(self._buffer) >= self._threshold:
-            self._flush_chunk(self._threshold)
-        return len(payload)
+        with memoryview(data) as raw, raw.cast("B") as view:
+            size = view.nbytes
+            start = 0
+            while start < size:
+                room = self._threshold - self._buffer.tell()
+                self._buffer.write(view[start:start + room])
+                start += room
+                if self._buffer.tell() == self._threshold:
+                    self._flush_chunk()
+        self._bytes_written += size
+        return size
 
     def flush(self) -> None:
         if self.closed:
             return
-        if self._buffer:
-            self._flush_chunk(len(self._buffer))
+        if self._buffer.tell():
+            self._flush_chunk()
 
     def close(self) -> None:
         if not self.closed:
@@ -150,7 +157,8 @@ class AppendWriter(io.RawIOBase):
         self._store.sync(self._blob_id, last, timeout)
         return last
 
-    def _flush_chunk(self, length: int) -> None:
-        chunk = bytes(self._buffer[:length])
-        del self._buffer[:length]
+    def _flush_chunk(self) -> None:
+        # ``getvalue`` hands over the buffer's own ``bytes``: no second copy.
+        chunk = self._buffer.getvalue()
+        self._buffer = io.BytesIO()
         self.versions.append(self._store.append(self._blob_id, chunk))

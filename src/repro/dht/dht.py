@@ -238,8 +238,8 @@ class DHT:
         return run_sync(self.multi_get_async(keys, SYNC_RUNTIME))
 
     async def multi_get_async(
-        self, keys: list[str], runtime: IORuntime
-    ) -> list[object]:
+        self, keys: list[str], runtime: IORuntime, missing_ok: bool = False
+    ) -> list[object | None]:
         """Fetch a batch of keys; returns values aligned with ``keys``.
 
         Keys are grouped by bucket and resolved replica wave by replica
@@ -250,7 +250,8 @@ class DHT:
         a key raises :class:`ProviderUnavailableError` when ANY of its
         replicas was dead and no live replica served it (the dead replica
         may hold the value), and :class:`MetadataNotFoundError` only when
-        every replica was probed live and lacked it.
+        every replica was probed live and lacked it — or, with
+        ``missing_ok``, yields ``None`` for it (a node GC collected).
 
         The per-bucket lookup jobs of one replica wave execute on *runtime*
         (see :meth:`multi_put_async`).
@@ -260,8 +261,9 @@ class DHT:
             if key not in values:
                 if key in unavailable:
                     raise unavailable[key]
-                raise MetadataNotFoundError(key)
-        return [values[key] for key in keys]
+                if not missing_ok:
+                    raise MetadataNotFoundError(key)
+        return [values.get(key) for key in keys]
 
     async def try_multi_get_async(
         self, keys: list[str], runtime: IORuntime

@@ -5,9 +5,9 @@ casualty are *under-replicated*: still readable through the surviving
 copies (degraded reads), but one failure closer to data loss.  The
 :class:`RepairService` closes that gap in the background:
 
-* **scan** — walk the segment tree of every published ``(blob, version)``
-  snapshot (the same mark phase as :func:`repro.tools.gc.collect_garbage`),
-  collecting each unique leaf once;
+* **scan** — walk the segment trees of every published ``(blob, version)``
+  snapshot with GC's mark (:func:`repro.tools.gc.mark`), collecting each
+  unique leaf once;
 * **repair** — for every leaf with fewer than ``page_replication`` live
   copies, fetch the page from a surviving replica and store it onto
   healthy providers that do not hold it yet;
@@ -32,13 +32,11 @@ yields more copies than ``page_replication``, which is harmless.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
-from ..errors import MetadataNotFoundError, ProviderUnavailableError
-from ..metadata.geometry import pages_for_size, span_for_pages
-from ..metadata.node import InnerNode, LeafNode, NodeKey
-from ..version.records import resolve_owner
+from ..errors import ProviderUnavailableError
+from ..metadata.node import LeafNode, NodeKey
 
 if TYPE_CHECKING:
     from ..core.cluster import Cluster
@@ -148,7 +146,7 @@ class RepairService:
         cluster = self._cluster
         if target is None:
             target = cluster.config.page_replication
-        leaves = self._collect_leaves()
+        leaves = self._scan()
         logger.debug(
             "repair pass: %d unique leaves reachable, target=%d",
             len(leaves),
@@ -223,20 +221,11 @@ class RepairService:
         previous = self._stats
         self._stats = RepairStats(
             passes=previous.passes + 1,
-            pages_scanned=previous.pages_scanned + report.pages_scanned,
-            pages_healthy=previous.pages_healthy + report.pages_healthy,
-            pages_re_replicated=(
-                previous.pages_re_replicated + report.pages_re_replicated
-            ),
-            copies_created=previous.copies_created + report.copies_created,
-            pages_unrecoverable=(
-                previous.pages_unrecoverable + report.pages_unrecoverable
-            ),
-            pages_still_under_replicated=(
-                previous.pages_still_under_replicated
-                + report.pages_still_under_replicated
-            ),
-            leaves_rewritten=previous.leaves_rewritten + report.leaves_rewritten,
+            **{
+                counter.name: getattr(previous, counter.name)
+                + getattr(report, counter.name)
+                for counter in fields(RepairReport)
+            },
         )
         logger.debug(
             "repair pass done: %d healthy, %d re-replicated, %d copies "
@@ -258,58 +247,28 @@ class RepairService:
             target = self._cluster.config.page_replication
         return sum(
             1
-            for _key, leaf in self._collect_leaves()
+            for _key, leaf in self._scan()
             if len(self._live_holders(leaf)) < target
         )
 
     # -- scan ----------------------------------------------------------------
-    def _collect_leaves(self) -> list[tuple[NodeKey, LeafNode]]:
-        """Every unique leaf reachable from a published snapshot."""
-        cluster = self._cluster
-        vm = cluster.version_manager
-        meta = cluster.metadata_provider
-        seen: set[str] = set()
-        leaves: list[tuple[NodeKey, LeafNode]] = []
-        for blob_id in vm.blob_ids():
-            record = vm.get_record(blob_id)
-            for version in range(1, vm.get_recent(blob_id) + 1):
-                if not vm.is_published(blob_id, version):
-                    continue  # aborted version: its pages are garbage
-                num_pages = pages_for_size(
-                    vm.get_size(blob_id, version), record.page_size
-                )
-                if num_pages == 0:
-                    continue
-                stack = [(version, 0, span_for_pages(num_pages))]
-                while stack:
-                    node_version, offset, size = stack.pop()
-                    owner = resolve_owner(record, node_version)
-                    key = NodeKey(owner, node_version, offset, size)
-                    key_string = key.to_string()
-                    if key_string in seen:
-                        continue  # shared subtree already scanned
-                    seen.add(key_string)
-                    try:
-                        node = meta.get_node(key)
-                    except MetadataNotFoundError:
-                        # The version stays "published" in the VM after GC
-                        # collected its tree; a missing node (probed live on
-                        # every replica) means exactly that — nothing left
-                        # to repair under it.  A dead metadata bucket raises
-                        # ProviderUnavailableError instead and still aborts
-                        # the scan: the subtree may exist.
-                        continue
-                    if isinstance(node, LeafNode):
-                        leaves.append((key, node))
-                    elif isinstance(node, InnerNode):
-                        half = size // 2
-                        if node.left_version is not None:
-                            stack.append((node.left_version, offset, half))
-                        if node.right_version is not None:
-                            stack.append(
-                                (node.right_version, offset + half, half)
-                            )
-        return leaves
+    def _scan(self) -> list[tuple[NodeKey, LeafNode]]:
+        """Every unique leaf reachable from a published snapshot: GC's mark,
+        skipping the nodes GC collected (a version stays published in the VM
+        after its tree is gone).  A dead metadata bucket still aborts the
+        scan: the subtree may exist."""
+        from ..tools.gc import mark  # lazy: repro.core.cluster imports us
+
+        vm = self._cluster.version_manager
+        published = {
+            blob_id: [
+                version
+                for version in range(1, vm.get_recent(blob_id) + 1)
+                if vm.is_published(blob_id, version)  # aborted: pages are garbage
+            ]
+            for blob_id in vm.blob_ids()
+        }
+        return mark(self._cluster, published, set(), missing_ok=True)
 
     # -- per-leaf helpers ----------------------------------------------------
     def _live_holders(self, leaf: LeafNode) -> list[str]:

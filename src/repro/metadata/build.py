@@ -134,6 +134,8 @@ class BorderWalker:
     not depend on the order sibling nodes arrive in.
     """
 
+    missing_ok = False
+
     def __init__(
         self,
         targets: Sequence[tuple[int, int]],

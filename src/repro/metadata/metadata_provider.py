@@ -64,24 +64,20 @@ class MetadataProvider:
             encoded.append((key.to_string(), value))
         return encoded
 
-    def get_node(self, key: NodeKey) -> TreeNode:
-        """Fetch one tree node; raises :class:`MetadataNotFoundError` if absent."""
-        value = self._dht.get(key.to_string())
-        return self._as_node(key, value)
-
     async def get_nodes_async(
-        self, keys: list[NodeKey], runtime: IORuntime
-    ) -> list[TreeNode]:
+        self, keys: list[NodeKey], runtime: IORuntime, missing_ok: bool = False
+    ) -> list[TreeNode | None]:
         """Fetch a batch of tree nodes in one DHT multi-get.
 
         The values are returned aligned with ``keys``; a missing node raises
-        :class:`MetadataNotFoundError` exactly like :meth:`get_node`.  This
-        is the provider-side half of the frontier protocol: one call
+        :class:`MetadataNotFoundError` (with ``missing_ok`` it is ``None``),
+        one with an unavailable replica raises ``ProviderUnavailableError``.
+        This is the provider-side half of the frontier protocol: one call
         resolves a whole tree level, its per-bucket sub-batches executing
         on *runtime*.
         """
         values = await self._dht.multi_get_async(
-            [key.to_string() for key in keys], runtime
+            [key.to_string() for key in keys], runtime, missing_ok
         )
         return [self._as_node(key, value) for key, value in zip(keys, values)]
 
@@ -100,9 +96,6 @@ class MetadataProvider:
         )
         nodes: list[TreeNode | None] = []
         for key, value in zip(keys, values):
-            if value is None:
-                nodes.append(None)
-                continue
             try:
                 nodes.append(self._as_node(key, value))
             except MetadataNotFoundError:
@@ -115,10 +108,11 @@ class MetadataProvider:
         task so one slow bucket never gates the others' subtree descent."""
         return self._dht.primary_groups([key.to_string() for key in keys])
 
-    def _as_node(self, key: NodeKey, value: object) -> TreeNode:
+    def _as_node(self, key: NodeKey, value: object) -> TreeNode | None:
+        """The node a DHT value encodes; ``None`` (an absent key) stays."""
         if isinstance(value, bytes):
             return decode_node(value)
-        if not isinstance(value, (InnerNode, LeafNode)):
+        if value is not None and not isinstance(value, (InnerNode, LeafNode)):
             raise MetadataNotFoundError(key)
         return value
 

@@ -19,16 +19,18 @@ callers can report the metadata round-trip cost of a READ.
 The decisions live in *walkers* that never fetch anything: a
 :class:`FrontierWalker` covers several disjoint page ranges in a *single*
 tree walk (the boundary pages of an unaligned write need old bytes from its
-first and last page without traversing the metadata in between), and
+first and last page without traversing the metadata in between),
 :class:`~repro.metadata.build.BorderWalker` resolves an update's border
-nodes.  :func:`walk_plan` is the level-order generator over either one.
+nodes and :class:`ReachWalker` reaches whole trees for the tools.
+:func:`walk_plan` is the level-order generator over a read or border walker.
 
 Drivers:
 
 * the client engine steps a walker directly in its one cache-first descent
   (``AsyncBlobStore._walk``: a level served by the caches is stepped over
   without an await) — READ on every clock, the boundary reads of unaligned
-  updates, border resolution and ``tools/diff.py``'s manifest alike;
+  updates, border resolution, and the tools' walks (GC's mark, repair's
+  scan, ``tools/diff.py``'s manifest and diff) on an uncached store alike;
 * reference models call :func:`drive_plan` on a generator with a
   synchronous ``fetch_many``, or a per-node ``fetch``.
 """
@@ -40,8 +42,16 @@ from collections.abc import Callable, Generator, Sequence
 from typing import TYPE_CHECKING
 
 from ..errors import InvalidRangeError, MetadataNotFoundError
-from .geometry import is_leaf_range, split, validate_node_range
-from .node import Frontier, InnerNode, LeafNode, NodeRef, PageDescriptor, TreeNode
+from .geometry import is_leaf_range, span_for_pages, split, validate_node_range
+from .node import (
+    Frontier,
+    InnerNode,
+    LeafNode,
+    NodeKey,
+    NodeRef,
+    PageDescriptor,
+    TreeNode,
+)
 
 if TYPE_CHECKING:
     from .build import BorderSpec, BorderWalker
@@ -128,6 +138,8 @@ class FrontierWalker:
     because expansion depends only on the node's own content, never on the
     order siblings resolve in.
     """
+
+    missing_ok = False
 
     def __init__(
         self, root_version: int, span: int, ranges: Sequence[tuple[int, int]]
@@ -242,6 +254,78 @@ def plan_walker(
                 f"page range ({page_offset}, {page_count}) outside tree span {span}"
             )
     return FrontierWalker(root_version, span, active)
+
+
+@dataclass
+class Reachable:
+    """A :class:`ReachWalker`'s result: each leaf it reached, with its key."""
+
+    leaves: list[tuple[NodeKey, LeafNode]] = field(default_factory=list)
+    nodes_fetched: int = 0
+    round_trips: int = 0
+
+
+class ReachWalker:
+    """Every node reachable from snapshots of one blob (GC's mark, repair's
+    scan, diff's changed subtrees), behind the :class:`FrontierWalker`
+    interface.  ``roots`` are ``(version, num_pages)``; ``owner`` maps a
+    node version to the blob its key is under (a branch's inherited nodes
+    live under its ancestor).  A node whose key string is in ``seen`` (kept
+    across versions and blobs), or that ``wanted`` rejects, is skipped with
+    its subtree; every node reached joins ``seen``.  With ``missing_ok`` the
+    driver skips a node GC collected; an unavailable replica still fails.
+    """
+
+    def __init__(
+        self,
+        owner: Callable[[int], str],
+        roots: Sequence[tuple[int, int]],
+        seen: set[str],
+        missing_ok: bool = False,
+        wanted: Callable[[NodeRef], bool] | None = None,
+    ):
+        self.result = Reachable()
+        self.missing_ok = missing_ok
+        self._owner = owner
+        self._seen = seen
+        self._wanted = wanted
+        self._roots = [
+            NodeRef(version, 0, span_for_pages(pages))
+            for version, pages in roots
+            if pages
+        ]
+
+    def _key(self, ref: NodeRef) -> NodeKey:
+        return NodeKey(self._owner(ref.version), *ref)
+
+    def _unseen(self, refs: list[NodeRef]) -> list[NodeRef]:
+        fresh: list[NodeRef] = []
+        for ref in refs:
+            if self._wanted is not None and not self._wanted(ref):
+                continue
+            key = self._key(ref).to_string()
+            if key not in self._seen:
+                self._seen.add(key)
+                fresh.append(ref)
+        return fresh
+
+    def root_refs(self) -> list[NodeRef]:
+        return self._unseen(self._roots)
+
+    def note_fetched(self, count: int) -> None:
+        self.result.nodes_fetched += count
+
+    def expand(self, ref: NodeRef, node: TreeNode) -> list[NodeRef]:
+        if isinstance(node, LeafNode):
+            self.result.leaves.append((self._key(ref), node))
+            return []
+        left, right, half = split(ref.offset, ref.size)
+        children: list[NodeRef] = []
+        if node.left_version is not None:
+            children.append(NodeRef(node.left_version, left, half))
+        if node.right_version is not None:
+            children.append(NodeRef(node.right_version, right, half))
+        return self._unseen(children)
 
 
 def drive_plan(

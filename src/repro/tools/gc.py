@@ -5,8 +5,9 @@ decision layered on top: once the application decides which snapshots it
 still needs, every page and tree node reachable from none of them can be
 reclaimed.  This module implements that mark-and-sweep:
 
-* **mark** — walk the segment tree of every kept ``(blob, version)`` pair,
-  collecting reachable page ids and metadata node keys;
+* **mark** — walk the segment trees of every blob's kept versions at once,
+  one DHT batch per tree level (:func:`mark`), collecting reachable page ids
+  and metadata node keys;
 * **sweep** — delete unreferenced pages from the data providers and
   unreferenced nodes from the metadata DHT.
 
@@ -20,12 +21,15 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import partial
 from collections.abc import Iterable, Mapping
 
+from ..core.async_store import walk_uncached
 from ..core.cluster import Cluster
 from ..errors import ConcurrencyError, ProviderUnavailableError, UnknownBlobError
-from ..metadata.geometry import pages_for_size, span_for_pages
-from ..metadata.node import InnerNode, LeafNode, NodeKey
+from ..metadata.geometry import pages_for_size
+from ..metadata.node import LeafNode, NodeKey
+from ..metadata.read_plan import ReachWalker
 from ..version.records import resolve_owner
 
 logger = logging.getLogger("repro.tools.gc")
@@ -87,19 +91,12 @@ def collect_garbage(
                 "only when the system is quiescent"
             )
 
-    reachable_pages: dict[str, tuple[str, ...]] = {}   # page id -> replica ids
+    kept = {blob_id: sorted(set(versions) - {0}) for blob_id, versions in keep.items()}
+    kept_versions = sum(len(versions) for versions in kept.values())
     reachable_nodes: set[str] = set()
-    kept_versions = 0
-
-    for blob_id, versions in keep.items():
-        record = vm.get_record(blob_id)
-        for version in sorted(set(versions)):
-            if version == 0:
-                continue
-            vm.get_size(blob_id, version)  # raises if not published
-            kept_versions += 1
-            _mark_version(cluster, record, version, reachable_pages, reachable_nodes)
-
+    reachable_pages = {
+        leaf.page_id for _key, leaf in mark(cluster, kept, reachable_nodes)
+    }
     logger.debug(
         "gc mark done: %d kept versions, %d reachable pages, %d reachable "
         "nodes%s",
@@ -178,40 +175,27 @@ def collect_garbage(
     )
 
 
-def _mark_version(
+def mark(
     cluster: Cluster,
-    record,
-    version: int,
-    reachable_pages: dict[str, tuple[str, ...]],
-    reachable_nodes: set[str],
-) -> None:
-    """Mark every node and page reachable from one snapshot's tree."""
+    versions: Mapping[str, Iterable[int]],
+    seen: set[str],
+    missing_ok: bool = False,
+) -> list[tuple[NodeKey, LeafNode]]:
+    """Every leaf, with its key, reachable from the given published versions
+    of each blob but not through a node key already in ``seen``; every node
+    reached joins ``seen``.  One walk per blob: the engine's descent over a
+    :class:`~repro.metadata.read_plan.ReachWalker`, one DHT batch per tree
+    level.  With ``missing_ok`` a collected node is skipped (repair's scan).
+    """
     vm = cluster.version_manager
-    meta = cluster.metadata_provider
-    page_size = record.page_size
-    num_pages = pages_for_size(vm.get_size(record.blob_id, version), page_size)
-    if num_pages == 0:
-        return
-    span = span_for_pages(num_pages)
-    stack = [(version, 0, span)]
-    while stack:
-        node_version, offset, size = stack.pop()
-        owner = resolve_owner(record, node_version)
-        key = NodeKey(owner, node_version, offset, size)
-        key_string = key.to_string()
-        if key_string in reachable_nodes:
-            continue  # shared subtree already marked through another version
-        reachable_nodes.add(key_string)
-        node = meta.get_node(key)
-        if isinstance(node, LeafNode):
-            # Record the FULL replica set: the sweep walks every provider
-            # and reclaims by page id, so each replica of a swept page is
-            # deleted wherever it lives.
-            reachable_pages[node.page_id] = node.provider_ids
-            continue
-        if isinstance(node, InnerNode):
-            half = size // 2
-            if node.left_version is not None:
-                stack.append((node.left_version, offset, half))
-            if node.right_version is not None:
-                stack.append((node.right_version, offset + half, half))
+    leaves: list[tuple[NodeKey, LeafNode]] = []
+    # ``get_size`` raises for a version that is not published.
+    for blob_id, blob_versions in versions.items():
+        record = vm.get_record(blob_id)
+        roots = [
+            (version, pages_for_size(vm.get_size(blob_id, version), record.page_size))
+            for version in blob_versions
+        ]
+        walker = ReachWalker(partial(resolve_owner, record), roots, seen, missing_ok)
+        leaves += walk_uncached(cluster, record, walker).leaves
+    return leaves

@@ -36,8 +36,8 @@ def per_node_read(cluster, blob_id, version, offset, size):
     """Reference READ using one metadata fetch per node (the old protocol).
 
     ``drive_plan`` with a per-ref ``fetch`` resolves every frontier by
-    looping over its refs one DHT get at a time — exactly the pre-frontier
-    behaviour.  Returns (data, plan_result).
+    looping over its refs one single-key fetch at a time — exactly the
+    pre-frontier behaviour.  Returns (data, plan_result).
     """
     vm = cluster.version_manager
     record = vm.get_record(blob_id)
@@ -48,9 +48,11 @@ def per_node_read(cluster, blob_id, version, offset, size):
 
     def fetch(ref):
         owner = resolve_owner(record, ref.version)
-        return cluster.metadata_provider.get_node(
-            NodeKey(owner, ref.version, ref.offset, ref.size)
+        (node,) = run_inline(
+            cluster.metadata_provider.get_nodes_async,
+            [NodeKey(owner, ref.version, ref.offset, ref.size)],
         )
+        return node
 
     result = drive_plan(read_plan(version, span, page_offset, page_count), fetch)
     buffer = bytearray(size)

@@ -11,7 +11,7 @@ from repro.metadata.node import InnerNode, LeafNode, NodeKey
 from repro.dht.dht import DHT
 from repro.providers.page_store import FilePageStore, NullPageStore
 
-from .conftest import TEST_PAGE_SIZE, make_payload
+from .conftest import TEST_PAGE_SIZE, make_payload, run_inline
 
 PAGE = TEST_PAGE_SIZE
 
@@ -121,7 +121,7 @@ class TestMetadataProviderFacade:
         provider = MetadataProvider(DHT(num_buckets=4))
         key = NodeKey("blob", 1, 0, 4)
         provider.put_node(key, InnerNode(1, 1))
-        assert provider.get_node(key) == InnerNode(1, 1)
+        assert run_inline(provider.get_nodes_async, [key]) == [InnerNode(1, 1)]
         assert provider.has_node(key)
         assert provider.node_count() == 1
 
@@ -129,14 +129,14 @@ class TestMetadataProviderFacade:
         provider = MetadataProvider(DHT(num_buckets=4))
         key = NodeKey("blob", 2, 3, 1)
         provider.put_node(key, LeafNode("p1", "data-0000", 64))
-        assert provider.get_node(key).page_id == "p1"
+        assert run_inline(provider.get_nodes_async, [key])[0].page_id == "p1"
         assert provider.delete_node(key) is True
         assert not provider.has_node(key)
 
     def test_missing_node_raises(self):
         provider = MetadataProvider(DHT(num_buckets=4))
         with pytest.raises(MetadataNotFoundError):
-            provider.get_node(NodeKey("blob", 1, 0, 1))
+            run_inline(provider.get_nodes_async, [NodeKey("blob", 1, 0, 1)])
 
     def test_non_node_values_rejected(self):
         provider = MetadataProvider(DHT(num_buckets=4))

@@ -140,6 +140,35 @@ class TestAppendWriter:
         blob.sync(writer.versions[-1])
         assert blob.open_reader().read() == b"".join(chunks)
 
+    def test_mutated_bytearray_writes_read_back_as_written(self, store, monkeypatch):
+        """The writer keeps its own copy of each write, and every flushed
+        chunk reaches APPEND as one immutable ``bytes`` of the threshold."""
+        appended = []
+        append = store.append
+
+        def recording_append(blob_id, data):
+            appended.append(data)
+            return append(blob_id, data)
+
+        monkeypatch.setattr(store, "append", recording_append)
+        blob = Blob.create(store)
+        expected = bytearray()
+        scratch = bytearray()
+        with blob.open_writer(flush_threshold=3 * PAGE) as writer:
+            sizes = (1, 17, PAGE + 3, 5 * PAGE + 11, 0, 2 * PAGE - 1)
+            for index, size in enumerate(sizes):
+                scratch[:] = make_payload(size, seed=index)
+                assert writer.write(scratch) == size
+                expected += scratch
+                scratch[:] = b"\xff" * size   # the caller reuses its buffer
+        assert writer.bytes_written == len(expected)
+        assert all(type(chunk) is bytes for chunk in appended)
+        assert [len(chunk) for chunk in appended[:-1]] == [3 * PAGE] * (
+            len(appended) - 1
+        )
+        blob.sync(writer.versions[-1])
+        assert blob.open_reader().read() == expected
+
 
 class TestMetadataCache:
     def test_cache_reduces_dht_traffic_on_repeated_reads(self, cluster):

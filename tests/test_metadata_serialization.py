@@ -17,7 +17,7 @@ from repro.metadata.serialization import (
     encoded_size,
 )
 
-from .conftest import TEST_PAGE_SIZE, make_payload
+from .conftest import TEST_PAGE_SIZE, make_payload, run_inline
 
 identifiers = st.text(
     alphabet=st.characters(
@@ -108,7 +108,7 @@ class TestEncodingMetadataProvider:
         provider.put_node(key, LeafNode("p", "d", 64))
         raw = dht.get(key.to_string())
         assert isinstance(raw, bytes)
-        assert provider.get_node(key) == LeafNode("p", "d", 64)
+        assert run_inline(provider.get_nodes_async, [key]) == [LeafNode("p", "d", 64)]
 
     def test_full_stack_with_encoded_metadata(self):
         cluster = Cluster(

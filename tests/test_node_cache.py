@@ -29,7 +29,7 @@ from repro.cache.sharded_lru import ENTRY_OVERHEAD
 from repro.metadata.node import InnerNode, LeafNode, NodeKey
 from repro.tools.gc import collect_garbage
 
-from .conftest import TEST_PAGE_SIZE, make_payload
+from .conftest import TEST_PAGE_SIZE, make_payload, run_inline
 
 PAGE = TEST_PAGE_SIZE
 
@@ -233,7 +233,9 @@ class TestSharingSemantics:
             for bucket_id in cluster.dht.bucket_ids():
                 for raw in cluster.dht.bucket(bucket_id).keys():
                     key = NodeKey.from_string(raw)
-                    node = cluster.metadata_provider.get_node(key)
+                    (node,) = run_inline(
+                        cluster.metadata_provider.get_nodes_async, [key]
+                    )
                     nested_key = len(cluster.cache_namespace) + len(key.blob_id) + 24
                     total += nested_key + node_weight((), node)
             return total
