@@ -74,6 +74,8 @@ existing code:
   The version-manager service wrapper and its threaded group-commit
   window are gone: ``cluster.version_manager`` is the ``VersionManager``
   itself (with ``vm_stats()``), and ``Cluster`` takes no version manager.
+  ``strict_unaligned=`` is gone: exact is the only behaviour, and every
+  unaligned WRITE completes its boundary pages from its predecessor.
 
 Package layout:
 

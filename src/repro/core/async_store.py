@@ -38,7 +38,7 @@ the metadata descent (``_walk``) is cache-first, so a READ the caches
 serve completes without suspending (DESIGN.md §8).
 
 Each leg of the protocol has ONE implementation here: every WRITE and
-APPEND — aligned, unaligned, strict — runs the single ``_update`` pipeline
+APPEND — aligned or unaligned — runs the single ``_update`` pipeline
 (Algorithm 2: store pages, get a version, weave metadata, notify), every
 tree walk — READ, boundary read, border resolution — goes through
 ``_walk``, every page fetch through ``_fetch_pages``, and the runtime is
@@ -259,7 +259,6 @@ class AsyncBlobStore:
     def __init__(
         self,
         cluster: Cluster,
-        strict_unaligned: bool = False,
         cache_metadata: bool = True,
         node_cache: NodeCache | None = None,
         cache_pages: bool = True,
@@ -273,7 +272,6 @@ class AsyncBlobStore:
         self._pm = cluster.provider_manager
         self._meta = cluster.metadata_provider
         self._runtime: IORuntime = runtime if runtime is not None else AsyncRuntime()
-        self._strict_unaligned = strict_unaligned
         self._closed = False
         # What StoreClosedError names; the sync bridge overrides this so a
         # closed BlobStore reports itself, not its engine.
@@ -394,10 +392,9 @@ class AsyncBlobStore:
         notifies the version manager; the kinds differ only in what must be
         known before the pages can be composed:
 
-        * an aligned WRITE needs nothing, so its page stores START before
-          the version is assigned — exactly Algorithm 2's order (and
-          complete before it under the sync runtime) — in a strict store
-          too, since it reads no old bytes;
+        * an aligned WRITE reads no old bytes, so its page stores START
+          before the version is assigned — exactly Algorithm 2's order (and
+          complete before it under the sync runtime) — and it never waits;
         * every other kind registers first (an APPEND learns its offset
           from the ticket), resolves the snapshot that supplies the bytes
           of partly covered boundary pages (:meth:`_reference_snapshot`),
@@ -467,25 +464,19 @@ class AsyncBlobStore:
         update only partly covers: ``(version, vm_round_trips)``; version 0
         is the empty snapshot.
 
-        The default is the most recently *published* snapshot — no waiting,
-        the paper's lock-free spirit.  Two kinds need exact read-modify-write
-        of their boundary pages: every unaligned WRITE of a
-        ``strict_unaligned`` store, and any APPEND that starts inside the
-        previous snapshot's tail page (an aligned WRITE never gets here).
-        Those wait (SYNC) for their nearest **non-aborted** predecessor
-        instead, so the bytes are exactly what the update is ordered after.
-        An aborted predecessor is a hole whose bytes never become readable,
-        so the walk steps over it to the version before — which may itself
-        still be in flight, and is waited for like any other (DESIGN.md §6).
-        Falling back to "most recently published" there would overwrite an
-        in-flight predecessor's bytes in the shared page with zeros.
+        Snapshot v is snapshot v-1 with the written range replaced, so an
+        update that keeps old bytes in a boundary page — every unaligned
+        WRITE (an aligned one never gets here), and any APPEND that starts
+        inside the previous snapshot's tail page — waits (SYNC) for its
+        nearest **non-aborted** predecessor and completes the page from
+        exactly that.  An aborted predecessor is a hole whose bytes never
+        become readable, so the walk steps over it to the version before —
+        which may itself still be in flight, and is waited for like any
+        other (DESIGN.md §6).  An APPEND that starts on a page boundary
+        keeps no old bytes and takes the most recently published snapshot
+        without waiting.
         """
-        exact = (
-            ticket.byte_offset % record.page_size != 0
-            if is_append
-            else self._strict_unaligned
-        )
-        if not exact:
+        if is_append and ticket.byte_offset % record.page_size == 0:
             return await self._recent(record.blob_id)
         reference = ticket.version - 1
         vm_trips = 0

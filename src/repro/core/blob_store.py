@@ -86,13 +86,6 @@ class BlobStore:
     ----------
     cluster:
         The deployment to operate against.
-    strict_unaligned:
-        When True, unaligned WRITEs register their version first and wait for
-        the previous snapshot before filling boundary pages, giving exact
-        read-modify-write semantics at page boundaries even under concurrent
-        overlapping writers (at the cost of serializing those writers).  The
-        default fills boundaries from the most recently *published* snapshot,
-        which matches the paper's lock-free spirit.
     cache_metadata:
         When True (the default), fetched metadata tree nodes are cached in
         the cluster's shared :class:`~repro.cache.NodeCache`.  Nodes are
@@ -140,7 +133,6 @@ class BlobStore:
     def __init__(
         self,
         cluster: Cluster,
-        strict_unaligned: bool = False,
         cache_metadata: bool = True,
         node_cache: NodeCache | None = None,
         cache_pages: bool = True,
@@ -150,7 +142,6 @@ class BlobStore:
     ):
         self._engine = AsyncBlobStore(
             cluster,
-            strict_unaligned=strict_unaligned,
             cache_metadata=cache_metadata,
             node_cache=node_cache,
             cache_pages=cache_pages,

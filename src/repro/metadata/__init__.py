@@ -4,8 +4,8 @@ Metadata is organized as a segment tree per snapshot version; nodes are
 shared between versions ("weaving") and stored in a DHT.  The algorithms are
 implemented *sans-IO*: tree traversal and border-node discovery are
 walkers that decide which nodes to fetch and never fetch them, stepped by
-the client's cache-first descent (:mod:`repro.core`) or by the level-order
-generator :func:`walk_plan`, which yields batched node-fetch requests
+the client's cache-first descent (:mod:`repro.core`); the level-order
+generator :func:`read_plan` yields a READ's batched node-fetch requests
 (:class:`Frontier` — one batch per tree level); tree construction is a pure
 function.
 """
@@ -32,7 +32,6 @@ from .read_plan import (
     ReadPlanResult,
     drive_plan,
     read_plan,
-    walk_plan,
 )
 from .build import (
     BorderSpec,
@@ -61,7 +60,6 @@ __all__ = [
     "ReadPlanResult",
     "drive_plan",
     "read_plan",
-    "walk_plan",
     "BorderSpec",
     "BorderWalker",
     "BuildResult",

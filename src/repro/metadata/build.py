@@ -18,9 +18,8 @@ The three pieces are:
 * :class:`BorderWalker` — resolves the needed versions: in-flight ranges
   first, then a descent of the published tree.  It is a walker, like
   :class:`~repro.metadata.read_plan.FrontierWalker`: it decides which
-  nodes to fetch and never fetches them, so the engine's one cache-first
-  descent (``AsyncBlobStore._walk``) and the level-order generator
-  :func:`repro.metadata.read_plan.walk_plan` both drive it;
+  nodes to fetch and never fetches them, and the engine's one cache-first
+  descent (``AsyncBlobStore._walk``) drives it;
 * :func:`build_nodes` — a pure function materializing every new tree node
   bottom-up.
 """

@@ -56,12 +56,11 @@ class NodeRef(NamedTuple):
 class Frontier:
     """A batch of independent node fetches, one tree level of a traversal.
 
-    The level-order generator :func:`repro.metadata.read_plan.walk_plan`
-    (behind :func:`~repro.metadata.read_plan.read_plan`) yields one
-    ``Frontier`` per tree level of its walker, read or border, instead of
-    one :class:`NodeRef` per node: every ref in a frontier can be resolved
-    concurrently, so a driver needs only one (batched) round trip per
-    frontier — O(tree depth) trips instead of O(nodes).
+    The level-order generator :func:`repro.metadata.read_plan.read_plan`
+    yields one ``Frontier`` per tree level instead of one :class:`NodeRef`
+    per node: every ref in a frontier can be resolved concurrently, so a
+    driver needs only one (batched) round trip per frontier — O(tree
+    depth) trips instead of O(nodes).
 
     The plan must be sent back a list of :class:`TreeNode` values aligned
     with :attr:`refs`.

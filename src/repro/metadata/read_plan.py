@@ -22,7 +22,6 @@ tree walk (the boundary pages of an unaligned write need old bytes from its
 first and last page without traversing the metadata in between),
 :class:`~repro.metadata.build.BorderWalker` resolves an update's border
 nodes and :class:`ReachWalker` reaches whole trees for the tools.
-:func:`walk_plan` is the level-order generator over a read or border walker.
 
 Drivers:
 
@@ -31,7 +30,7 @@ Drivers:
   without an await) — READ on every clock, the boundary reads of unaligned
   updates, border resolution, and the tools' walks (GC's mark, repair's
   scan, ``tools/diff.py``'s manifest and diff) on an uncached store alike;
-* reference models call :func:`drive_plan` on a generator with a
+* reference models call :func:`drive_plan` on :func:`read_plan` with a
   synchronous ``fetch_many``, or a per-node ``fetch``.
 """
 
@@ -39,7 +38,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Callable, Generator, Sequence
-from typing import TYPE_CHECKING
 
 from ..errors import InvalidRangeError, MetadataNotFoundError
 from .geometry import is_leaf_range, span_for_pages, split, validate_node_range
@@ -52,9 +50,6 @@ from .node import (
     PageDescriptor,
     TreeNode,
 )
-
-if TYPE_CHECKING:
-    from .build import BorderSpec, BorderWalker
 
 
 @dataclass
@@ -77,9 +72,10 @@ class ReadPlanResult:
 
 
 # ``read_plan`` and ``drive_plan`` have no caller under ``src/``: the engine
-# steps walkers itself.  They stay for the frozen wall benchmark's
+# steps walkers itself.  They stay because the frozen wall benchmark's
 # ``metadata.read_plan_us`` micro-drive (``benchmarks/wall/wallbench/
-# runner.py``), ``benchmarks/test_core_operations.py`` and the planner tests.
+# runner.py``) imports both, as do ``benchmarks/test_core_operations.py``
+# and the planner tests.
 def read_plan(
     root_version: int,
     span: int,
@@ -91,20 +87,13 @@ def read_plan(
     ``root_version`` and spans ``span`` pages.
 
     The traversal explores a node only when its range intersects the
-    requested range (Algorithm 3, lines 8–13) and batches each tree level
-    into one :class:`Frontier`.  Dangling child pointers (``None``) are never
-    followed: a read bounded by the snapshot size never needs them.
+    requested range (Algorithm 3, lines 8–13) and yields each tree level as
+    one :class:`Frontier`, is sent its nodes, and returns the result with
+    ``round_trips`` = the number of frontiers.  Dangling child pointers
+    (``None``) are never followed: a read bounded by the snapshot size
+    never needs them.
     """
-    return walk_plan(plan_walker(root_version, span, [(page_offset, page_count)]))
-
-
-def walk_plan(
-    walker: FrontierWalker | BorderWalker,
-) -> Generator[Frontier, Sequence[TreeNode], ReadPlanResult | BorderSpec]:
-    """Step ``walker`` level by level: yield each tree level as one
-    :class:`Frontier`, be sent its nodes, and return ``walker.result`` with
-    ``round_trips`` = the number of frontiers — O(tree depth) whatever the
-    number of ranges or targets."""
+    walker = plan_walker(root_version, span, [(page_offset, page_count)])
     frontier = walker.root_refs()
     round_trips = 0
     while frontier:
@@ -129,7 +118,7 @@ class FrontierWalker:
     Holds the pure decision logic of Algorithm 3 — which children of a
     fetched node the requested ranges still want, leaf-descriptor
     collection, traversal accounting — WITHOUT any notion of when fetches
-    happen.  The generator (:func:`walk_plan`) expands one whole
+    happen.  The generator (:func:`read_plan`) expands one whole
     level at a time; the driver in
     :class:`~repro.core.async_store.AsyncBlobStore` expands cache hits on
     the spot and, on a pipelined runtime, each bucket-group of nodes the
@@ -337,10 +326,9 @@ def drive_plan(
 
     Works for any generator that yields :class:`Frontier` batches, is sent
     the nodes aligned with each batch's refs, and returns a result
-    (:func:`read_plan`, :func:`walk_plan` over either walker).  A frontier
-    is resolved with ``fetch_many(refs)`` when given — one batched round
-    trip per tree level — or by mapping the per-node ``fetch`` over its
-    refs otherwise.
+    (:func:`read_plan`).  A frontier is resolved with ``fetch_many(refs)``
+    when given — one batched round trip per tree level — or by mapping the
+    per-node ``fetch`` over its refs otherwise.
     """
     if fetch is None and fetch_many is None:
         raise TypeError("drive_plan needs a fetch or fetch_many function")

@@ -313,11 +313,11 @@ class TestAsyncSyncEquivalence:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    @given(operations=history_strategy, strict_unaligned=st.booleans())
+    @given(operations=history_strategy)
     @example(
-        # Strict mode pinned on one history that crosses page boundaries
-        # every way: unaligned appends, a write at v>1 inside one page, one
-        # spanning two, a branch written to, and reads over the seams.
+        # One history that crosses page boundaries every way: unaligned
+        # appends, a write at v>1 inside one page, one spanning two, a
+        # branch written to, and reads over the seams.
         operations=[
             ("append", 0.0, 100, 1),
             ("write", 0.0, 30, 0.25, 2),
@@ -328,12 +328,10 @@ class TestAsyncSyncEquivalence:
             ("read", 1.0, 0.1, 0.9),
             ("read", 0.5, 0.0, 1.0),
         ],
-        strict_unaligned=True,
     )
-    def test_same_bytes_and_same_trip_counters(self, operations, strict_unaligned):
+    def test_same_bytes_and_same_trip_counters(self, operations):
         """The tentpole property: one async code path, two execution modes,
-        identical bytes AND identical ReadStats/WriteResult counters — with
-        lock-free and with strict boundary pages alike.
+        identical bytes AND identical ReadStats/WriteResult counters.
 
         Each store gets its own cluster and its own dedicated caches (the
         process-shared defaults would leak occupancy between the twins);
@@ -344,7 +342,6 @@ class TestAsyncSyncEquivalence:
         sync_cluster = small_cluster()
         sync_store = BlobStore(
             sync_cluster,
-            strict_unaligned=strict_unaligned,
             node_cache=NodeCache(),
             page_cache=PageCache(),
         )
@@ -357,7 +354,6 @@ class TestAsyncSyncEquivalence:
         async def run_async():
             async with AsyncBlobStore(
                 async_cluster,
-                strict_unaligned=strict_unaligned,
                 node_cache=NodeCache(),
                 page_cache=PageCache(),
             ) as store:

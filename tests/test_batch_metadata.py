@@ -17,13 +17,13 @@ import math
 import pytest
 
 from repro import BlobStore, Cluster, NodeCache
-from repro.aio import SYNC_RUNTIME, run_sync
+from repro.core.async_store import walk_uncached
 from repro.dht.dht import DHT
 from repro.dht.storage import BucketStore
 from repro.errors import MetadataNotFoundError, ProviderUnavailableError
 from repro.metadata.geometry import pages_for_size, span_for_pages
 from repro.metadata.node import Frontier, NodeKey
-from repro.metadata.read_plan import drive_plan, plan_walker, read_plan, walk_plan
+from repro.metadata.read_plan import drive_plan, plan_walker, read_plan
 from repro.util.ranges import covering_page_range
 from repro.version.records import resolve_owner
 
@@ -121,34 +121,20 @@ class TestFrontierEquivalence:
         version = store.append(blob_id, make_payload(16 * PAGE))
         store.sync(blob_id, version)
         record = cluster.version_manager.get_record(blob_id)
-
-        def fetch_many(refs):
-            return run_sync(
-                cluster.metadata_provider.get_nodes_async(
-                    [
-                        NodeKey(
-                            resolve_owner(record, ref.version),
-                            ref.version, ref.offset, ref.size,
-                        )
-                        for ref in refs
-                    ],
-                    SYNC_RUNTIME,
-                )
-            )
-
-        plan = walk_plan(plan_walker(version, 16, [(0, 1), (15, 1)]))
-        result = drive_plan(plan, fetch_many=fetch_many)
+        walker = plan_walker(version, 16, [(0, 1), (15, 1)])
+        result = walk_uncached(cluster, record, walker)
         assert sorted(d.page_index for d in result.descriptors) == [0, 15]
         # Two root-to-leaf paths of depth 5 share the root: 9 nodes, 5 trips.
         assert result.nodes_fetched == 9
         assert result.round_trips == 5
 
-    def test_empty_and_invalid_ranges(self):
-        assert drive_plan(
-            walk_plan(plan_walker(1, 8, [])), lambda ref: None
+    def test_empty_and_invalid_ranges(self, cluster, blob_id):
+        record = cluster.version_manager.get_record(blob_id)
+        assert walk_uncached(
+            cluster, record, plan_walker(1, 8, [])
         ).round_trips == 0
         with pytest.raises(Exception):
-            drive_plan(walk_plan(plan_walker(1, 8, [(7, 2)])), lambda ref: None)
+            walk_uncached(cluster, record, plan_walker(1, 8, [(7, 2)]))
 
 
 class TestDHTMultiOps:

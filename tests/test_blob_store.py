@@ -275,9 +275,9 @@ class TestStorageAccounting:
         assert sum(1 for count in distribution.values() if count > 0) >= 6
 
 
-class TestParallelIOAndStrictModes:
-    def test_strict_unaligned_mode(self, cluster):
-        store = BlobStore(cluster, strict_unaligned=True)
+class TestParallelIOAndBoundaryPages:
+    def test_unaligned_write_keeps_boundary_bytes(self, cluster):
+        store = BlobStore(cluster)
         blob_id = store.create()
         store.append(blob_id, b"a" * 100)
         version = store.write(blob_id, b"B" * 50, 25)

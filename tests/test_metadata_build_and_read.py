@@ -1,14 +1,18 @@
 """Unit and property tests for the sans-IO metadata algorithms.
 
 These tests exercise BUILD_META (Algorithm 4), READ_META (Algorithm 3) and
-border-node resolution without any storage substrate: nodes live in a plain
-dictionary keyed by (version, offset, size), which doubles as a reference
-model of the DHT.
+border-node resolution without the rest of the client: nodes live in the
+metadata DHT of a bare in-memory cluster, READ_META is driven by the
+level-order generator and border resolution by the engine's one descent
+(``_walk``) on the sync runtime.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import Cluster
+from repro.aio import SYNC_RUNTIME, run_sync
+from repro.core.async_store import walk_uncached
 from repro.errors import ConcurrencyError, InvalidRangeError
 from repro.metadata.build import (
     BorderSpec,
@@ -17,8 +21,9 @@ from repro.metadata.build import (
     build_nodes,
 )
 from repro.metadata.geometry import span_for_pages
-from repro.metadata.node import InnerNode, LeafNode, NodeRef, PageDescriptor
-from repro.metadata.read_plan import drive_plan, read_plan, walk_plan
+from repro.metadata.node import InnerNode, LeafNode, NodeKey, NodeRef, PageDescriptor
+from repro.metadata.read_plan import drive_plan, read_plan
+from repro.version.records import BlobRecord
 
 
 def make_descriptors(version: int, offset: int, count: int, length: int = 64):
@@ -34,15 +39,31 @@ def make_descriptors(version: int, offset: int, count: int, length: int = 64):
 
 
 class TreeModel:
-    """A tiny in-memory 'DHT' plus helpers to apply updates like a writer."""
+    """One blob's tree in a bare metadata DHT, plus helpers to apply updates
+    like a writer."""
 
     def __init__(self):
-        self.nodes: dict[tuple[int, int, int], object] = {}
+        self.cluster = Cluster.in_memory(
+            num_data_providers=1, num_metadata_providers=4
+        )
+        self.record = BlobRecord(blob_id="model", page_size=64)
         self.num_pages = 0
         self.version = 0
 
+    def key(self, ref: NodeRef) -> NodeKey:
+        return NodeKey(self.record.blob_id, ref.version, ref.offset, ref.size)
+
     def fetch(self, ref: NodeRef):
-        return self.nodes[(ref.version, ref.offset, ref.size)]
+        (node,) = run_sync(
+            self.cluster.metadata_provider.get_nodes_async(
+                [self.key(ref)], SYNC_RUNTIME
+            )
+        )
+        return node
+
+    def walk(self, walker: BorderWalker) -> BorderSpec:
+        """Resolve ``walker`` by the engine's descent, one batch per level."""
+        return walk_uncached(self.cluster, self.record, walker)
 
     def apply_update(self, page_offset: int, page_count: int, inflight=()):
         """Run border resolution + build for the next version and store it."""
@@ -59,7 +80,7 @@ class TreeModel:
             prev_pages,
             list(inflight),
         )
-        spec = drive_plan(walk_plan(walker), self.fetch)
+        spec = self.walk(walker)
         build = build_nodes(
             version,
             page_offset,
@@ -69,7 +90,7 @@ class TreeModel:
             spec,
         )
         for ref, node in build.nodes:
-            self.nodes[(ref.version, ref.offset, ref.size)] = node
+            self.cluster.metadata_provider.put_node(self.key(ref), node)
         self.num_pages = new_pages
         return build
 
@@ -215,7 +236,7 @@ class TestConcurrentBorderResolution:
         # Writer B (version 3) appends pages 6-7 concurrently.
         needed, dangling = border_targets(6, 2, 8, 6)
         walker = BorderWalker(needed, dangling, 1, 4, [(2, 4, 2)])
-        spec = drive_plan(walk_plan(walker), model.fetch)
+        spec = model.walk(walker)
         assert spec.versions[(4, 2)] == 2      # resolved from the in-flight hint
         assert spec.versions[(0, 4)] == 1      # resolved from the published tree
 
@@ -227,7 +248,7 @@ class TestConcurrentBorderResolution:
     def test_latest_intersecting_inflight_wins(self):
         needed = [(0, 2)]
         walker = BorderWalker(needed, [], None, 0, [(3, 0, 2), (5, 0, 1), (4, 2, 2)])
-        spec = drive_plan(walk_plan(walker), lambda ref: None)
+        spec = TreeModel().walk(walker)
         assert spec.versions[(0, 2)] == 5
 
     def test_target_the_published_tree_does_not_reach_raises_after_the_walk(self):
@@ -237,7 +258,7 @@ class TestConcurrentBorderResolution:
         model.apply_update(0, 3)  # v1: pages 0-2, the (3, 1) pointer dangles
         walker = BorderWalker([(2, 1), (3, 1)], [], 1, 3, [])
         with pytest.raises(ConcurrencyError, match=r"\(3, 1\)"):
-            drive_plan(walk_plan(walker), model.fetch)
+            model.walk(walker)
 
 
 class TestVersionedHistoryProperty:

@@ -1,16 +1,15 @@
 """The single update pipeline (``AsyncBlobStore._update``): every WRITE and
 APPEND kind runs the same code, under both runtimes.
 
-* a table over the six update kinds pins bytes (against a ``bytearray``
+* a table over the five update kinds pins bytes (against a ``bytearray``
   model) and the exact trip counters each kind reported before the four
   hand-copied update paths were merged — unifying them must not move one;
 * regression tests for the reference-snapshot rule (DESIGN.md §6): an
-  update that needs exact boundary bytes waits for its nearest NON-ABORTED
-  predecessor, so an aborted predecessor neither zeroes an in-flight
-  append's bytes nor cascades its abort into the next strict writer;
-* the rule's stated edge: a non-strict unaligned WRITE completes its page
-  from the last *published* snapshot, so it may drop an in-flight earlier
-  writer's bytes in that page, and ``strict_unaligned`` keeps them.
+  update that keeps old bytes in a boundary page waits for its nearest
+  NON-ABORTED predecessor, so an aborted predecessor neither zeroes an
+  in-flight append's bytes nor cascades its abort into the next unaligned
+  writer, and an in-flight earlier writer's bytes in a shared page are
+  kept; an aligned WRITE reads no old bytes and never waits.
 """
 
 from __future__ import annotations
@@ -31,28 +30,22 @@ RUNTIMES = pytest.mark.parametrize(
     "event_loop", [False, True], ids=["sync", "event_loop"]
 )
 
-#: kind -> (strict_unaligned, sizes of the appends that set the blob up,
-#: operation, offset, size, expected (vm_round_trips, data_round_trips,
-#: metadata_round_trips, pages_written, border_nodes_fetched)).  Cold store
-#: (no node/page cache), leases on, 8 providers, 64-byte pages; the first
-#: four numbers are what the commit before the merge returned under either
-#: runtime, the last what the level-by-level border plan fetched before the
-#: border walk moved onto the engine's pipelined descent.  The cold store
-#: makes this the one table where that walk fetches from the DHT.  A strict
-#: store's aligned WRITE reads no old bytes, so it costs what a non-strict
-#: one does: no SYNC on its predecessor.
+#: kind -> (sizes of the appends that set the blob up, operation, offset,
+#: size, expected (vm_round_trips, data_round_trips, metadata_round_trips,
+#: pages_written, border_nodes_fetched)).  Cold store (no node/page cache),
+#: leases on, 8 providers, 64-byte pages; the first four numbers are what
+#: the commit before the merge returned under either runtime, the last what
+#: the level-by-level border plan fetched before the border walk moved onto
+#: the engine's pipelined descent.  The cold store makes this the one table
+#: where that walk fetches from the DHT.  An unaligned WRITE pays one SYNC
+#: on its predecessor (none at v1); an aligned one reads no old bytes and
+#: pays none.
 UPDATE_KINDS = {
-    "aligned_write": (False, [4 * PAGE], "write", PAGE, 2 * PAGE, (2, 2, 3, 2, 3)),
-    "unaligned_write": (False, [4 * PAGE], "write", 30, 100, (2, 5, 3, 3, 2)),
-    "strict_aligned_write": (
-        True, [4 * PAGE], "write", PAGE, 2 * PAGE, (2, 2, 3, 2, 3)
-    ),
-    "strict_write_at_v1": (True, [], "write", 0, 100, (3, 2, 1, 2, 0)),
-    "strict_write_later": (True, [4 * PAGE], "write", 30, 100, (3, 5, 3, 3, 2)),
-    "aligned_append": (
-        False, [4 * PAGE], "append", None, 2 * PAGE, (2, 2, 1, 2, 0)
-    ),
-    "unaligned_append": (False, [100], "append", None, 50, (3, 3, 2, 2, 1)),
+    "aligned_write": ([4 * PAGE], "write", PAGE, 2 * PAGE, (2, 2, 3, 2, 3)),
+    "unaligned_write": ([4 * PAGE], "write", 30, 100, (3, 5, 3, 3, 2)),
+    "unaligned_write_at_v1": ([], "write", 0, 100, (3, 2, 1, 2, 0)),
+    "aligned_append": ([4 * PAGE], "append", None, 2 * PAGE, (2, 2, 1, 2, 0)),
+    "unaligned_append": ([100], "append", None, 50, (3, 3, 2, 2, 1)),
 }
 
 
@@ -65,12 +58,10 @@ def make_cluster(page_size: int = PAGE) -> Cluster:
 @RUNTIMES
 @pytest.mark.parametrize("kind", UPDATE_KINDS)
 def test_update_kinds_keep_bytes_and_trip_counters(kind, event_loop):
-    strict, setup, operation, offset, size, expected = UPDATE_KINDS[kind]
+    setup, operation, offset, size, expected = UPDATE_KINDS[kind]
 
     async def scenario():
-        knobs = dict(
-            strict_unaligned=strict, cache_metadata=False, cache_pages=False
-        )
+        knobs = dict(cache_metadata=False, cache_pages=False)
         cluster = make_cluster()
         store = (
             AsyncBlobStore(cluster, **knobs)
@@ -109,20 +100,20 @@ def test_update_kinds_keep_bytes_and_trip_counters(kind, event_loop):
     ) == expected
 
 
-def open_engine(cluster: Cluster, event_loop: bool, **knobs):
+def open_engine(cluster: Cluster, event_loop: bool):
     """``(engine, update)``: the async core on the requested runtime, plus a
     coroutine function running one update (``update("append", blob_id,
     data)`` or ``update("write", blob_id, data, offset)``) *concurrently*
     with the caller — a task on the loop, or the blocking sync bridge on a
     worker thread.  Returns the update's version."""
     if event_loop:
-        engine = AsyncBlobStore(cluster, **knobs)
+        engine = AsyncBlobStore(cluster)
 
         async def update(method, *args):
             return await getattr(engine, method)(*args)
 
         return engine, update
-    bridge = BlobStore(cluster, **knobs)
+    bridge = BlobStore(cluster)
 
     async def update(method, *args):
         versions = []
@@ -182,14 +173,14 @@ def test_unaligned_append_after_an_abort_keeps_an_inflight_appends_bytes(
 
 
 @RUNTIMES
-def test_strict_write_after_an_aborted_predecessor_publishes(event_loop):
-    """An aborted predecessor used to cascade: the next strict writer's SYNC
-    on it raised ``UpdateAbortedError`` and aborted that writer too."""
+def test_unaligned_write_after_an_aborted_predecessor_publishes(event_loop):
+    """An aborted predecessor used to cascade: the next unaligned writer's
+    SYNC on it raised ``UpdateAbortedError`` and aborted that writer too."""
 
     async def scenario():
         cluster = make_cluster(page_size=16)
         vm = cluster.version_manager
-        engine, _update = open_engine(cluster, event_loop, strict_unaligned=True)
+        engine, _update = open_engine(cluster, event_loop)
         blob_id = await engine.create()
         v1 = await engine.append(blob_id, b"a" * 20)
         await engine.sync(blob_id, v1)
@@ -205,17 +196,14 @@ def test_strict_write_after_an_aborted_predecessor_publishes(event_loop):
 
 
 @RUNTIMES
-@pytest.mark.parametrize("strict", [False, True], ids=["published", "strict"])
-def test_unaligned_write_into_an_inflight_writers_page(strict, event_loop):
+def test_unaligned_write_into_an_inflight_writers_page(event_loop):
     """v2 (in flight) writes ``XX`` and v3 writes ``YY`` into the same
-    16-byte page.  Non-strict, v3 completes the page from v1, the last
-    *published* snapshot, and v2's bytes are lost as specified (DESIGN.md
-    §6); strict, v3 waits for v2 and keeps them."""
+    16-byte page: v3 waits for v2 and keeps its bytes (DESIGN.md §6)."""
 
     async def scenario():
         cluster = make_cluster(page_size=16)
         vm = cluster.version_manager
-        engine, update = open_engine(cluster, event_loop, strict_unaligned=strict)
+        engine, update = open_engine(cluster, event_loop)
         blob_id = await engine.create()
         v1 = await engine.append(blob_id, b"a" * 16)
         await engine.sync(blob_id, v1)
@@ -231,18 +219,18 @@ def test_unaligned_write_into_an_inflight_writers_page(strict, event_loop):
 
     v3, data = asyncio.run(scenario())
     assert v3 == 3
-    assert data == (b"aaXXaaaaaaYYaaaa" if strict else b"aaaaaaaaaaYYaaaa")
+    assert data == b"aaXXaaaaaaYYaaaa"
 
 
-def test_strict_aligned_write_does_not_wait_for_an_inflight_predecessor():
-    """An aligned WRITE reads no old bytes, so a strict store's aligned
-    WRITE neither SYNCs on v2 (registered by hand, never completed) nor
-    gives up its early page stores: it returns at once."""
+def test_aligned_write_does_not_wait_for_an_inflight_predecessor():
+    """An aligned WRITE reads no old bytes, so it neither SYNCs on v2
+    (registered by hand, never completed) nor gives up its early page
+    stores: it returns at once."""
 
     async def scenario():
         cluster = make_cluster(page_size=16)
         vm = cluster.version_manager
-        engine = AsyncBlobStore(cluster, strict_unaligned=True)
+        engine = AsyncBlobStore(cluster)
         blob_id = await engine.create()
         v1 = await engine.append(blob_id, b"a" * 32)
         await engine.sync(blob_id, v1)
