@@ -26,8 +26,11 @@ decides how the coroutine's awaits actually execute:
   page stores this way), ``gather`` fans sub-traversals out concurrently
   (the read path pipelines level N+1 frontier fetches while level N's
   slower buckets resolve) and cancels the siblings of a failed branch,
-  and ``vm_sync`` turns the version manager's blocking condition-variable
-  wait into a publish-notification wait that never parks a thread.
+  and ``vm_sync`` parks on a loop future, never on a thread.
+
+Every runtime's SYNC registers with ``VersionManager.on_settled``, waits on
+its own primitive for the wake of a publication or an abort (or for the
+timeout), withdraws, and probes once more.  Nothing polls.
 
 The runtime is the ONLY execution strategy: a component call takes the
 runtime it executes on, and a different strategy (the wall benchmark's
@@ -238,42 +241,27 @@ class AsyncRuntime:
         """``nbytes`` served from the client's own memory: free here."""
 
     async def vm_sync(self, vm, blob_id: str, version: int, timeout=None) -> None:
-        """SYNC without parking a thread on the VM's condition variable.
-
-        Subscribes to publish notifications and probes the non-blocking
-        :meth:`~repro.version.version_manager.VersionManager.poll_sync`
-        between wakeups.  A short poll interval backstops the one
-        transition notifications do not cover (aborts publish no new
-        version, so they fire no notification).
-        """
+        """SYNC parked on a loop future; the wake may come from any thread."""
         loop = asyncio.get_running_loop()
-        event = asyncio.Event()
+        settled = loop.create_future()
 
-        def listener(lease) -> None:
-            if lease.blob_id == blob_id:
-                loop.call_soon_threadsafe(event.set)
+        def resolve() -> None:
+            if not settled.done():
+                settled.set_result(None)
 
-        vm.subscribe_publications(listener)
+        withdraw = vm.on_settled(
+            blob_id, version, lambda: loop.call_soon_threadsafe(resolve)
+        )
+        if withdraw is None:
+            return
         try:
-            deadline = None if timeout is None else loop.time() + timeout
-            while True:
-                if vm.poll_sync(blob_id, version):
-                    return
-                wait = 0.05
-                if deadline is not None:
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
-                        if vm.poll_sync(blob_id, version):
-                            return
-                        raise VersionNotPublishedError(blob_id, version)
-                    wait = min(wait, remaining)
-                try:
-                    await asyncio.wait_for(event.wait(), wait)
-                except TimeoutError:
-                    pass
-                event.clear()
+            await asyncio.wait_for(settled, timeout)
+        except TimeoutError:
+            pass
         finally:
-            vm.unsubscribe_publications(listener)
+            withdraw()
+        if not vm.poll_sync(blob_id, version):
+            raise VersionNotPublishedError(blob_id, version)
 
 
 IORuntime = SyncRuntime | AsyncRuntime

@@ -642,9 +642,9 @@ class AsyncBlobStore:
     ) -> None:
         """SYNC: wait until ``version`` is published ("read your writes").
 
-        Under the event-loop runtime the wait parks on the loop (publish
-        notifications wake it) instead of blocking a thread on the version
-        manager's condition variable.
+        The version manager wakes the wait when the version is published
+        or aborted; under the event-loop runtime it parks on the loop, not
+        on a thread.
         """
         self._ensure_open()
         await self._runtime.vm_sync(self._vm, blob_id, version, timeout)

@@ -149,10 +149,25 @@ class SimRuntime:
         await self._dep.simulator.timeout(seconds)
 
     async def vm_sync(self, vm, blob_id: str, version: int, timeout=None) -> None:
-        sim = self._dep.simulator
-        deadline = None if timeout is None else sim.now + timeout
-        while not vm.poll_sync(blob_id, version):
-            if deadline is not None and sim.now >= deadline:
-                raise VersionNotPublishedError(blob_id, version)
-            await self.sleep(self._dep.sim_config.latency)
+        """SYNC on virtual time: the version manager's wake reaches this
+        client one network ``latency`` after the version settles."""
+        sim, latency = self._dep.simulator, self._dep.sim_config.latency
+        settled = sim.event()
 
+        def resolve(_value=None) -> None:
+            if not settled.triggered:
+                settled.succeed()
+
+        withdraw = vm.on_settled(
+            blob_id, version, lambda: sim.timeout(latency).add_callback(resolve)
+        )
+        if withdraw is None:
+            return
+        if timeout is not None:
+            sim.timeout(timeout).add_callback(resolve)
+        try:
+            await settled
+        finally:
+            withdraw()
+        if not vm.poll_sync(blob_id, version):
+            raise VersionNotPublishedError(blob_id, version)

@@ -20,15 +20,18 @@ later writer stays wedged.
 
 Clients call this object directly (it is ``Cluster.version_manager``).
 :meth:`multi_register` and :meth:`multi_complete` apply a whole batch of
-registrations or completion/abort notices with ONE condition acquisition
-per blob touched; the per-call methods are one-request batches.  In-process
+registrations or completion/abort notices with ONE lock acquisition per
+blob touched; the per-call methods are one-request batches.  In-process
 every batch holds one request; the simulator's VM node
 (:class:`~repro.sim.deployment.SimVersionOffice`) queues the requests that
 arrive while it serves a batch and hands them over as the next one.  The VM
-counts its own traffic in :class:`VMStats`.  Publication events are fanned
-out to subscribers (client lease caches) *after* the blob lock is released,
-so leased ``GET_RECENT`` answers are invalidated/renewed the moment a
-snapshot becomes visible.
+counts its own traffic in :class:`VMStats`.
+
+After the blob lock is released, publication events go to subscribers
+(client lease caches), so leased ``GET_RECENT`` answers are renewed the
+moment a snapshot becomes visible, and then the SYNC waiters of every
+version published or aborted are woken (:meth:`on_settled`): every
+runtime's SYNC waits for that wake, and nothing polls.
 """
 
 from __future__ import annotations
@@ -63,6 +66,9 @@ from .records import (
 #: any version-manager lock.
 PublishListener = Callable[[RecencyLease], None]
 
+#: A SYNC waiter's wake-up (see :meth:`VersionManager.on_settled`).
+Wake = Callable[[], None]
+
 
 @dataclass(frozen=True)
 class VMStats:
@@ -91,13 +97,11 @@ class VMStats:
     recent_calls: int = 0
     #: Combined IS_PUBLISHED+GET_SIZE read preconditions answered.
     check_read_calls: int = 0
-    #: ``check_read`` calls plus ``multi_check_read`` batches.
-    check_read_batches: int = 0
     #: GET_SIZE queries answered.
     size_calls: int = 0
     #: Blob-record fetches answered.
     record_calls: int = 0
-    #: Blocking SYNC waits served.
+    #: SYNC waits registered (one per SYNC, on every runtime).
     sync_calls: int = 0
 
     @property
@@ -122,15 +126,20 @@ class _InFlightState:
 
 @dataclass
 class _BlobState:
-    """Mutable per-blob state guarded by the blob's condition variable."""
+    """Mutable per-blob state guarded by the blob's lock."""
 
     record: BlobRecord
-    condition: threading.Condition = field(default_factory=threading.Condition)
+    #: Looked up per blob, so an installed lock sanitizer wraps it.
+    lock: threading.Lock = field(default_factory=lambda: threading.Lock())
     next_version: int = 1
     published: int = 0
     sizes: dict[int, int] = field(default_factory=lambda: {0: 0})
     inflight: dict[int, _InFlightState] = field(default_factory=dict)
     aborted: set[int] = field(default_factory=set)
+    #: Version -> the wakes of the SYNCs waiting for it to settle.
+    waiters: dict[int, list[Wake]] = field(default_factory=dict)
+    #: Wakes of versions settled under the lock, to call once it is released.
+    woken: list[Wake] = field(default_factory=list)
 
 
 class VersionManager:
@@ -164,12 +173,6 @@ class VersionManager:
             if size > stats[f"{kind}_max_batch"]:
                 stats[f"{kind}_max_batch"] = size
 
-    def _count_checks(self, queries: int) -> None:
-        """One ``check_read`` round answering ``queries`` preconditions."""
-        with self._stats_lock:
-            self._stats["check_read_calls"] += queries
-            self._stats["check_read_batches"] += 1
-
     def vm_stats(self) -> VMStats:
         """A snapshot of the lifetime :class:`VMStats` counters."""
         with self._stats_lock:
@@ -180,7 +183,7 @@ class VersionManager:
         """Register a callback invoked with a fresh :class:`RecencyLease`
         every time a blob's publication watermark advances.
 
-        Listeners run *outside* the blob condition (no lock-order hazards)
+        Listeners run *outside* the blob lock (no lock-order hazards)
         on whichever thread triggered the advance.  Client lease caches use
         this to invalidate/renew their ``GET_RECENT`` leases the moment a
         snapshot becomes visible — the push half of the lease protocol.
@@ -189,26 +192,23 @@ class VersionManager:
             self._publish_listeners.append(listener)
 
     def unsubscribe_publications(self, listener: PublishListener) -> None:
-        """Remove a previously subscribed publish listener (idempotent).
-
-        Event-loop SYNC waiters subscribe per call and must detach on the
-        way out, or every completed wait would leak a callback invoked on
-        all future publications.
-        """
+        """Remove a previously subscribed publish listener (idempotent)."""
         with self._lock:
             try:
                 self._publish_listeners.remove(listener)
             except ValueError:
                 pass
 
-    def _notify_publications(self, leases: list[RecencyLease]) -> None:
-        if not leases:
-            return
-        with self._lock:
-            listeners = list(self._publish_listeners)
-        for lease in leases:
-            for listener in listeners:
-                listener(lease)
+    def _notify(self, leases: list[RecencyLease], wakes: list[Wake]) -> None:
+        """Publications first, so a woken SYNC finds the leases renewed."""
+        if leases:
+            with self._lock:
+                listeners = list(self._publish_listeners)
+            for lease in leases:
+                for listener in listeners:
+                    listener(lease)
+        for wake in wakes:
+            wake()
 
     # ------------------------------------------------------------------ blobs
     def create_blob(self, page_size: int | None = None) -> BlobRecord:
@@ -231,7 +231,7 @@ class VersionManager:
         Fails if ``version`` has not been published.
         """
         parent = self._state(blob_id)
-        with parent.condition:
+        with parent.lock:
             if not self._is_published_locked(parent, version):
                 raise VersionNotPublishedError(blob_id, version)
             base_sizes = {
@@ -296,7 +296,7 @@ class VersionManager:
     def multi_register(
         self, requests: Sequence[RegisterRequest]
     ) -> list[UpdateTicket | BaseException]:
-        """Apply a batch of registrations with ONE condition acquisition per
+        """Apply a batch of registrations with ONE lock acquisition per
         blob touched — the server side of group-commit ticketing.
 
         Requests are processed in list order, so tickets of one blob are
@@ -313,6 +313,7 @@ class VersionManager:
         for index, request in enumerate(requests):
             by_blob.setdefault(request.blob_id, []).append(index)
         published: list[RecencyLease] = []
+        wakes: list[Wake] = []
         for blob_id, indices in by_blob.items():
             try:
                 state = self._state(blob_id)
@@ -320,7 +321,7 @@ class VersionManager:
                 for index in indices:
                     results[index] = error
                 continue
-            with state.condition:
+            with state.lock:
                 advanced = self._reap_expired_locked(state)
                 for index in indices:
                     try:
@@ -331,13 +332,15 @@ class VersionManager:
                         results[index] = error
                 if advanced:
                     published.append(self._lease_locked(state))
-        self._notify_publications(published)
+                wakes += state.woken
+                state.woken = []
+        self._notify(published, wakes)
         return results
 
     def _register_locked(
         self, state: _BlobState, request: RegisterRequest
     ) -> UpdateTicket:
-        """Assign one version under the blob's (already held) condition."""
+        """Assign one version under the blob's (already held) lock."""
         blob_id = request.blob_id
         size = request.size
         if size <= 0:
@@ -423,7 +426,7 @@ class VersionManager:
     def multi_complete(
         self, notices: Sequence[CompletionNotice]
     ) -> list[None | BaseException]:
-        """Apply a batch of completion/abort notices with ONE condition
+        """Apply a batch of completion/abort notices with ONE lock
         acquisition — and one publication advance — per blob touched.
 
         Notices are applied strictly in list order (so an abort filed
@@ -440,6 +443,7 @@ class VersionManager:
         for index, notice in enumerate(notices):
             by_blob.setdefault(notice.blob_id, []).append(index)
         published: list[RecencyLease] = []
+        wakes: list[Wake] = []
         for blob_id, indices in by_blob.items():
             try:
                 state = self._state(blob_id)
@@ -447,7 +451,7 @@ class VersionManager:
                 for index in indices:
                     results[index] = error
                 continue
-            with state.condition:
+            with state.lock:
                 for index in indices:
                     try:
                         self._apply_notice_locked(state, notices[index])
@@ -455,7 +459,9 @@ class VersionManager:
                         results[index] = error
                 if self._advance_publication_locked(state):
                     published.append(self._lease_locked(state))
-        self._notify_publications(published)
+                wakes += state.woken
+                state.woken = []
+        self._notify(published, wakes)
         return results
 
     def _apply_notice_locked(
@@ -481,7 +487,8 @@ class VersionManager:
         entry.completed = True
 
     def _abort_locked(self, state: _BlobState, entry: _InFlightState) -> None:
-        """Mark an in-flight entry aborted.
+        """Mark an in-flight entry aborted and take its SYNC waiters —
+        whether or not it is the next version to publish.
 
         When no later version has been assigned yet, the aborted snapshot's
         size falls back to its predecessor's so that a subsequent APPEND does
@@ -491,13 +498,14 @@ class VersionManager:
         """
         entry.aborted = True
         state.aborted.add(entry.version)
+        state.woken += state.waiters.pop(entry.version, ())
         if entry.version == state.next_version - 1:
             state.sizes[entry.version] = state.sizes[entry.version - 1]
 
     def _advance_publication_locked(self, state: _BlobState) -> bool:
-        """Publish every contiguously completed/aborted version; return True
-        when the watermark moved (the caller notifies lease subscribers
-        after releasing the condition)."""
+        """Publish every contiguously completed/aborted version, taking its
+        SYNC waiters; return True when the watermark moved (the caller
+        notifies lease subscribers and wakes waiters after the lock)."""
         advanced = False
         while True:
             candidate = state.published + 1
@@ -506,9 +514,8 @@ class VersionManager:
                 break
             state.published = candidate
             del state.inflight[candidate]
+            state.woken += state.waiters.pop(candidate, ())
             advanced = True
-        if advanced:
-            state.condition.notify_all()
         return advanced
 
     def _reap_expired_locked(self, state: _BlobState) -> bool:
@@ -550,19 +557,19 @@ class VersionManager:
         """
         self._count("recent_calls")
         state = self._state(blob_id)
-        with state.condition:
+        with state.lock:
             return self._recent_locked(state)
 
     def is_published(self, blob_id: str, version: int) -> bool:
         state = self._state(blob_id)
-        with state.condition:
+        with state.lock:
             return self._is_published_locked(state, version)
 
     def get_size(self, blob_id: str, version: int) -> int:
         """GET_SIZE: size in bytes of a published snapshot."""
         self._count("size_calls")
         state = self._state(blob_id)
-        with state.condition:
+        with state.lock:
             if not self._is_published_locked(state, version):
                 raise VersionNotPublishedError(blob_id, version)
             return state.sizes[version]
@@ -576,44 +583,12 @@ class VersionManager:
         so clients may cache the answer forever (the fact half of
         :class:`repro.vm.lease.LeaseCache`).
         """
-        self._count_checks(1)
+        self._count("check_read_calls")
         state = self._state(blob_id)
-        with state.condition:
+        with state.lock:
             if not self._is_published_locked(state, version):
                 raise VersionNotPublishedError(blob_id, version)
             return state.sizes[version]
-
-    def multi_check_read(
-        self, queries: Sequence[tuple[str, int]]
-    ) -> list[int | BaseException]:
-        """Batched :meth:`check_read`: one condition acquisition per blob.
-
-        ``queries`` are ``(blob_id, version)`` pairs; the result list is
-        aligned, each slot holding the snapshot size or the exception that
-        query raised.  The read-side counterpart of ``multi_register``, for
-        clients that validate many snapshots at once (a scanner opening
-        every version of a dataset, a GC pass sizing its keep set).
-        """
-        self._count_checks(len(queries))
-        results: list[int | BaseException] = [None] * len(queries)
-        by_blob: dict[str, list[int]] = {}
-        for index, (blob_id, _version) in enumerate(queries):
-            by_blob.setdefault(blob_id, []).append(index)
-        for blob_id, indices in by_blob.items():
-            try:
-                state = self._state(blob_id)
-            except UnknownBlobError as error:
-                for index in indices:
-                    results[index] = error
-                continue
-            with state.condition:
-                for index in indices:
-                    version = queries[index][1]
-                    if self._is_published_locked(state, version):
-                        results[index] = state.sizes[version]
-                    else:
-                        results[index] = VersionNotPublishedError(blob_id, version)
-        return results
 
     def recent_lease(self, blob_id: str) -> RecencyLease:
         """GET_RECENT plus the size and publication epoch, for client leases.
@@ -624,37 +599,62 @@ class VersionManager:
         """
         self._count("recent_calls")
         state = self._state(blob_id)
-        with state.condition:
+        with state.lock:
             return self._lease_locked(state)
 
-    def sync(self, blob_id: str, version: int, timeout: float | None = None) -> None:
-        """SYNC: block until ``version`` is published.
+    def _settled_locked(self, state: _BlobState, version: int) -> bool:
+        """:meth:`poll_sync` under the (already held) blob lock."""
+        blob_id = state.record.blob_id
+        if version in state.aborted:
+            raise UpdateAbortedError(blob_id, version)
+        if version <= state.published:
+            return True
+        if version >= state.next_version:
+            raise VersionNotPublishedError(blob_id, version)
+        return False
 
-        Raises :class:`UpdateAbortedError` if the version was aborted, and
-        :class:`VersionNotPublishedError` on timeout or if the version was
-        never assigned.
+    def on_settled(
+        self, blob_id: str, version: int, wake: Wake
+    ) -> Callable[[], None] | None:
+        """Register a SYNC waiter: ``wake()`` is called once, outside the
+        blob lock, on whichever thread publishes or aborts ``version``.
+
+        Probes first, as :meth:`poll_sync`: raises for an aborted or
+        never-assigned version and returns ``None`` for a published one.
+        Otherwise returns an idempotent ``withdraw`` that a waiter which
+        timed out or was cancelled calls.  Counts one ``sync_calls``.
         """
         self._count("sync_calls")
         state = self._state(blob_id)
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with state.condition:
-            while True:
-                if version in state.aborted:
-                    raise UpdateAbortedError(blob_id, version)
-                if version <= state.published:
-                    return
-                if version >= state.next_version:
-                    raise VersionNotPublishedError(blob_id, version)
-                if deadline is None:
-                    state.condition.wait()
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not state.condition.wait(remaining):
-                        if version in state.aborted:
-                            raise UpdateAbortedError(blob_id, version)
-                        if version <= state.published:
-                            return
-                        raise VersionNotPublishedError(blob_id, version)
+        with state.lock:
+            if self._settled_locked(state, version):
+                return None
+            state.waiters.setdefault(version, []).append(wake)
+
+        def withdraw() -> None:
+            with state.lock:
+                waiting = state.waiters.get(version)
+                if waiting is not None and wake in waiting:
+                    waiting.remove(wake)
+                    if not waiting:
+                        del state.waiters[version]
+
+        return withdraw
+
+    def sync(self, blob_id: str, version: int, timeout: float | None = None) -> None:
+        """SYNC: block the calling thread until ``version`` is published;
+        raise :class:`UpdateAbortedError` once it is aborted, and
+        :class:`VersionNotPublishedError` on timeout or if never assigned."""
+        settled = threading.Event()
+        withdraw = self.on_settled(blob_id, version, settled.set)
+        if withdraw is None:
+            return
+        try:
+            settled.wait(timeout)
+        finally:
+            withdraw()
+        if not self.poll_sync(blob_id, version):
+            raise VersionNotPublishedError(blob_id, version)
 
     def poll_sync(self, blob_id: str, version: int) -> bool:
         """Non-blocking SYNC probe: True when ``version`` is published,
@@ -663,21 +663,13 @@ class VersionManager:
         Raises exactly what :meth:`sync` would raise on a settled failure —
         :class:`UpdateAbortedError` for an aborted version,
         :class:`VersionNotPublishedError` for one that was never assigned.
-        Event-loop clients pair this with publish notifications to wait
-        without parking a thread on the blob's condition variable.
         """
         state = self._state(blob_id)
-        with state.condition:
-            if version in state.aborted:
-                raise UpdateAbortedError(blob_id, version)
-            if version <= state.published:
-                return True
-            if version >= state.next_version:
-                raise VersionNotPublishedError(blob_id, version)
-            return False
+        with state.lock:
+            return self._settled_locked(state, version)
 
     def inflight_count(self, blob_id: str) -> int:
         """Number of assigned-but-unpublished updates (introspection)."""
         state = self._state(blob_id)
-        with state.condition:
+        with state.lock:
             return len(state.inflight)

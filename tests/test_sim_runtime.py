@@ -316,27 +316,34 @@ class TestVirtualClock:
         stats = dep.vm_stats()
         assert stats.register_batches < stats.register_requests
 
-    def test_sync_polls_until_published(self):
+    def test_sync_wakes_when_published(self):
         dep = _deployment()
         blob_id = dep.create_blob()
         store = AsyncBlobStore(
             dep.cluster, runtime=SimRuntime(dep, dep.client_node(0)),
             node_cache=NodeCache(), cache_pages=False, lease_versions=False,
         )
+        published_at = []
 
         async def append_then_sync():
             result = await store.append_ex(blob_id, bytes(2 * PAGE))
             returned_at = dep.simulator.now
             published = dep.version_manager.is_published(blob_id, result.version)
+            dep.version_manager.on_settled(
+                blob_id, result.version,
+                lambda: published_at.append(dep.simulator.now),
+            )
             await store.sync(blob_id, result.version)
-            return published, returned_at
+            return published, returned_at, dep.simulator.now
 
-        published_on_return, returned_at = dep.simulator.run_process(
+        published_on_return, returned_at, synced_at = dep.simulator.run_process(
             append_then_sync()
         )
-        # Publication is pipelined behind the writer's back; SYNC waits it out.
+        # Publication is pipelined behind the writer's back; SYNC returns
+        # exactly one network latency after the version manager publishes.
         assert not published_on_return
-        assert dep.simulator.now > returned_at
+        assert published_at[0] > returned_at
+        assert synced_at == published_at[0] + dep.sim_config.latency
         assert dep.version_manager.is_published(blob_id, 1)
 
         dep.version_manager.register_update(blob_id, PAGE, is_append=True)

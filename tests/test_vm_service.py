@@ -284,7 +284,6 @@ class TestVMStats:
         vm.recent_lease(blob)
         vm.get_size(blob, 1)
         vm.check_read(blob, 1)
-        vm.multi_check_read([(blob, 0), (blob, 1)])
         vm.sync(blob, 1)
         # Neither counted by the VM nor by any of the calls above.
         vm.is_published(blob, 1)
@@ -299,8 +298,7 @@ class TestVMStats:
             publish_batches=1,
             publish_max_batch=1,
             recent_calls=2,
-            check_read_calls=3,
-            check_read_batches=2,
+            check_read_calls=1,
             size_calls=1,
             record_calls=1,
             sync_calls=1,
@@ -383,22 +381,6 @@ class TestLeaseCache:
         # Published later: the earlier failure must not stick.
         size, _trips = run_sync(lease.published_size(blob, ticket.version, SYNC_RUNTIME))
         assert size == PAGE
-
-    def test_multi_check_read_batches_publication_checks(self):
-        service = make_service()
-        blob = service.create_blob().blob_id
-        ticket = service.register_update(blob, 2 * PAGE, is_append=True)
-        service.complete_update(blob, ticket.version)
-        results = service.multi_check_read(
-            [(blob, 0), (blob, ticket.version), (blob, 99), ("nope", 1)]
-        )
-        assert results[0] == 0
-        assert results[1] == 2 * PAGE
-        assert isinstance(results[2], VersionNotPublishedError)
-        assert isinstance(results[3], UnknownBlobError)
-        stats = service.vm_stats()
-        assert stats.check_read_calls == 4
-        assert stats.check_read_batches == 1
 
     def test_record_facts_are_cached(self):
         service = make_service()
