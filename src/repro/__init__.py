@@ -76,6 +76,16 @@ existing code:
   itself (with ``vm_stats()``), and ``Cluster`` takes no version manager.
   ``strict_unaligned=`` is gone: exact is the only behaviour, and every
   unaligned WRITE completes its boundary pages from its predecessor.
+  Failover is the only failure path: ``RetryPolicy`` (and
+  ``Cluster.retry_policy``), the ``retry_attempts`` / ``retry_backoff_base``
+  / ``retry_backoff_max`` / ``retry_jitter`` and ``suspect_after`` config
+  fields, ``errors.TransientError`` / ``is_retryable`` and the
+  ``replica_routing`` knob are gone — a failed batch's requests move to
+  their next replica at once, suspects last, and replica ranking is always
+  on.  The per-key ``DHT.get`` / ``DHT.put`` are gone (use
+  ``DHT.multi_get`` or ``multi_put_async``), and so are
+  ``ProviderManager.allocate`` / ``allocate_providers`` (call
+  ``allocate_replicas(count, 1)``).
 
 Package layout:
 
@@ -92,8 +102,8 @@ Package layout:
 * :mod:`repro.version` — version manager (total order, publication, SYNC).
 * :mod:`repro.vm` — client version leases.
 * :mod:`repro.providers` — data providers and the provider manager.
-* :mod:`repro.fault` — data-path fault tolerance: retry with backoff,
-  provider failure detection, background replication repair (DESIGN.md).
+* :mod:`repro.fault` — data-path fault tolerance: provider failure
+  detection, replica ranking, background replication repair (DESIGN.md).
 * :mod:`repro.dht` — the custom DHT storing metadata.
 * :mod:`repro.sim` — discrete-event simulator of the Grid'5000-like testbed
   used for the paper's throughput experiments.
@@ -131,7 +141,6 @@ from .fault import (
     RepairReport,
     RepairService,
     RepairStats,
-    RetryPolicy,
 )
 from .version import VMStats
 from .vm import LeaseCache
@@ -169,7 +178,6 @@ __all__ = [
     "RepairReport",
     "RepairService",
     "RepairStats",
-    "RetryPolicy",
     "LeaseCache",
     "VMStats",
     "SimConfig",

@@ -145,11 +145,6 @@ class SyncRuntime:
     async def run_batches(self, jobs: list) -> list:
         return [run_sync(job()) for job in jobs]
 
-    async def retry_call(self, retry, attempt, on_failure=None):
-        # The policy's own injected clock sleeps (blocking), preserving the
-        # deterministic fakes tests wire in.
-        return retry.run(attempt, on_failure=on_failure)
-
     # -- structured concurrency (degenerate, in submission order) ----------
     def start(self, coro: Coroutine) -> SyncHandle:
         """Run *coro* eagerly to completion; errors raise here, at the exact
@@ -208,11 +203,6 @@ class AsyncRuntime:
             return [await jobs[0]()]
         return list(await asyncio.gather(*(job() for job in jobs)))
 
-    async def retry_call(self, retry, attempt, on_failure=None):
-        # Awaitable backoff: a retrying operation parks on the loop instead
-        # of blocking the thread (and every other in-flight operation).
-        return await retry.arun(attempt, on_failure=on_failure)
-
     def start(self, coro: Coroutine) -> TaskHandle:
         return TaskHandle(asyncio.ensure_future(coro))
 
@@ -249,9 +239,12 @@ class AsyncRuntime:
             if not settled.done():
                 settled.set_result(None)
 
-        withdraw = vm.on_settled(
-            blob_id, version, lambda: loop.call_soon_threadsafe(resolve)
-        )
+        def wake() -> None:
+            # A closed loop never resumes this waiter: drop the wake.
+            if not loop.is_closed():
+                loop.call_soon_threadsafe(resolve)
+
+        withdraw = vm.on_settled(blob_id, version, wake)
         if withdraw is None:
             return
         try:
@@ -271,37 +264,25 @@ async def dispatch_jobs(
     runtime: IORuntime,
     leg: str,
     groups: list,
-    make_attempt: Callable,
-    retry=None,
+    call: Callable,
     capture: tuple[type[BaseException], ...] = (Exception,),
     note_success: Callable[[str], None] | None = None,
     note_failure: Callable[[str], None] | None = None,
 ) -> list:
-    """Run one job per ``(endpoint_id, batch)`` group of protocol leg ``leg``
-    (see :class:`JobBatch`); outcomes align with ``groups`` and exceptions of
-    the ``capture`` classes are returned in their slot instead of aborting
-    the dispatch — every live backend's batch completes before the caller
-    decides how to surface failures.
-
-    When a :class:`repro.fault.RetryPolicy` is wired, each job retries its
-    call on transient errors before giving up (awaitable backoff under an
-    event loop, the policy's own injected clock otherwise); every outcome —
-    including each failed retry attempt — is reported through the
+    """Run one job, ``call(endpoint_id, batch)``, per ``(endpoint_id, batch)``
+    group of protocol leg ``leg`` (see :class:`JobBatch`); outcomes align
+    with ``groups`` and exceptions of the ``capture`` classes are returned
+    in their slot instead of aborting the dispatch — every live backend's
+    batch completes before the caller decides how to surface failures.  A
+    failed job is tried once: the caller moves its requests to their next
+    replica (DESIGN.md §4).  Every outcome is reported through the
     ``note_success`` / ``note_failure`` health hooks.
     """
 
     def make_job(endpoint_id: str, batch):
-        attempt = make_attempt(endpoint_id, batch)
-        on_failure = None
-        if note_failure is not None:
-            on_failure = lambda _error, _n: note_failure(endpoint_id)  # noqa: E731
-
         async def job():
             try:
-                if retry is not None and not retry.is_noop:
-                    result = await runtime.retry_call(retry, attempt, on_failure)
-                else:
-                    result = attempt()
+                result = call(endpoint_id, batch)
             except capture as error:
                 if note_failure is not None:
                     note_failure(endpoint_id)

@@ -38,8 +38,8 @@ class LayerContract:
 #: frontier read/build planners, wire serialization, the pure utility
 #: helpers, and the version-manager record types are driven by generators
 #: and return values only.  They must stay importable — and testable —
-#: without pulling in any I/O engine, backend, simulator, retry machinery
-#: or observability code.
+#: without pulling in any I/O engine, backend, simulator, fault-tolerance
+#: machinery or observability code.
 SANS_IO = LayerContract(
     name="sans-io",
     rationale=(
@@ -58,7 +58,7 @@ SANS_IO = LayerContract(
         "repro.providers",
         "repro.aio",
         "repro.sim",
-        "repro.fault.retry",
+        "repro.fault",
         "repro.obs",
     ),
 )

@@ -196,8 +196,8 @@ class SansIOLayerViolation(Rule):
     The contract is data, not code: see
     :data:`repro.analysis.layers.LAYER_CONTRACTS`.  Both absolute and
     relative imports are resolved against the file's dotted module name,
-    so ``from ..fault import retry`` inside ``repro.metadata.build`` is
-    caught just like ``import repro.fault.retry``.
+    so ``from ..fault import health`` inside ``repro.metadata.build`` is
+    caught just like ``import repro.fault.health``.
     """
 
     id = "RPR003"

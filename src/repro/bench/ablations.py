@@ -26,9 +26,9 @@ its text:
                 of published reads while a data provider is down (failed vs
                 degraded reads, replica failovers), and how fast background
                 repair drains the under-replication backlog.
-* ABL-coldpath — the cold-read optimizations of DESIGN.md §9 one at a time
-                (speculative frontier prefetch, cache-aware replica routing):
-                each piece alone must not regress the cold baseline.
+* ABL-coldpath — the cold-read path of DESIGN.md §9 with and without
+                speculative frontier prefetch: it must not regress the
+                cold baseline.
 """
 
 from __future__ import annotations
@@ -971,24 +971,22 @@ _COLDPATH_PRESETS = {
     "paper": (173, 64 * KiB, 8 * 1024 * MiB, 64 * MiB, 100),
 }
 
-#: The one-at-a-time toggle sweep of the two cold-path pieces.
+#: The cold-path toggle: speculative prefetch off, then on.
 _COLDPATH_REGIMES = (
-    ("baseline", {}),
-    ("+prefetch", {"speculative_prefetch": True}),
-    ("+routing", {"replica_routing": True}),
-    ("all-on", {"speculative_prefetch": True, "replica_routing": True}),
+    ("baseline", False),
+    ("+prefetch", True),
 )
 
 
 def run_ablation_coldpath(scale: str = "small") -> ExperimentResult:
-    """The two cold-read optimizations of DESIGN.md §9, one at a time.
+    """The cold-read path of DESIGN.md §9 with and without speculative
+    frontier prefetch.
 
     The fig2b cold pass (``readers`` concurrent clients, each a distinct
     chunk) on a replicated deployment (pages on 5 providers, metadata
-    buckets on 3 — the fig2b benchmark config), per toggle regime: every
-    piece alone must be at least as fast as the all-off baseline.  On a
-    healthy deployment routing has no suspect to move, so its rows equal
-    the ones without it.
+    buckets on 3 — the fig2b benchmark config): ``+prefetch`` must be at
+    least as fast as the baseline.  Replica ranking is on in both rows, as
+    in every deployment; with no suspect it moves nothing.
     """
     check_scale(scale)
     providers, page_size, blob_bytes, chunk_bytes, readers = (
@@ -996,16 +994,10 @@ def run_ablation_coldpath(scale: str = "small") -> ExperimentResult:
     )
     result = ExperimentResult(
         "ABL-coldpath",
-        "Cold-read path: speculative prefetch and replica routing, each "
-        "piece alone vs both together",
+        "Cold-read path: speculative prefetch off vs on",
     )
 
-    for regime, toggles in _COLDPATH_REGIMES:
-        knobs = {
-            "speculative_prefetch": False,
-            "replica_routing": False,
-            **toggles,
-        }
+    for regime, prefetch in _COLDPATH_REGIMES:
         sample = run_read_concurrency_experiment(
             num_provider_nodes=providers,
             page_size=page_size,
@@ -1015,7 +1007,7 @@ def run_ablation_coldpath(scale: str = "small") -> ExperimentResult:
             co_locate_clients=True,
             page_replication=5,
             metadata_replication=3,
-            **knobs,
+            speculative_prefetch=prefetch,
         )[0]
         result.add(
             regime=regime,
@@ -1026,9 +1018,8 @@ def run_ablation_coldpath(scale: str = "small") -> ExperimentResult:
             speculative_hit_rate=sample.speculative_hit_rate,
         )
     result.note(
-        "each piece alone must be >= baseline avg_bandwidth_mbps "
+        "+prefetch must be >= baseline avg_bandwidth_mbps "
         "(non-regression); cold_meta_latency is in milliseconds and roughly "
-        "halves under +prefetch (two tree levels per round trip); +routing "
-        "only ranks suspects last, so with none it equals baseline"
+        "halves under +prefetch (two tree levels per round trip)"
     )
     return result

@@ -28,13 +28,12 @@ _PRESETS = {
 #: The cold-path treatment of DESIGN.md §9, on for the benchmark since PR 8:
 #: pages live on 5 providers and metadata buckets on 3, and speculative
 #: frontier prefetch overlaps the metadata descent's round trips.  Replica
-#: routing ranks suspects last and has no locality signal, so on a healthy
+#: ranking puts suspects last and has no locality signal, so on a healthy
 #: deployment every read is served by the primaries.
 _COLD_PATH = {
     "page_replication": 5,
     "metadata_replication": 3,
     "speculative_prefetch": True,
-    "replica_routing": True,
 }
 
 

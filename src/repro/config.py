@@ -47,7 +47,6 @@ DEFAULT_PAGE_CACHE_SHARDS = 8
 #: :meth:`BlobSeerConfig.feature_enabled` so the gates stay auditable.
 FEATURE_KNOBS: tuple[str, ...] = (
     "speculative_prefetch",
-    "replica_routing",
     "tracing",
 )
 
@@ -87,32 +86,18 @@ class BlobSeerConfig:
         through dead buckets to the next replica (see
         :meth:`repro.dht.DHT.multi_get`), so a deployment survives up to
         ``metadata_replication - 1`` simultaneous bucket failures.
+        Failover is the only failure path (DESIGN.md §4): a failed batch's
+        requests move to their next replica, suspects last, in the next
+        wave; nothing sleeps and retries in place, and with one replica
+        the error surfaces at once.
     page_replication:
         Number of distinct data providers each page is stored on.  Reads
-        fail over to the next live replica when a provider is dead
-        (reported via ``ReadStats.failovers``/``degraded``), and the
+        fail over to the next live replica when a provider is dead, as
+        metadata reads do (reported via
+        ``ReadStats.failovers``/``degraded``), and the
         background :class:`repro.fault.RepairService` re-replicates pages
         that lost copies.  ``1`` (the default) reproduces the paper's
         single-home layout bit-identically on the wire.
-    retry_attempts:
-        Maximum attempts (initial try + retries) a
-        :class:`repro.fault.RetryPolicy` makes for one provider/DHT batch
-        call that failed with a retryable error (see
-        :func:`repro.errors.is_retryable`).  ``1`` (the default) disables
-        retries entirely, matching pre-fault-tolerance behaviour.
-    retry_backoff_base / retry_backoff_max:
-        Exponential-backoff schedule between retry attempts: attempt *n*
-        sleeps ``min(retry_backoff_base * 2**(n-1), retry_backoff_max)``
-        seconds before jitter.
-    retry_jitter:
-        Fraction (0..1) of each backoff delay randomized away to avoid
-        retry stampedes: the actual sleep is uniformly drawn from
-        ``[delay * (1 - retry_jitter), delay]``.
-    suspect_after:
-        Consecutive failures after which :class:`repro.fault.ProviderHealth`
-        marks a provider *suspect*; allocation steers new pages away from
-        suspects (unless no other provider is available) until a successful
-        call — or an explicit revival probe — clears the suspicion.
     allocation_strategy:
         Name of the page-to-provider allocation strategy registered with the
         provider manager (``"round_robin"``, ``"random"``, ``"least_loaded"``).
@@ -166,15 +151,6 @@ class BlobSeerConfig:
         ``ReadStats.speculative_wasted``.  Off by default — the sync
         level-by-level walk ignores the knob, and async==sync counter
         equality is only guaranteed with it off.
-    replica_routing:
-        When True (the default), replicated reads rank the replica set
-        before fetching instead of always starting at replica 0: the DHT
-        and the data path move suspected buckets and
-        :class:`repro.fault.ProviderHealth` suspects last (see
-        :func:`repro.fault.rank_replicas`), on every runtime, the
-        simulated clock included.  There is no locality signal.  With no
-        suspects the ranking is a stable no-op, so healthy deployments
-        behave bit-identically.
     tracing:
         When True, the cluster creates a :class:`repro.obs.Tracer` and
         registers its components as pull sources of the process-wide
@@ -190,11 +166,6 @@ class BlobSeerConfig:
     num_metadata_providers: int = 16
     metadata_replication: int = 1
     page_replication: int = 1
-    retry_attempts: int = 1
-    retry_backoff_base: float = 0.05
-    retry_backoff_max: float = 1.0
-    retry_jitter: float = 0.5
-    suspect_after: int = 3
     allocation_strategy: str = "round_robin"
     dht_strategy: str = "static"
     update_timeout: float | None = None
@@ -209,7 +180,6 @@ class BlobSeerConfig:
     vm_lease_ttl: float | None = DEFAULT_VM_LEASE_TTL
     vm_lease_entries: int = DEFAULT_VM_LEASE_ENTRIES
     speculative_prefetch: bool = False
-    replica_routing: bool = True
     tracing: bool = False
 
     def __post_init__(self) -> None:
@@ -224,15 +194,6 @@ class BlobSeerConfig:
                  "num_metadata_providers")
         _require(1 <= self.page_replication <= self.num_data_providers,
                  "page_replication must be between 1 and num_data_providers")
-        _require(self.retry_attempts >= 1,
-                 "retry_attempts must be >= 1 (1 disables retries)")
-        _require(self.retry_backoff_base >= 0,
-                 "retry_backoff_base must be >= 0")
-        _require(self.retry_backoff_max >= self.retry_backoff_base,
-                 "retry_backoff_max must be >= retry_backoff_base")
-        _require(0 <= self.retry_jitter <= 1,
-                 "retry_jitter must be between 0 and 1")
-        _require(self.suspect_after >= 1, "suspect_after must be >= 1")
         _require(self.allocation_strategy in
                  ("round_robin", "random", "least_loaded"),
                  f"unknown allocation strategy {self.allocation_strategy!r}")

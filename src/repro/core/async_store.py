@@ -3,9 +3,9 @@ GET_SIZE, SYNC and BRANCH as awaitables (paper, Section 2.1).
 
 :class:`AsyncBlobStore` IS the client implementation — the sync
 :class:`~repro.core.blob_store.BlobStore` is a loop-free bridge over this
-class (see :mod:`repro.aio`), so planning, caching, replication, retry and
-trip accounting exist exactly once.  Which of the two execution modes runs
-underneath is decided by the injected :class:`~repro.aio.IORuntime`:
+class (see :mod:`repro.aio`), so planning, caching, replication, failover
+and trip accounting exist exactly once.  Which of the two execution modes
+runs underneath is decided by the injected :class:`~repro.aio.IORuntime`:
 
 * under :class:`~repro.aio.SyncRuntime` no awaitable ever suspends, a tree
   level with cache misses is fetched as one batch and the write path stores
@@ -24,7 +24,7 @@ underneath is decided by the injected :class:`~repro.aio.IORuntime`:
     sets, the publish task starts while pages are still landing, and the
     rare page that landed on fewer replicas than allocated gets its leaf
     re-put before the version manager is notified (``_finish_update``);
-  - SYNC and retry backoff park on the loop instead of a thread, so
+  - SYNC parks on the loop instead of a thread, so
     thousands of operations stay concurrently in flight in one process
     with zero per-operation threads.
 

@@ -12,8 +12,8 @@ every operation delegates to the one async client core,
 :class:`~repro.core.async_store.AsyncBlobStore`, executed on a
 :class:`~repro.aio.SyncRuntime` whose awaitables never suspend — so
 :func:`~repro.aio.run_sync` drives each call to completion without an event
-loop, a task, or a parked thread.  Planning, caching, replication, retry and
-trip accounting exist exactly once, in the async core; this module only
+loop, a task, or a parked thread.  Planning, caching, replication, failover
+and trip accounting exist exactly once, in the async core; this module only
 supplies the synchronous calling convention.  Under the sync runtime the core
 fetches each tree level's cache misses as one batch and keeps the
 store-then-publish write order, so behaviour, timing and every ``*_ex``

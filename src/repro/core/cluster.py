@@ -24,7 +24,7 @@ from ..cache import (
 )
 from ..config import BlobSeerConfig
 from ..dht.dht import DHT
-from ..fault import ProviderHealth, RetryPolicy
+from ..fault import ProviderHealth
 from ..metadata.metadata_provider import MetadataProvider
 from ..obs import Tracer, get_registry
 from ..providers.allocation import make_allocation_strategy
@@ -95,21 +95,10 @@ class Cluster:
             seed=seed,
             page_size_hint=self.config.page_size,
         )
-        # Fault-tolerance wiring (see :mod:`repro.fault` and DESIGN.md):
-        # one health registry and one retry policy per cluster, shared by
-        # every client.  The config defaults (``retry_attempts=1``) make
-        # the retry policy a no-op, so a vanilla deployment behaves —
-        # and times — exactly as before.
-        self.provider_health = ProviderHealth(
-            suspect_after=self.config.suspect_after
-        )
-        self.retry_policy = RetryPolicy.from_config(self.config)
-        self.provider_manager = ProviderManager(
-            strategy,
-            retry_policy=self.retry_policy,
-            health=self.provider_health,
-            routing=self.config.feature_enabled("replica_routing"),
-        )
+        # Failure detection (DESIGN.md §4): one health registry per
+        # cluster, shared by every client.
+        self.provider_health = ProviderHealth()
+        self.provider_manager = ProviderManager(strategy, health=self.provider_health)
         for index in range(self.config.num_data_providers):
             provider_id = f"data-{index:04d}"
             provider = DataProvider(
@@ -123,8 +112,6 @@ class Cluster:
             num_buckets=self.config.num_metadata_providers,
             strategy=self.config.dht_strategy,
             replication=self.config.metadata_replication,
-            retry_policy=self.retry_policy,
-            routing=self.config.feature_enabled("replica_routing"),
         )
         self.metadata_provider = MetadataProvider(
             self.dht, encode_values=self.config.encode_metadata

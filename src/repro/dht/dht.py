@@ -8,11 +8,12 @@ falls through to the next one, because a write only guarantees ONE replica
 accepted it.  This is the minimal fault-tolerance hook the paper defers to
 future work.
 
-Besides the per-key ``get``/``put``, the DHT exposes true multi-ops
-(:meth:`DHT.multi_get_async` / :meth:`DHT.multi_put_async`): keys are
-grouped by bucket and each :class:`~repro.dht.storage.BucketStore` lock is
-taken once per batch instead of once per key, which is what lets the client
-resolve a whole metadata-tree frontier in one round trip.
+Every lookup and store is a multi-op (:meth:`DHT.multi_get_async` /
+:meth:`DHT.multi_put_async`; :meth:`DHT.multi_get` is the one synchronous
+façade): keys are grouped by bucket and each
+:class:`~repro.dht.storage.BucketStore` lock is taken once per batch instead
+of once per key, which is what lets the client resolve a whole
+metadata-tree frontier in one round trip.
 """
 
 from __future__ import annotations
@@ -64,8 +65,6 @@ class DHT:
         strategy: str = "static",
         replication: int = 1,
         bucket_id_prefix: str = "meta",
-        retry_policy=None,
-        routing: bool = False,
     ):
         if num_buckets < 1:
             raise ValueError("num_buckets must be >= 1")
@@ -77,24 +76,13 @@ class DHT:
         }
         self._placement: HashPlacement = make_placement(strategy, bucket_ids)
         self._replication = min(replication, num_buckets)
-        # Optional :class:`repro.fault.RetryPolicy` wrapped around every
-        # bucket call (transient errors only); None / a no-op policy keeps
-        # the pre-fault-tolerance behaviour and timing.
-        self._retry = retry_policy
-        # Replica routing (DESIGN.md §9): when enabled, lookups rank each
-        # key's replica buckets with buckets recently observed unavailable
-        # last, instead of always starting at replica 0.  Suspicion is
-        # learned from the lookups themselves (an unavailable outcome marks
-        # the bucket, a served batch clears it), so no external health
-        # registry is needed.  With no suspects the ranking is a stable
-        # no-op and the wave order is bit-identical to routing off.
-        self._routing = routing
+        # Replica routing (DESIGN.md §9): lookups rank each key's replica
+        # buckets with buckets recently observed unavailable last, instead
+        # of always starting at replica 0.  Suspicion is learned from the
+        # lookups themselves (an unavailable outcome marks the bucket, a
+        # served batch clears it), so no external health registry is
+        # needed.  With no suspects the ranking is a stable no-op.
         self._suspect_buckets: set[str] = set()
-
-    def _bucket_call(self, fn):
-        if self._retry is not None and not self._retry.is_noop:
-            return self._retry.run(fn)
-        return fn()
 
     # -- topology ----------------------------------------------------------
     @property
@@ -118,70 +106,12 @@ class DHT:
         self._buckets[bucket_id].revive()
 
     # -- key/value API -----------------------------------------------------
-    def put(self, key: str, value: object) -> None:
-        """Store *value* on every live replica bucket of *key*.
-
-        The write succeeds when at least one replica accepted it; it raises
-        :class:`ProviderUnavailableError` only if every replica is down.
-        """
-        stored = 0
-        last_error: ProviderUnavailableError | None = None
-        for bucket_id in self.buckets_for(key):
-            bucket = self._buckets[bucket_id]
-            try:
-                self._bucket_call(lambda: bucket.put(key, value))
-                stored += 1
-            except ProviderUnavailableError as error:
-                last_error = error
-        if stored == 0 and last_error is not None:
-            raise last_error
-
-    def get(self, key: str) -> object:
-        """Return the value stored under *key* from the first replica that
-        holds it.
-
-        A replica that is live but *misses* the key is not authoritative:
-        a write succeeds as soon as one replica stores the value, so a
-        replica that was down during the put legitimately lacks the key
-        after rejoining.  The lookup therefore falls through remaining
-        replicas on a missing key, and raises
-        :class:`MetadataNotFoundError` only when every replica was probed
-        live and none held it.  If ANY replica was unavailable, the result
-        is :class:`ProviderUnavailableError` — the value may well exist on
-        the dead replica, so "not found" would wrongly report durable loss.
-        """
-        unavailable: ProviderUnavailableError | None = None
-        for bucket_id in self._ranked_buckets_for(key):
-            bucket = self._buckets[bucket_id]
-            try:
-                value = self._bucket_call(lambda: bucket.get(key))
-            except ProviderUnavailableError as error:
-                unavailable = error
-                self._note_bucket_unavailable(bucket_id)
-                continue
-            except MetadataNotFoundError:
-                self._note_bucket_served(bucket_id)
-                continue
-            self._note_bucket_served(bucket_id)
-            return value
-        if unavailable is not None:
-            raise unavailable
-        raise MetadataNotFoundError(key)
-
     def _ranked_buckets_for(self, key: str) -> tuple[str, ...]:
         """Replica buckets of *key* in routing order (suspects last)."""
         replicas = self.buckets_for(key)
-        if not self._routing or not self._suspect_buckets:
+        if not self._suspect_buckets:
             return tuple(replicas)
         return rank_replicas(replicas, suspects=frozenset(self._suspect_buckets))
-
-    def _note_bucket_unavailable(self, bucket_id: str) -> None:
-        if self._routing:
-            self._suspect_buckets.add(bucket_id)
-
-    def _note_bucket_served(self, bucket_id: str) -> None:
-        if self._routing:
-            self._suspect_buckets.discard(bucket_id)
 
     async def multi_put_async(
         self, items: list[tuple[str, object]], runtime: IORuntime
@@ -190,10 +120,11 @@ class DHT:
 
         Each live bucket receives all of its keys in one
         :meth:`~repro.dht.storage.BucketStore.multi_put` call — one lock
-        acquisition per bucket per batch instead of one per key.  Like
-        :meth:`put`, every key must reach at least one live replica; the
-        batch raises :class:`ProviderUnavailableError` when some key could
-        not be stored anywhere.
+        acquisition per bucket per batch instead of one per key.  Every key
+        goes to all of its replicas, and it is stored once at least one
+        live replica accepted it; the batch raises
+        :class:`ProviderUnavailableError` when some key could not be stored
+        anywhere.
 
         The per-bucket jobs (one per touched bucket) execute on *runtime* —
         inline under :class:`~repro.aio.SyncRuntime`, interleaved on the
@@ -207,17 +138,14 @@ class DHT:
             for bucket_id in self.buckets_for(key):
                 by_bucket.setdefault(bucket_id, []).append(index)
 
-        def make_attempt(bucket_id: str, indices: list[int]):
-            bucket = self._buckets[bucket_id]
-            return lambda: bucket.multi_put([items[index] for index in indices])
-
         groups = list(by_bucket.items())
         outcomes = await dispatch_jobs(
             runtime,
             "meta_put",
             groups,
-            make_attempt,
-            retry=self._retry,
+            lambda bucket_id, indices: self._buckets[bucket_id].multi_put(
+                [items[index] for index in indices]
+            ),
             capture=(ProviderUnavailableError,),
         )
         replicas_stored = [0] * len(items)
@@ -246,12 +174,15 @@ class DHT:
         wave: every key is first looked up on its primary replica (one
         :meth:`~repro.dht.storage.BucketStore.multi_get` per bucket — one
         lock acquisition per bucket per batch), and only keys whose replica
-        was dead or missing move on to the next replica.  Like :meth:`get`,
-        a key raises :class:`ProviderUnavailableError` when ANY of its
-        replicas was dead and no live replica served it (the dead replica
-        may hold the value), and :class:`MetadataNotFoundError` only when
-        every replica was probed live and lacked it — or, with
-        ``missing_ok``, yields ``None`` for it (a node GC collected).
+        was dead or missing move on to the next replica.  A live replica
+        missing a key is not authoritative: a write succeeds as soon as one
+        replica stores the value, so a replica that was down during the put
+        legitimately lacks the key after rejoining.  A key therefore raises
+        :class:`ProviderUnavailableError` when ANY of its replicas was dead
+        and no live replica served it (the dead replica may hold the
+        value), and :class:`MetadataNotFoundError` only when every replica
+        was probed live and lacked it — or, with ``missing_ok``, yields
+        ``None`` for it (a node GC collected).
 
         The per-bucket lookup jobs of one replica wave execute on *runtime*
         (see :meth:`multi_put_async`).
@@ -287,10 +218,10 @@ class DHT:
         Returns ``(values, unavailable)``: the served values and, for keys
         no live replica served, the sticky unavailability observed on the
         way (see :meth:`multi_get_async` for why a live miss does not erase
-        it).
-        With replica routing enabled each key walks its replicas in ranked
-        order (suspect buckets last) instead of placement order.
+        it).  Each key walks its replicas in ranked order (suspect buckets
+        last), fixed when the call starts.
         """
+        buckets = self._buckets
         values: dict[str, object] = {}
         unavailable: dict[str, ProviderUnavailableError] = {}
         pending = list(dict.fromkeys(keys))
@@ -304,29 +235,24 @@ class DHT:
                 if attempt < len(replicas):
                     by_bucket.setdefault(replicas[attempt], []).append(key)
 
-            def make_attempt(bucket_id: str, bucket_keys: list[str]):
-                bucket = self._buckets[bucket_id]
-                return lambda: bucket.multi_get(bucket_keys)
-
             groups = list(by_bucket.items())
             with span("dht.wave", attempt=attempt, buckets=len(groups)):
                 outcomes = await dispatch_jobs(
                     runtime,
                     "meta_get",
                     groups,
-                    make_attempt,
-                    retry=self._retry,
+                    lambda bucket_id, batch: buckets[bucket_id].multi_get(batch),
                     capture=(ProviderUnavailableError,),
                 )
-            retry: list[str] = []
+            next_wave: list[str] = []
             for (bucket_id, bucket_keys), outcome in zip(groups, outcomes):
                 if isinstance(outcome, ProviderUnavailableError):
-                    self._note_bucket_unavailable(bucket_id)
+                    self._suspect_buckets.add(bucket_id)
                     for key in bucket_keys:
                         unavailable[key] = outcome
-                    retry.extend(bucket_keys)
+                    next_wave.extend(bucket_keys)
                     continue
-                self._note_bucket_served(bucket_id)
+                self._suspect_buckets.discard(bucket_id)
                 found, missing = outcome
                 values.update(found)
                 for key in found:
@@ -337,8 +263,8 @@ class DHT:
                 # survive the miss: if no replica ends up serving the key,
                 # the caller gets ProviderUnavailableError, not a wrong
                 # "not found".
-                retry.extend(missing)
-            pending = retry
+                next_wave.extend(missing)
+            pending = next_wave
         return values, unavailable
 
     def primary_groups(self, keys: list[str]) -> list[list[int]]:

@@ -88,7 +88,7 @@ class BucketStore:
 
         Metadata tree nodes are immutable once written, so callers normally
         leave ``overwrite`` True only because re-publishing the identical
-        node is harmless (idempotent writes from retries).
+        node is harmless (idempotent re-puts).
         """
         with self._lock:
             self._check_alive()
@@ -134,7 +134,7 @@ class BucketStore:
 
         Returns ``(found, missing)``: the values of the keys present in this
         bucket, and the keys that are not — absence is *reported*, not
-        raised, so a replicated caller can retry only the missing keys on the
+        raised, so a replicated caller can move only the missing keys on to the
         next replica.  A killed bucket raises
         :class:`ProviderUnavailableError` for the whole batch.
         """

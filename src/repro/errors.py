@@ -11,43 +11,7 @@ from __future__ import annotations
 
 
 class BlobSeerError(Exception):
-    """Base class for every error raised by this library.
-
-    Every error carries a :attr:`retryable` classification consumed by the
-    fault-tolerance layer (:mod:`repro.fault`): retry policies re-issue an
-    operation only when the error is *transient* — caused by the momentary
-    state of the deployment (a dead provider, a crashed bucket) rather than
-    by the request itself.  Deterministic errors (bad ranges, unknown blobs,
-    missing pages, checksum mismatches) would fail identically on every
-    attempt, so retrying them only hides bugs and burns time.  Errors opt
-    into retryability via the :class:`TransientError` mixin; use
-    :func:`is_retryable` instead of inspecting the attribute directly.
-    """
-
-    #: Deterministic by default: retrying the same call would fail again.
-    retryable = False
-
-
-class TransientError:
-    """Mixin marking an error as safe to retry.
-
-    A transient error reflects deployment state that can change between
-    attempts (a provider that died may be revived, a replica that missed a
-    write may be repaired).  The mixin carries no behaviour of its own — it
-    exists so retry code can classify errors structurally
-    (``is_retryable(exc)``) instead of special-casing exception types.
-    """
-
-    retryable = True
-
-
-def is_retryable(error: BaseException) -> bool:
-    """True when *error* is classified safe to retry.
-
-    Non-BlobSeer exceptions (bugs, ``KeyboardInterrupt``…) are never
-    retryable.
-    """
-    return bool(getattr(error, "retryable", False))
+    """Base class for every error raised by this library."""
 
 
 class ConfigurationError(BlobSeerError):
@@ -104,12 +68,11 @@ class MetadataNotFoundError(BlobSeerError):
         self.key = key
 
 
-class ProviderUnavailableError(TransientError, BlobSeerError):
+class ProviderUnavailableError(BlobSeerError):
     """A data or metadata provider is unreachable (killed / deregistered).
 
-    Transient: the provider may be revived, and with replication another
-    replica can serve the same page — this is the error class the failover
-    read path and :class:`repro.fault.RetryPolicy` act on.
+    With replication another replica can serve the same page or node: this
+    is the error the failover read path acts on.
     """
 
     def __init__(self, provider_id: str):

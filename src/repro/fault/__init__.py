@@ -1,14 +1,14 @@
-"""Data-path fault tolerance: retry, failure detection, background repair.
+"""Data-path fault tolerance: failure detection and background repair.
 
 The paper defers volatility and failures to future work; this package holds
 the fault-tolerance extensions the reproduction adds on the data leg
-(documented in DESIGN.md), complementing the metadata leg's replicated DHT:
+(documented in DESIGN.md), complementing the metadata leg's replicated DHT.
+Failover is the only failure path: a failed batch's requests move to their
+next replica at once, and nothing sleeps and retries in place.
 
-* :class:`RetryPolicy` — deterministic retry with exponential backoff and
-  jitter, applied only to errors classified retryable
-  (:func:`repro.errors.is_retryable`);
 * :class:`ProviderHealth` — a consecutive-failure suspicion registry that
-  steers page allocation away from providers that keep failing;
+  steers page allocation away from providers that keep failing and ranks
+  them last among a page's replicas;
 * :class:`RepairService` — a background scan that re-replicates pages that
   lost copies to provider churn, reporting a :class:`RepairReport`;
 * :func:`rank_replicas` — the shared replica ranking (suspects last)
@@ -17,7 +17,6 @@ the fault-tolerance extensions the reproduction adds on the data leg
 
 from .health import HealthStats, ProviderHealth
 from .repair import RepairReport, RepairService, RepairStats
-from .retry import RetryPolicy
 from .routing import rank_replicas
 
 __all__ = [
@@ -26,6 +25,5 @@ __all__ = [
     "RepairReport",
     "RepairService",
     "RepairStats",
-    "RetryPolicy",
     "rank_replicas",
 ]

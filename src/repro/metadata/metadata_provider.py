@@ -9,7 +9,7 @@ class is a thin, typed façade over :class:`repro.dht.DHT`: it serializes
 
 from __future__ import annotations
 
-from ..aio import IORuntime
+from ..aio import SYNC_RUNTIME, IORuntime, run_sync
 from ..dht.dht import DHT
 from ..errors import MetadataNotFoundError
 from .node import InnerNode, LeafNode, NodeKey, TreeNode
@@ -34,10 +34,7 @@ class MetadataProvider:
 
     def put_node(self, key: NodeKey, node: TreeNode) -> None:
         """Store one tree node.  Nodes are immutable; re-puts are idempotent."""
-        if not isinstance(node, (InnerNode, LeafNode)):
-            raise TypeError(f"not a tree node: {node!r}")
-        value = encode_node(node) if self._encode else node
-        self._dht.put(key.to_string(), value)
+        run_sync(self.put_nodes_async([(key, node)], SYNC_RUNTIME))
 
     async def put_nodes_async(
         self, items: list[tuple[NodeKey, TreeNode]], runtime: IORuntime

@@ -4,7 +4,7 @@ One :class:`Tracer` per traced :class:`~repro.core.cluster.Cluster`
 (created only when ``BlobSeerConfig.tracing`` is on).  The store opens a
 ROOT span per operation via :meth:`Tracer.trace`; components deeper in
 the call graph — the DHT's replica waves, the provider manager's fetch
-waves, the retry policy's backoff sleeps — annotate themselves with the
+waves — annotate themselves with the
 module-level :func:`span` helper, which reads the current span from a
 ``contextvars.ContextVar``:
 

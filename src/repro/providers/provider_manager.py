@@ -37,31 +37,21 @@ class ProviderManager:
     skips providers known to be dead, which is the hook used by the
     fault-injection tests.
 
-    Fault-tolerance wiring (both optional, see :mod:`repro.fault` and
-    DESIGN.md): ``retry_policy`` re-issues failed per-provider batch calls
-    for transient errors, and ``health`` records every batch outcome so
-    allocation can steer around providers that keep failing.
+    The optional ``health`` registry (:class:`repro.fault.ProviderHealth`)
+    records every batch outcome, so allocation steers around providers that
+    keep failing and replicated fetches try them last (DESIGN.md §9).
     """
 
     def __init__(
         self,
         strategy: AllocationStrategy | None = None,
-        retry_policy=None,
         health=None,
-        routing: bool = False,
     ):
         self._strategy = strategy if strategy is not None else RoundRobinAllocation()
         self._providers: dict[str, DataProvider] = {}
         self._allocatable: set[str] = set()
         self._lock = threading.Lock()
-        self._retry = retry_policy
         self._health = health
-        # Replica routing (DESIGN.md §9): with ``routing=True`` replicated
-        # fetches walk each page's replica set in ranked order — health
-        # suspects last — instead of recorded order, and failover requeues
-        # re-rank the untried tail against the CURRENT suspect set.  With
-        # no suspects the ranking is a stable no-op.
-        self._routing = routing
 
     @property
     def health(self):
@@ -125,31 +115,13 @@ class ProviderManager:
             raise NoProvidersError("no live data providers registered")
         return live, providers
 
-    def allocate(self, count: int) -> list[str]:
-        """Return *count* provider ids that should store the next pages.
-
-        Only live, allocatable providers are considered; health suspects
-        are steered around unless they are all that is left.  Raises
-        :class:`NoProvidersError` when none are available.
-        """
-        if count <= 0:
-            return []
-        live, providers = self._live_allocatable()
-        candidates = (
-            self._health.prefer_healthy(live) if self._health is not None else live
-        )
-
-        def load_of(provider_id: str) -> int:
-            return providers[provider_id].bytes_used()
-
-        return self._strategy.select(candidates, count, load_of)
-
     def allocate_replicas(self, count: int, replicas: int = 1) -> list[tuple[str, ...]]:
         """Return *count* replica sets, each of up to *replicas* DISTINCT
         live providers (primary first).
 
-        The primary of each set comes from the configured allocation
-        strategy exactly as :meth:`allocate` would pick it; the extra
+        Only live, allocatable providers are considered; raises
+        :class:`NoProvidersError` when none are available.  The primary of
+        each set comes from the configured allocation strategy; the extra
         replicas walk the candidate ring from the primary's position, which
         spreads replica load evenly without a second strategy.  When fewer
         than *replicas* live providers exist the sets degrade to what is
@@ -186,12 +158,6 @@ class ProviderManager:
             sets.append(tuple(chosen))
         return sets
 
-    def allocate_providers(self, count: int) -> list[DataProvider]:
-        """Like :meth:`allocate` but resolves ids to provider objects."""
-        ids = self.allocate(count)
-        with self._lock:
-            return [self._providers[pid] for pid in ids]
-
     # -- batched data I/O ------------------------------------------------------
     async def _dispatch_batches_async(
         self, leg: str, groups: list[tuple[str, list]], call, runtime: IORuntime
@@ -202,23 +168,14 @@ class ProviderManager:
 
         A job's exception is captured and returned in its slot instead of
         aborting the dispatch, so every live provider's batch completes
-        before the caller decides how to surface failures.
-
-        When a :class:`repro.fault.RetryPolicy` is wired, each job retries
-        its provider call on transient errors before giving up; every job
-        outcome (including each failed retry attempt) is recorded with the
-        health registry.
+        before the caller decides how to surface failures.  Every job
+        outcome is recorded with the health registry.
         """
-        def make_attempt(provider_id: str, batch: list):
-            provider = self.provider(provider_id)
-            return lambda: call(provider, batch)
-
         return await dispatch_jobs(
             runtime,
             leg,
             groups,
-            make_attempt,
-            retry=self._retry,
+            lambda provider_id, batch: call(self.provider(provider_id), batch),
             capture=(Exception,),
             note_success=self._note_success,
             note_failure=self._note_failure,
@@ -227,12 +184,11 @@ class ProviderManager:
     def _ranked(self, replicas: tuple[str, ...]) -> tuple[str, ...]:
         """Replica tuple of one page in routing order (suspects last).
 
-        A no-op — returning the recorded order unchanged — when routing is
-        off, the page has a single home, no health registry is wired, or
-        nothing is suspect, so the default deployment's wave order (and the
-        perf-gate's pinned counters) cannot drift.
+        A no-op — returning the recorded order unchanged — when the page
+        has a single home, no health registry is wired, or nothing is
+        suspect, so a healthy deployment's wave order cannot drift.
         """
-        if not self._routing or len(replicas) <= 1 or self._health is None:
+        if len(replicas) <= 1 or self._health is None:
             return replicas
         suspects = self._health.suspects()
         if not suspects:
@@ -248,7 +204,7 @@ class ProviderManager:
         the untried tail is reordered — replicas already charged as tried
         keep their positions so failover accounting stays stable.
         """
-        if not self._routing or self._health is None:
+        if self._health is None:
             return
         untried = entry[3][entry[4] :]
         if len(untried) <= 1:
@@ -342,10 +298,9 @@ class ProviderManager:
         # One entry per outstanding miss: [page_id, offset, length, replicas,
         # next-replica index, recorded primary, request index].  Requests
         # whose batch fails re-enter the next wave pointed at their next
-        # replica.  The replica order is ranked (suspects last) when routing
-        # is enabled; the recorded primary is kept so ``degraded`` still
-        # means "served by a non-primary replica" whatever order the
-        # replicas were tried in.
+        # replica.  The replica order is ranked (suspects last); the
+        # recorded primary is kept so ``degraded`` still means "served by a
+        # non-primary replica" whatever order the replicas were tried in.
         outstanding: list[list] = []
         for index in misses:
             provider_id, page_id, offset, length = requests[index]

@@ -136,7 +136,6 @@ class SimDeployment:
         page_replication: int = 1,
         metadata_replication: int = 1,
         speculative_prefetch: bool = False,
-        replica_routing: bool = True,
     ):
         self.sim_config = sim_config if sim_config is not None else SimConfig()
         self.co_deploy_metadata = co_deploy_metadata
@@ -153,7 +152,6 @@ class SimDeployment:
             page_replication=page_replication,
             metadata_replication=metadata_replication,
             speculative_prefetch=speculative_prefetch,
-            replica_routing=replica_routing,
         )
         self.cluster = Cluster(
             self.config, page_store_factory=lambda _pid: NullPageStore()

@@ -171,7 +171,6 @@ def run_read_concurrency_experiment(
     page_replication: int = 1,
     metadata_replication: int = 1,
     speculative_prefetch: bool = False,
-    replica_routing: bool = True,
 ) -> list[ReadConcurrencySample]:
     """Concurrent-reader throughput on disjoint chunks (Figure 2(b)).
 
@@ -188,10 +187,9 @@ def run_read_concurrency_experiment(
     regime where metadata traversals skip the DHT entirely.
 
     The replication and cold-path knobs (``page_replication``,
-    ``metadata_replication``, ``speculative_prefetch``,
-    ``replica_routing``) pass straight through to the
-    :class:`SimDeployment`'s :class:`~repro.config.BlobSeerConfig`; the
-    defaults reproduce the single-home, non-speculative model exactly.
+    ``metadata_replication``, ``speculative_prefetch``) pass straight
+    through to the :class:`SimDeployment`'s
+    :class:`~repro.config.BlobSeerConfig`; the defaults reproduce the single-home, non-speculative model exactly.
     """
     if max(reader_counts) * chunk_bytes > blob_bytes:
         raise ValueError(
@@ -205,7 +203,6 @@ def run_read_concurrency_experiment(
         page_replication=page_replication,
         metadata_replication=metadata_replication,
         speculative_prefetch=speculative_prefetch,
-        replica_routing=replica_routing,
     )
     blob_id = deployment.create_blob()
     version = deployment.populate_blob(

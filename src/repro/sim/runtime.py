@@ -103,9 +103,6 @@ class SimRuntime:
             item_service_time=cfg.page_service_time,
         )
 
-    async def retry_call(self, retry, attempt, on_failure=None):
-        return await retry.arun(attempt, on_failure=on_failure, sleep=self.sleep)
-
     # -- version-manager calls ------------------------------------------------------
     async def vm_call(self, vm, op: str, *args, **kwargs):
         """A read-only lookup is one ``small_rpc`` to the VM node, then the

@@ -36,6 +36,7 @@ runtime's SYNC waits for that wake, and nothing polls.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from collections.abc import Callable, Sequence
@@ -68,6 +69,15 @@ PublishListener = Callable[[RecencyLease], None]
 
 #: A SYNC waiter's wake-up (see :meth:`VersionManager.on_settled`).
 Wake = Callable[[], None]
+
+logger = logging.getLogger("repro.version")
+
+
+def _call_logged(callback: Callable, *args) -> None:
+    try:
+        callback(*args)
+    except Exception:
+        logger.exception("version-manager notification %r failed", callback)
 
 
 @dataclass(frozen=True)
@@ -200,15 +210,20 @@ class VersionManager:
                 pass
 
     def _notify(self, leases: list[RecencyLease], wakes: list[Wake]) -> None:
-        """Publications first, so a woken SYNC finds the leases renewed."""
+        """Publications first, so a woken SYNC finds the leases renewed.
+
+        The settle these callbacks report is already applied, so a callback
+        that raises is logged and skipped: it neither fails the call that
+        settled the version nor keeps the callbacks after it from running.
+        """
         if leases:
             with self._lock:
                 listeners = list(self._publish_listeners)
             for lease in leases:
                 for listener in listeners:
-                    listener(lease)
+                    _call_logged(listener, lease)
         for wake in wakes:
-            wake()
+            _call_logged(wake)
 
     # ------------------------------------------------------------------ blobs
     def create_blob(self, page_size: int | None = None) -> BlobRecord:

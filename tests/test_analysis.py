@@ -467,11 +467,13 @@ class TestFeatureGateHelper:
         config = BlobSeerConfig(speculative_prefetch=True, tracing=False)
         assert config.feature_enabled("speculative_prefetch") is True
         assert config.feature_enabled("tracing") is False
-        assert config.feature_enabled("replica_routing") is True
 
     def test_unknown_knob_raises(self):
         with pytest.raises(ConfigurationError):
             BlobSeerConfig().feature_enabled("speculatve_prefetch")
+        # Replica ranking is always on: its old knob is no knob at all.
+        with pytest.raises(ConfigurationError):
+            BlobSeerConfig().feature_enabled("replica_routing")
 
 
 class TestLockSanitizer:

@@ -111,8 +111,8 @@ class TestCluster:
                            allocation_strategy="random"),
             seed=11,
         )
-        assert cluster_a.provider_manager.allocate(10) == (
-            cluster_b.provider_manager.allocate(10)
+        assert cluster_a.provider_manager.allocate_replicas(10, 1) == (
+            cluster_b.provider_manager.allocate_replicas(10, 1)
         )
 
 

@@ -1,6 +1,6 @@
 """Tests of the cold-path latency treatment (DESIGN.md §9): speculative
-frontier prefetch and cache-aware replica routing — plus the
-counter-documentation contract those features extend.
+frontier prefetch and replica routing — plus the counter-documentation
+contract those features extend.
 
 The headline properties:
 
@@ -8,8 +8,8 @@ The headline properties:
   ``metadata_nodes_fetched`` and round-trip counters; only the
   ``speculative_*`` pair may differ (and ``speculative_wasted`` is the only
   counter allowed to measure the over-fetch);
-* routing is a stable no-op without suspects — an unreplicated or
-  signal-free deployment behaves bit-identically to the pre-routing system.
+* routing is a stable no-op without suspects — ranking a replica set
+  with no suspect returns it unchanged.
 """
 
 from __future__ import annotations
@@ -36,6 +36,10 @@ from .conftest import TEST_PAGE_SIZE, make_payload, run_inline
 from .test_async_store import _drive_history, history_strategy
 
 PAGE = 64
+
+
+def multi_put(dht: DHT, items: list) -> None:
+    run_inline(dht.multi_put_async, items)
 
 
 class TestRankReplicas:
@@ -194,11 +198,9 @@ class TestRequeueRerank:
     not walked into in recorded replica order."""
 
     @staticmethod
-    def build(routing: bool):
+    def build():
         log: list[str] = []
-        manager = ProviderManager(
-            health=ProviderHealth(suspect_after=1), routing=routing
-        )
+        manager = ProviderManager(health=ProviderHealth(suspect_after=1))
         providers = {
             pid: _RecordingProvider(pid, log) for pid in ("p0", "p1", "p2")
         }
@@ -225,7 +227,7 @@ class TestRequeueRerank:
         return trips, tally
 
     def test_suspected_provider_is_tried_last_on_requeue(self):
-        manager, log = self.build(routing=True)
+        manager, log = self.build()
         trips, tally = self.fetch(manager)
         # Wave 1 (p0, p1) fails and marks both suspect; page-x's untried
         # tail (p1, p2) is re-ranked to (p2, p1), so wave 2 is ONE batch to
@@ -236,45 +238,47 @@ class TestRequeueRerank:
         assert tally.degraded == 2
         assert manager.health.suspects() == frozenset({"p0", "p1"})
 
-    def test_without_routing_the_recorded_order_walks_into_the_suspect(self):
-        manager, log = self.build(routing=False)
+    def test_without_suspects_only_primaries_are_asked(self):
+        manager, log = self.build()
+        for provider in manager.providers():
+            provider.revive()
         trips, tally = self.fetch(manager)
-        # page-x hops p0 -> p1 (already known dead) -> p2: one extra failed
-        # wave and one extra failover — the cost the re-rank removes.
-        assert log.count("p1") == 2
-        assert trips == 5
-        assert tally.failovers == 3
+        # Nothing is suspect, so ranking keeps the recorded order: one wave,
+        # one batch per primary, no failover.
+        assert log == ["p0", "p1"]
+        assert trips == 2
+        assert tally.failovers == tally.degraded == 0
 
 
 class TestDHTReplicaRouting:
     def test_suspect_bucket_is_ranked_last_until_it_serves(self):
-        dht = DHT(num_buckets=6, replication=3, routing=True)
-        dht.put("key", "value")
+        dht = DHT(num_buckets=6, replication=3)
+        multi_put(dht, [("key", "value")])
         primary, *secondaries = dht.buckets_for("key")
         dht.kill_bucket(primary)
         # The failed lookup serves from a secondary and learns suspicion.
-        assert dht.get("key") == "value"
+        assert dht.multi_get(["key"]) == ["value"]
         assert dht._ranked_buckets_for("key")[-1] == primary
         # Suspicion clears the moment the revived bucket serves again —
         # here it must, because every other replica is down.
         dht.revive_bucket(primary)
         for bucket_id in secondaries:
             dht.kill_bucket(bucket_id)
-        assert dht.get("key") == "value"
+        assert dht.multi_get(["key"]) == ["value"]
         assert dht._ranked_buckets_for("key")[0] == primary
 
-    def test_routing_off_never_reorders(self):
-        dht = DHT(num_buckets=6, replication=3, routing=False)
-        dht.put("key", "value")
-        primary = dht.buckets_for("key")[0]
-        dht.kill_bucket(primary)
-        assert dht.get("key") == "value"
-        assert dht._ranked_buckets_for("key") == tuple(dht.buckets_for("key"))
+    def test_without_suspects_ranking_keeps_placement_order(self):
+        dht = DHT(num_buckets=6, replication=3)
+        keys = [f"key-{index}" for index in range(32)]
+        multi_put(dht, [(key, key) for key in keys])
+        assert dht.multi_get(keys) == keys
+        for key in keys:
+            assert dht._ranked_buckets_for(key) == tuple(dht.buckets_for(key))
 
     def test_try_multi_get_steers_around_a_suspect_bucket(self):
-        dht = DHT(num_buckets=4, replication=2, routing=True)
+        dht = DHT(num_buckets=4, replication=2)
         items = [(f"key-{index}", index) for index in range(16)]
-        run_inline(dht.multi_put_async, items)
+        multi_put(dht, items)
         victim = dht.bucket_ids()[0]
         dht.kill_bucket(victim)
         for _ in range(2):  # second pass runs with suspicion learned
@@ -299,15 +303,16 @@ def _sim_sample(**overrides):
 
 
 class TestSimColdPath:
-    def test_unreplicated_routing_is_a_bit_identical_no_op(self):
-        """The perf-gate invariant: with nothing replicated, turning routing
-        on must not move a single counter or timing — the knob only adds a
-        signal, never a cost."""
-        off = _sim_sample(replica_routing=False)
-        on = _sim_sample(replica_routing=True)
-        assert on.avg_bandwidth_mbps == off.avg_bandwidth_mbps
-        assert on.avg_meta_latency == off.avg_meta_latency
-        assert on.avg_data_round_trips == off.avg_data_round_trips
+    def test_healthy_replicated_run_reads_like_an_unreplicated_one(self):
+        """Ranking is always on, but with no suspect it is a stable no-op:
+        a healthy replicated deployment reads from its primaries, so no
+        counter or timing moves."""
+        single = _sim_sample()
+        replicated = _sim_sample(page_replication=2, metadata_replication=2)
+        assert replicated.avg_bandwidth_mbps == single.avg_bandwidth_mbps
+        assert replicated.avg_meta_latency == single.avg_meta_latency
+        assert replicated.avg_data_round_trips == single.avg_data_round_trips
+        assert replicated.avg_metadata_round_trips == single.avg_metadata_round_trips
 
     def test_speculation_moves_latency_but_not_counters(self):
         base = _sim_sample(speculative_prefetch=False)

@@ -6,6 +6,12 @@ from repro.dht.dht import DHT
 from repro.dht.storage import BucketStore
 from repro.errors import MetadataNotFoundError, ProviderUnavailableError
 
+from .conftest import run_inline
+
+
+def multi_put(dht: DHT, items: list) -> None:
+    run_inline(dht.multi_put_async, items)
+
 
 class TestBucketStore:
     def test_put_get_roundtrip(self):
@@ -68,11 +74,11 @@ class TestBucketStore:
 class TestDHT:
     def test_roundtrip_and_missing(self):
         dht = DHT(num_buckets=8)
-        dht.put("k1", "v1")
-        assert dht.get("k1") == "v1"
+        multi_put(dht, [("k1", "v1")])
+        assert dht.multi_get(["k1"]) == ["v1"]
         assert dht.contains("k1")
         with pytest.raises(MetadataNotFoundError):
-            dht.get("missing")
+            dht.multi_get(["missing"])
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
@@ -86,38 +92,40 @@ class TestDHT:
 
     def test_keys_distribute_over_buckets(self):
         dht = DHT(num_buckets=8)
-        for index in range(400):
-            dht.put(f"blob/{index // 20}/{index % 20}/1", index)
+        multi_put(
+            dht,
+            [(f"blob/{index // 20}/{index % 20}/1", index) for index in range(400)],
+        )
         distribution = dht.load_distribution()
         assert sum(distribution.values()) == 400
         assert sum(1 for count in distribution.values() if count > 0) >= 6
 
     def test_replicated_value_survives_primary_failure(self):
         dht = DHT(num_buckets=6, replication=3)
-        dht.put("important", 42)
+        multi_put(dht, [("important", 42)])
         primary = dht.buckets_for("important")[0]
         dht.kill_bucket(primary)
-        assert dht.get("important") == 42
+        assert dht.multi_get(["important"]) == [42]
 
     def test_unreplicated_value_unavailable_after_failure(self):
         dht = DHT(num_buckets=6, replication=1)
-        dht.put("fragile", 42)
+        multi_put(dht, [("fragile", 42)])
         primary = dht.buckets_for("fragile")[0]
         dht.kill_bucket(primary)
         with pytest.raises(ProviderUnavailableError):
-            dht.get("fragile")
+            dht.multi_get(["fragile"])
         dht.revive_bucket(primary)
-        assert dht.get("fragile") == 42
+        assert dht.multi_get(["fragile"]) == [42]
 
     def test_put_fails_only_when_all_replicas_down(self):
         dht = DHT(num_buckets=3, replication=3)
         for bucket_id in dht.bucket_ids():
             dht.kill_bucket(bucket_id)
         with pytest.raises(ProviderUnavailableError):
-            dht.put("key", 1)
+            multi_put(dht, [("key", 1)])
         dht.revive_bucket(dht.bucket_ids()[0])
-        dht.put("key", 1)  # one live replica is enough
-        assert dht.get("key") == 1
+        multi_put(dht, [("key", 1)])  # one live replica is enough
+        assert dht.multi_get(["key"]) == [1]
 
     def test_rejoined_replica_miss_falls_through_to_live_holder(self):
         # Kill the primary during the put (the write lands on the second
@@ -127,14 +135,13 @@ class TestDHT:
         dht = DHT(num_buckets=4, replication=2)
         primary, secondary = dht.buckets_for("key")[:2]
         dht.kill_bucket(primary)
-        dht.put("key", "survivor")
+        multi_put(dht, [("key", "survivor")])
         dht.revive_bucket(primary)
-        assert dht.get("key") == "survivor"
         assert dht.multi_get(["key"]) == ["survivor"]
         # And the key is still reachable if the holder's PEER dies.
         dht.kill_bucket(secondary)
         with pytest.raises(ProviderUnavailableError):
-            dht.get("key")
+            dht.multi_get(["key"])
 
     def test_miss_after_dead_replica_reports_unavailable_not_missing(self):
         # Regression (PR 5): the key lives ONLY on the primary (the second
@@ -146,34 +153,30 @@ class TestDHT:
         dht = DHT(num_buckets=4, replication=2)
         primary, secondary = dht.buckets_for("key")[:2]
         dht.kill_bucket(secondary)
-        dht.put("key", "on-primary-only")
+        multi_put(dht, [("key", "on-primary-only")])
         dht.revive_bucket(secondary)
         dht.kill_bucket(primary)
-        with pytest.raises(ProviderUnavailableError):
-            dht.get("key")
         with pytest.raises(ProviderUnavailableError):
             dht.multi_get(["key"])
         # Once the holder rejoins, the value is served again.
         dht.revive_bucket(primary)
-        assert dht.get("key") == "on-primary-only"
+        assert dht.multi_get(["key"]) == ["on-primary-only"]
 
     def test_missing_key_with_all_replicas_live_is_not_found(self):
         dht = DHT(num_buckets=4, replication=2)
-        with pytest.raises(MetadataNotFoundError):
-            dht.get("never-written")
         with pytest.raises(MetadataNotFoundError):
             dht.multi_get(["never-written"])
 
     def test_delete_removes_from_all_replicas(self):
         dht = DHT(num_buckets=4, replication=2)
-        dht.put("key", "value")
+        multi_put(dht, [("key", "value")])
         assert dht.delete("key") is True
         assert not dht.contains("key")
 
     def test_stats_aggregate(self):
         dht = DHT(num_buckets=4, replication=2)
-        dht.put("a", 1)
-        dht.get("a")
+        multi_put(dht, [("a", 1)])
+        dht.multi_get(["a"])
         stats = dht.stats()
         assert stats.buckets == 4
         assert stats.puts == 2  # one per replica
@@ -182,6 +185,6 @@ class TestDHT:
 
     def test_consistent_strategy_works(self):
         dht = DHT(num_buckets=8, strategy="consistent", replication=2)
-        dht.put("k", "v")
-        assert dht.get("k") == "v"
+        multi_put(dht, [("k", "v")])
+        assert dht.multi_get(["k"]) == ["v"]
         assert len(set(dht.buckets_for("k"))) == 2

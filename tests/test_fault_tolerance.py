@@ -1,27 +1,25 @@
-"""Data-path fault tolerance: replication, failover, retry, health, repair.
+"""Data-path fault tolerance: replication, failover, health, repair.
 
 Covers the extensions DESIGN.md documents for the data leg: page
 replication (`page_replication`), degraded reads with replica failover,
-the deterministic `RetryPolicy`, the `ProviderHealth` suspicion registry,
-the `RepairService`, and how all of it composes with garbage collection
-under provider churn.
+the `ProviderHealth` suspicion registry, the `RepairService`, and how all
+of it composes with garbage collection under provider churn.
 """
 
-import random
+import asyncio
 
 import pytest
 
-from repro import BlobStore, Cluster
+from repro import AsyncBlobStore, BlobStore, Cluster
+from repro.aio import SyncRuntime
 from repro.config import BlobSeerConfig
+from repro.dht import DHT
 from repro.errors import (
     ConfigurationError,
-    IntegrityError,
-    MetadataNotFoundError,
     PageNotFoundError,
     ProviderUnavailableError,
-    is_retryable,
 )
-from repro.fault import ProviderHealth, RepairService, RetryPolicy
+from repro.fault import ProviderHealth, RepairService
 from repro.metadata.node import LeafNode
 from repro.metadata.serialization import (
     LEAF_TAG,
@@ -30,7 +28,7 @@ from repro.metadata.serialization import (
     encode_node,
 )
 from repro.providers.data_provider import DataProvider
-from repro.providers.provider_manager import ProviderManager
+from repro.providers.provider_manager import FaultTally, ProviderManager
 from repro.tools.gc import collect_garbage
 
 from .conftest import TEST_PAGE_SIZE, make_payload, run_inline
@@ -60,125 +58,6 @@ def busiest_provider(cluster: Cluster) -> str:
         cluster.provider_manager.providers(),
         key=lambda provider: (provider.page_count(), provider.provider_id),
     ).provider_id
-
-
-class TestRetryableClassification:
-    def test_provider_unavailable_is_retryable(self):
-        assert is_retryable(ProviderUnavailableError("data-0000"))
-
-    def test_durable_failures_are_not_retryable(self):
-        assert not is_retryable(MetadataNotFoundError("key"))
-        assert not is_retryable(PageNotFoundError("page"))
-        assert not is_retryable(IntegrityError("page-1", "aa", "bb"))
-        assert not is_retryable(ValueError("not even a BlobSeerError"))
-
-
-class TestRetryPolicy:
-    def test_default_is_noop_and_raises_immediately(self):
-        sleeps = []
-        policy = RetryPolicy(sleep=sleeps.append)
-        assert policy.is_noop
-        calls = []
-
-        def flaky():
-            calls.append(1)
-            raise ProviderUnavailableError("data-0000")
-
-        with pytest.raises(ProviderUnavailableError):
-            policy.run(flaky)
-        assert len(calls) == 1
-        assert sleeps == []
-
-    def test_exponential_backoff_is_deterministic_without_jitter(self):
-        sleeps = []
-        policy = RetryPolicy(
-            attempts=4,
-            backoff_base=0.1,
-            backoff_max=0.3,
-            jitter=0.0,
-            sleep=sleeps.append,
-        )
-        attempts = []
-
-        def succeeds_third_time():
-            attempts.append(1)
-            if len(attempts) < 3:
-                raise ProviderUnavailableError("data-0000")
-            return "ok"
-
-        assert policy.run(succeeds_third_time) == "ok"
-        assert sleeps == pytest.approx([0.1, 0.2])
-        # The cap kicks in at retry 3: 0.1 * 2**2 = 0.4 -> 0.3.
-        assert policy.delay(3) == pytest.approx(0.3)
-
-    def test_jitter_is_seeded_and_bounded(self):
-        make = lambda: RetryPolicy(  # noqa: E731
-            attempts=2,
-            backoff_base=0.2,
-            backoff_max=1.0,
-            jitter=0.5,
-            sleep=lambda _s: None,
-            rng=random.Random(2009),
-        )
-        delays_a = [make().delay(1) for _ in range(1)]
-        delays_b = [make().delay(1) for _ in range(1)]
-        assert delays_a == delays_b  # same seed, same jitter
-        for _ in range(50):
-            delay = make().delay(1)
-            assert 0.1 <= delay <= 0.2  # within [base*(1-jitter), base]
-
-    def test_non_retryable_errors_pass_through_unretried(self):
-        calls = []
-        policy = RetryPolicy(attempts=5, sleep=lambda _s: None)
-
-        def broken():
-            calls.append(1)
-            raise PageNotFoundError("page-1")
-
-        with pytest.raises(PageNotFoundError):
-            policy.run(broken)
-        assert len(calls) == 1
-
-    def test_budget_exhaustion_reraises_and_reports_failures(self):
-        failures = []
-        policy = RetryPolicy(attempts=3, jitter=0.0, sleep=lambda _s: None)
-
-        def always_down():
-            raise ProviderUnavailableError("data-0000")
-
-        with pytest.raises(ProviderUnavailableError):
-            policy.run(
-                always_down,
-                on_failure=lambda error, attempt: failures.append(attempt),
-            )
-        assert failures == [1, 2]  # the final failure is raised, not hooked
-
-    def test_invalid_parameters_are_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(attempts=0)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(backoff_base=0.5, backoff_max=0.1)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(jitter=1.5)
-
-    def test_retry_recovers_a_provider_that_revives(self):
-        """End-to-end through the provider manager's batch dispatch."""
-        provider = DataProvider("data-0000", verify_checksums=True)
-        provider.store_page("page-1", b"x" * PAGE)
-
-        def revive_on_sleep(_seconds):
-            provider.revive()
-
-        manager = ProviderManager(
-            retry_policy=RetryPolicy(attempts=2, sleep=revive_on_sleep)
-        )
-        manager.register(provider)
-        provider.kill()
-        payloads, trips = run_inline(
-            manager.multi_fetch_into_async, [("data-0000", "page-1", 0, PAGE)]
-        )
-        assert payloads == [b"x" * PAGE]
-        assert trips == 1
 
 
 class TestProviderHealth:
@@ -213,10 +92,10 @@ class TestProviderHealth:
     def test_allocation_steers_around_suspects(self):
         cluster = replicated_data_cluster(replicas=1, providers=4)
         suspect = cluster.provider_manager.allocatable_ids()[0]
-        for _ in range(cluster.config.suspect_after):
+        for _ in range(cluster.provider_health.suspect_after):
             cluster.provider_health.record_failure(suspect)
-        chosen = cluster.provider_manager.allocate(8)
-        assert suspect not in chosen
+        chosen = cluster.provider_manager.allocate_replicas(8, 1)
+        assert all(suspect not in replicas for replicas in chosen)
 
 
 class TestConfigReplicationKnobs:
@@ -242,15 +121,20 @@ class TestConfigReplicationKnobs:
         with pytest.raises(ConfigurationError):
             BlobSeerConfig(num_data_providers=2, page_replication=3)
 
-    def test_retry_knobs_are_validated(self):
-        with pytest.raises(ConfigurationError):
-            BlobSeerConfig(retry_attempts=0)
-        with pytest.raises(ConfigurationError):
-            BlobSeerConfig(retry_jitter=2.0)
-        with pytest.raises(ConfigurationError):
-            BlobSeerConfig(retry_backoff_base=1.0, retry_backoff_max=0.1)
-        with pytest.raises(ConfigurationError):
-            BlobSeerConfig(suspect_after=0)
+    def test_removed_failure_knobs_are_not_config_fields(self):
+        # Failover is the only failure path: no retry budget, backoff,
+        # suspicion threshold or routing switch is configurable.
+        for field in (
+            "retry_attempts",
+            "retry_backoff_base",
+            "retry_backoff_max",
+            "retry_jitter",
+            "suspect_after",
+            "replica_routing",
+        ):
+            with pytest.raises(TypeError):
+                BlobSeerConfig(**{field: 1})
+            assert not hasattr(BlobSeerConfig(), field)
 
 
 class TestLeafSerializationCompatibility:
@@ -351,7 +235,7 @@ class TestReplicatedReadFailover:
 
     def test_single_replica_reads_still_fail_on_dead_provider(self):
         # page_replication=1 keeps the paper's semantics: the page has one
-        # home and a dead home means an unavailable (retryable) read.
+        # home and a dead home means an unavailable read.
         cluster = replicated_data_cluster(replicas=1, providers=4)
         store = uncached_store(cluster)
         blob_id = store.create()
@@ -540,3 +424,195 @@ class TestGCWithReplicationAndChurn:
         second = collect_garbage(cluster, {blob_id: [v2]})
         assert second.skipped_providers == ()
         assert cluster.stored_page_count() == pages * 2
+
+
+class _LoggingProvider(DataProvider):
+    """DataProvider that logs every batched fetch that reached it."""
+
+    def __init__(self, provider_id: str, log: list):
+        super().__init__(provider_id)
+        self._log = log
+
+    def multi_fetch(self, requests):
+        self._log.append(self.provider_id)
+        return super().multi_fetch(requests)
+
+
+class _ShortReadProvider(_LoggingProvider):
+    """A live provider whose batches come back one byte short."""
+
+    def multi_fetch(self, requests):
+        return [payload[:-1] for payload in super().multi_fetch(requests)]
+
+
+class _NoSleepRuntime(SyncRuntime):
+    """SyncRuntime that records every sleep instead of blocking."""
+
+    def __init__(self):
+        self.sleeps: list[float] = []
+
+    async def sleep(self, seconds: float) -> None:
+        self.sleeps.append(seconds)
+
+
+def _manager(*providers: DataProvider) -> ProviderManager:
+    manager = ProviderManager(health=ProviderHealth(suspect_after=1))
+    for provider in providers:
+        manager.register(provider)
+    return manager
+
+
+def _fetch(manager, failover=None, runtime=None):
+    tally = FaultTally()
+    payloads, trips = run_inline(
+        manager.multi_fetch_into_async,
+        [("p0", "page-x", 0, PAGE)],
+        runtime,
+        failover=failover,
+        fault_tally=tally,
+    )
+    return payloads, trips, tally
+
+
+class TestFailoverIsTheOnlyFailurePath:
+    """A failed batch moves its requests to their next replica in the next
+    wave; nothing sleeps and retries in place, and with one replica the
+    error surfaces after the single attempt."""
+
+    def test_dead_primary_fails_over_in_the_next_wave(self):
+        log: list[str] = []
+        p0, p1 = _LoggingProvider("p0", log), _LoggingProvider("p1", log)
+        for provider in (p0, p1):
+            provider.store_page("page-x", b"x" * PAGE)
+        manager = _manager(p0, p1)
+        p0.kill()
+        payloads, trips, tally = _fetch(manager, failover=[("p0", "p1")])
+        assert payloads == [b"x" * PAGE]
+        assert log == ["p0", "p1"]  # the dead primary is asked once
+        assert trips == 2
+        assert (tally.failovers, tally.degraded) == (1, 1)
+        assert manager.health.suspects() == frozenset({"p0"})
+
+    def test_single_replica_failure_surfaces_after_one_attempt(self):
+        log: list[str] = []
+        p0 = _LoggingProvider("p0", log)
+        p0.store_page("page-x", b"x" * PAGE)
+        manager = _manager(p0)
+        p0.kill()
+        with pytest.raises(ProviderUnavailableError):
+            _fetch(manager)
+        assert log == ["p0"]
+
+    def test_missing_page_fails_over_like_a_dead_provider(self):
+        log: list[str] = []
+        p0, p1 = _LoggingProvider("p0", log), _LoggingProvider("p1", log)
+        p1.store_page("page-x", b"x" * PAGE)  # the primary never got it
+        manager = _manager(p0, p1)
+        payloads, trips, tally = _fetch(manager, failover=[("p0", "p1")])
+        assert payloads == [b"x" * PAGE]
+        assert log == ["p0", "p1"]
+        assert (tally.failovers, tally.degraded) == (1, 1)
+        # Without a second replica the same miss surfaces as itself.
+        with pytest.raises(PageNotFoundError):
+            _fetch(_manager(_LoggingProvider("p0", [])))
+
+    def test_short_read_fails_over_like_a_dead_provider(self):
+        log: list[str] = []
+        p0, p1 = _ShortReadProvider("p0", log), _LoggingProvider("p1", log)
+        for provider in (p0, p1):
+            provider.store_page("page-x", b"x" * PAGE)
+        manager = _manager(p0, p1)
+        payloads, trips, tally = _fetch(manager, failover=[("p0", "p1")])
+        assert payloads == [b"x" * PAGE]
+        assert log == ["p0", "p1"]
+        assert trips == 2
+        assert tally.degraded == 1
+
+    def test_a_revived_provider_serves_the_next_call(self):
+        log: list[str] = []
+        p0 = _LoggingProvider("p0", log)
+        p0.store_page("page-x", b"x" * PAGE)
+        manager = _manager(p0)
+        p0.kill()
+        with pytest.raises(ProviderUnavailableError):
+            _fetch(manager)
+        assert manager.health.is_suspect("p0")
+        p0.revive()
+        payloads, trips, _tally = _fetch(manager)
+        assert payloads == [b"x" * PAGE]
+        assert trips == 1
+        assert log == ["p0", "p0"]  # one attempt per call, none in between
+        assert not manager.health.is_suspect("p0")
+
+    def test_dead_primary_bucket_fails_over_in_the_next_wave(self):
+        dht = DHT(num_buckets=4, replication=2)
+        run_inline(dht.multi_put_async, [("key", "value")])
+        primary, secondary = dht.buckets_for("key")
+        dht.kill_bucket(primary)
+        gets_before = dht.bucket(secondary).stats.gets
+        assert dht.multi_get(["key"]) == ["value"]
+        assert dht.bucket(secondary).stats.gets == gets_before + 1
+        assert dht._ranked_buckets_for("key") == (secondary, primary)
+
+    def test_single_replica_bucket_failure_surfaces_at_once(self):
+        dht = DHT(num_buckets=4, replication=1)
+        run_inline(dht.multi_put_async, [("key", "value")])
+        (home,) = dht.buckets_for("key")
+        dht.kill_bucket(home)
+        with pytest.raises(ProviderUnavailableError):
+            dht.multi_get(["key"])
+        dht.revive_bucket(home)
+        assert dht.multi_get(["key"]) == ["value"]
+
+    def test_put_lands_on_surviving_replicas_and_fails_when_none_accepts(self):
+        dht = DHT(num_buckets=4, replication=2)
+        primary, secondary = dht.buckets_for("key")
+        dht.kill_bucket(primary)
+        run_inline(dht.multi_put_async, [("key", "value")])
+        assert dht.multi_get(["key"]) == ["value"]
+        dht.kill_bucket(secondary)
+        with pytest.raises(ProviderUnavailableError):
+            run_inline(dht.multi_put_async, [("key", "other")])
+
+    def test_failover_never_sleeps(self):
+        p0, p1 = DataProvider("p0"), DataProvider("p1")
+        for provider in (p0, p1):
+            provider.store_page("page-x", b"x" * PAGE)
+        manager = _manager(p0, p1)
+        p0.kill()
+        runtime = _NoSleepRuntime()
+        payloads, _trips, _tally = _fetch(
+            manager, failover=[("p0", "p1")], runtime=runtime
+        )
+        assert payloads == [b"x" * PAGE]
+        dht = DHT(num_buckets=4, replication=2)
+        run_inline(dht.multi_put_async, [("key", "value")], runtime)
+        dht.kill_bucket(dht.buckets_for("key")[0])
+        assert run_inline(dht.multi_get_async, ["key"], runtime) == ["value"]
+        assert runtime.sleeps == []
+
+    def test_async_store_read_fails_over_dead_primaries(self):
+        cluster = Cluster(
+            BlobSeerConfig(
+                page_size=PAGE,
+                num_data_providers=4,
+                num_metadata_providers=4,
+                page_replication=2,
+                metadata_replication=2,
+            )
+        )
+
+        async def scenario():
+            store = AsyncBlobStore(cluster, cache_metadata=False, cache_pages=False)
+            blob_id = await store.create()
+            payload = make_payload(16 * PAGE)
+            version = await store.append(blob_id, payload)
+            await store.sync(blob_id, version)
+            cluster.kill_data_provider(busiest_provider(cluster))
+            cluster.kill_metadata_bucket(cluster.dht.bucket_ids()[0])
+            return payload, await store.read_ex(blob_id, version, 0, len(payload))
+
+        payload, (data, stats) = asyncio.run(scenario())
+        assert data == payload
+        assert stats.failovers > 0
+        assert stats.degraded > 0

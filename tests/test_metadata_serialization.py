@@ -106,7 +106,7 @@ class TestEncodingMetadataProvider:
         provider = MetadataProvider(dht, encode_values=True)
         key = NodeKey("blob", 1, 0, 1)
         provider.put_node(key, LeafNode("p", "d", 64))
-        raw = dht.get(key.to_string())
+        (raw,) = dht.multi_get([key.to_string()])
         assert isinstance(raw, bytes)
         assert run_inline(provider.get_nodes_async, [key]) == [LeafNode("p", "d", 64)]
 

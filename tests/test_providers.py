@@ -104,6 +104,11 @@ class TestAllocationStrategies:
             make_allocation_strategy("psychic")
 
 
+def primaries(manager: ProviderManager, count: int) -> list[str]:
+    """The provider ids of ``count`` single-replica allocations."""
+    return [primary for (primary,) in manager.allocate_replicas(count, 1)]
+
+
 class TestProviderManager:
     def _manager(self, count=4):
         manager = ProviderManager()
@@ -114,30 +119,30 @@ class TestProviderManager:
     def test_register_and_allocate(self):
         manager = self._manager()
         assert len(manager) == 4
-        allocation = manager.allocate(8)
+        allocation = primaries(manager, 8)
         assert len(allocation) == 8
         assert set(allocation) == set(manager.provider_ids())
 
     def test_allocate_zero(self):
-        assert self._manager().allocate(0) == []
+        assert primaries(self._manager(), 0) == []
 
     def test_no_providers_raises(self):
         manager = ProviderManager()
         with pytest.raises(NoProvidersError):
-            manager.allocate(1)
+            primaries(manager, 1)
 
     def test_deregistered_provider_not_allocated_but_still_readable(self):
         manager = self._manager()
         manager.provider("data-0001").store_page("p1", b"x")
         manager.deregister("data-0001")
-        allocation = manager.allocate(12)
+        allocation = primaries(manager, 12)
         assert "data-0001" not in allocation
         assert manager.provider("data-0001").fetch_page("p1") == b"x"
 
     def test_dead_providers_skipped(self):
         manager = self._manager()
         manager.provider("data-0002").kill()
-        allocation = manager.allocate(9)
+        allocation = primaries(manager, 9)
         assert "data-0002" not in allocation
 
     def test_all_dead_raises(self):
@@ -145,18 +150,22 @@ class TestProviderManager:
         for provider in manager.providers():
             provider.kill()
         with pytest.raises(NoProvidersError):
-            manager.allocate(1)
+            primaries(manager, 1)
+
+    def test_allocate_replicas_names_registered_providers(self):
+        manager = self._manager()
+        replica_sets = manager.allocate_replicas(3, 2)
+        assert len(replica_sets) == 3
+        for replicas in replica_sets:
+            assert len(replicas) == 2
+            providers = [manager.provider(pid) for pid in replicas]
+            assert all(isinstance(provider, DataProvider) for provider in providers)
 
     def test_load_accounting_and_imbalance(self):
         manager = self._manager()
         assert manager.imbalance() == 0.0
-        for index, provider_id in enumerate(manager.allocate(8)):
+        for index, provider_id in enumerate(primaries(manager, 8)):
             manager.provider(provider_id).store_page(f"p{index}", b"z" * 10)
         assert manager.total_pages() == 8
         assert manager.total_bytes_used() == 80
         assert manager.imbalance() == pytest.approx(1.0)
-
-    def test_allocate_providers_resolves_objects(self):
-        manager = self._manager()
-        providers = manager.allocate_providers(3)
-        assert all(isinstance(provider, DataProvider) for provider in providers)

@@ -417,3 +417,79 @@ def test_racing_syncs_and_settles_lose_no_wake():
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
     assert vm._state(blob_id).waiters == {}
+
+
+def test_a_sync_whose_loop_closed_does_not_fail_the_settle():
+    """An :class:`AsyncBlobStore` SYNC task whose event loop is closed
+    without cancelling it never withdraws its waiter.  Publishing that
+    version still returns normally, still wakes a thread blocked in
+    :meth:`BlobStore.sync` on it, and later publications are unaffected."""
+    cluster = Cluster.in_memory(
+        num_data_providers=4, num_metadata_providers=4, page_size=PAGE
+    )
+    vm = cluster.version_manager
+    blob_id = vm.create_blob().blob_id
+    vm.register_update(blob_id, PAGE, is_append=True)  # v1
+    waiters = vm._state(blob_id).waiters
+
+    loop = asyncio.new_event_loop()
+    orphan = loop.create_task(AsyncBlobStore(cluster).sync(blob_id, 1))
+    while not waiters.get(1):
+        loop.run_until_complete(asyncio.sleep(0))
+    loop.close()
+
+    outcome = {}
+
+    def blocked_sync():
+        BlobStore(cluster).sync(blob_id, 1, timeout=2 * STUCK_S)
+        outcome["woken_at"] = time.perf_counter()
+
+    thread = threading.Thread(target=blocked_sync, daemon=True)
+    thread.start()
+    deadline = time.perf_counter() + STUCK_S
+    while len(waiters.get(1, ())) < 2 and time.perf_counter() < deadline:
+        time.sleep(0.001)
+    assert len(waiters[1]) == 2
+
+    settled_at = time.perf_counter()
+    vm.complete_update(blob_id, 1)
+    thread.join(STUCK_S)
+    assert not thread.is_alive()
+    assert vm.is_published(blob_id, 1)
+    assert outcome["woken_at"] - settled_at < STUCK_S
+
+    other = vm.create_blob().blob_id
+    vm.register_update(other, PAGE, is_append=True)
+    vm.complete_update(other, 1)
+    assert vm.is_published(other, 1)
+
+    # The orphan can never resume: unwind it now rather than at whatever
+    # point the garbage collector reaches it, and skip the "destroyed but
+    # pending" log.
+    orphan.get_coro().close()
+    orphan._log_destroy_pending = False
+
+
+def test_a_failing_notification_is_logged_and_the_rest_still_run(caplog):
+    """A publish listener that raises does not fail the publication that
+    was already applied, and the listeners and SYNC wakes after it run."""
+    vm = VersionManager()
+    blob_id = vm.create_blob(PAGE).blob_id
+    vm.register_update(blob_id, PAGE, is_append=True)
+    heard = []
+
+    def broken(_lease):
+        raise RuntimeError("listener failed")
+
+    vm.subscribe_publications(broken)
+    vm.subscribe_publications(lambda lease: heard.append(lease.version))
+    woken = []
+    vm.on_settled(blob_id, 1, lambda: woken.append(1))
+
+    with caplog.at_level("ERROR", logger="repro.version"):
+        vm.complete_update(blob_id, 1)
+
+    assert vm.is_published(blob_id, 1)
+    assert heard == [1]
+    assert woken == [1]
+    assert [record.name for record in caplog.records] == ["repro.version"]

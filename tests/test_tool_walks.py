@@ -58,21 +58,17 @@ def probe():
 
 @pytest.fixture
 def dht_calls(probe, monkeypatch):
-    """Counts single-key gets, batched gets and the keys those batches ask."""
+    """Counts batched gets and the keys those batches ask (the DHT has no
+    single-key get)."""
     dht = probe[0].dht
-    calls = {"get": 0, "batches": 0, "keys": 0}
-    get, multi_get_async = dht.get, dht.multi_get_async
-
-    def counted_get(key):
-        calls["get"] += 1
-        return get(key)
+    calls = {"batches": 0, "keys": 0}
+    multi_get_async = dht.multi_get_async
 
     async def counted_multi_get_async(keys, *args):
         calls["batches"] += 1
         calls["keys"] += len(keys)
         return await multi_get_async(keys, *args)
 
-    monkeypatch.setattr(dht, "get", counted_get)
     monkeypatch.setattr(dht, "multi_get_async", counted_multi_get_async)
     return calls
 
@@ -82,7 +78,6 @@ class TestOneBatchPerTreeLevel:
         cluster, blob_id = probe
         report = collect_garbage(cluster, {blob_id: range(1, 17)})
         assert report.deleted_nodes == report.deleted_pages == 0
-        assert dht_calls["get"] == 0
         assert dht_calls["batches"] == DEPTH
         # A subtree shared between versions is fetched once.
         assert dht_calls["keys"] == report.reachable_nodes
@@ -90,7 +85,6 @@ class TestOneBatchPerTreeLevel:
     def test_repair_scan_is_the_same_walk(self, probe, dht_calls):
         cluster, _blob_id = probe
         assert RepairService(cluster).under_replicated() == 0
-        assert dht_calls["get"] == 0
         assert dht_calls["batches"] == DEPTH
         assert dht_calls["keys"] == cluster.metadata_node_count()
 
@@ -108,7 +102,6 @@ class TestOneBatchPerTreeLevel:
             for page in range(run.page_offset, run.page_offset + run.page_count)
         } == expected
         assert {run.kind for run in changed} == {"modified"}
-        assert dht_calls["get"] == 0
         assert dht_calls["batches"] <= DEPTH
 
     def test_diff_of_neighbours_fetches_the_change_not_the_blob(
@@ -118,7 +111,6 @@ class TestOneBatchPerTreeLevel:
         assert diff_versions(cluster, blob_id, 15, 16) == [
             ChangedRange(write_offset(14), WRITE_PAGES, "modified")
         ]
-        assert dht_calls["get"] == 0
         assert dht_calls["batches"] <= DEPTH
         # Only the newer tree, and of it only the path down to the rewritten
         # subtree and that subtree: 6 + 31 nodes, not the 2 047 of the tree.
